@@ -111,7 +111,7 @@ def hopf_curve(beta: float, eps: float) -> float:
     """Critical damping offset mu_c = (beta^2 - eps*beta)/eps^2; beta, eps > 0."""
     if not (beta > 0 and eps > 0):
         raise ValueError("hopf curve requires beta > 0 and eps > 0")
-    return (beta * beta - eps * beta) / (eps * eps)
+    return critical_mus(Params(mu=0.0, beta=beta, eps=eps)).muc
 
 
 @dataclass(frozen=True)
@@ -325,8 +325,7 @@ def melnikov(mu: float, beta: float, eps: float, eps1: float = 1.0,
     """
     if not (beta > 0 and eps > 0):
         raise ValueError("melnikov requires beta > 0 and eps > 0")
-    mu3 = (32.0 * beta * beta * eps1 * eps1) / (35.0 * eps * eps) \
-        - (4.0 * beta) / (5.0 * eps)
+    mu3 = _mu3(beta, eps, eps1)
     if method is MelnikovMethod.CLOSED_FORM:
         value = (4.0 * beta * beta * mu / (3.0 * eps)
                  + 16.0 * beta ** 3 / (15.0 * eps * eps)
@@ -348,11 +347,17 @@ def melnikov(mu: float, beta: float, eps: float, eps1: float = 1.0,
     return MelnikovResult(value, MelnikovMethod.QUADRATURE, mu3)
 
 
+def _mu3(beta: float, eps: float, eps1: float) -> float:
+    # root in mu of the closed-form Melnikov integral
+    return (32.0 * beta * beta * eps1 * eps1) / (35.0 * eps * eps) \
+        - (4.0 * beta) / (5.0 * eps)
+
+
 def homoclinic_curve(beta: float, eps: float) -> float:
     """Homoclinic threshold mu_3 = 32 beta^2/(35 eps^2) - 4 beta/(5 eps)."""
     if not (beta > 0 and eps > 0):
         raise ValueError("homoclinic curve requires beta > 0 and eps > 0")
-    return 32.0 * beta * beta / (35.0 * eps * eps) - 4.0 * beta / (5.0 * eps)
+    return _mu3(beta, eps, 1.0)
 
 
 # --- non-existence certificates / region classifier ------------------------
@@ -369,6 +374,26 @@ class Certificate:
     reason: str
 
 
+# per criterion, in check order: its kind, whether its inequality holds,
+# the certificate's reason, and its entry in a region label
+_CRITERIA = (
+    (CertificateKind.DULAC, lambda p: p.mu <= -0.25,
+     "mu <= -1/4: divergence mu + x^2 - x^4 <= -(x^2 - 1/2)^2 "
+     "+ (mu + 1/4) <= 0 everywhere (Bendixson-Dulac)",
+     "dulac: mu <= -1/4, divergence nonpositive everywhere"),
+    (CertificateKind.INDEX,
+     lambda p: (p.eps <= 0 and p.beta > 0) or (p.eps < 0 and p.beta == 0),
+     "sole equilibrium is a saddle (index -1); a closed orbit would "
+     "have to enclose index +1 (index theory)",
+     "index: sole equilibrium is a saddle"),
+    (CertificateKind.ENERGY,
+     lambda p: p.eps > 0 and p.beta == 0 and p.mu <= -5.0 / 36.0,
+     "eps > 0, beta = 0, mu <= -5/36: dE/dt = eps x^4 "
+     "(mu + x^2/3 - x^4/5) <= 0, closed orbits impossible",
+     "energy: dE/dt <= 0 along orbits"),
+)
+
+
 def nonexistence_certificate(p: Params) -> Optional[Certificate]:
     """Certificate that no limit cycle or homoclinic loop exists, if any.
 
@@ -377,21 +402,9 @@ def nonexistence_certificate(p: Params) -> Optional[Certificate]:
     dissipation (eps > 0, beta = 0, mu <= -5/36).  Returns None when no
     criterion applies.
     """
-    if p.mu <= -0.25:
-        return Certificate(
-            CertificateKind.DULAC,
-            "mu <= -1/4: divergence mu + x^2 - x^4 <= -(x^2 - 1/2)^2 "
-            "+ (mu + 1/4) <= 0 everywhere (Bendixson-Dulac)")
-    if (p.eps <= 0 and p.beta > 0) or (p.eps < 0 and p.beta == 0):
-        return Certificate(
-            CertificateKind.INDEX,
-            "sole equilibrium is a saddle (index -1); a closed orbit would "
-            "have to enclose index +1 (index theory)")
-    if p.eps > 0 and p.beta == 0 and p.mu <= -5.0 / 36.0:
-        return Certificate(
-            CertificateKind.ENERGY,
-            "eps > 0, beta = 0, mu <= -5/36: dE/dt = eps x^4 "
-            "(mu + x^2/3 - x^4/5) <= 0, closed orbits impossible")
+    for kind, holds, reason, _ in _CRITERIA:
+        if holds(p):
+            return Certificate(kind, reason)
     return None
 
 
@@ -412,17 +425,6 @@ class RegionLabel:
     certificates: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _all_certificates(p: Params) -> list[str]:
-    out = []
-    if p.mu <= -0.25:
-        out.append("dulac: mu <= -1/4, divergence nonpositive everywhere")
-    if (p.eps <= 0 and p.beta > 0) or (p.eps < 0 and p.beta == 0):
-        out.append("index: sole equilibrium is a saddle")
-    if p.eps > 0 and p.beta == 0 and p.mu <= -5.0 / 36.0:
-        out.append("energy: dE/dt <= 0 along orbits")
-    return out
-
-
 def classify_region(p: Params) -> RegionLabel:
     """Global phase-portrait regime of (eps, beta, mu); alpha is ignored.
 
@@ -433,7 +435,9 @@ def classify_region(p: Params) -> RegionLabel:
     strip is reported under NO_CYCLE_ENERGY with an explicit note in the
     certificate list.
     """
-    certs = _all_certificates(p)
+    held = [(kind, entry) for kind, holds, _, entry in _CRITERIA if holds(p)]
+    kinds = {kind for kind, _ in held}
+    certs = [entry for _, entry in held]
     if p.eps <= 0:
         return RegionLabel(Region.NO_CYCLE_SADDLE_ONLY, tuple(certs))
     if p.beta == 0:
@@ -441,15 +445,15 @@ def classify_region(p: Params) -> RegionLabel:
             certs.append("poincare-bendixson: equator repels inward, origin "
                          "unstable; annulus traps a stable cycle")
             return RegionLabel(Region.SINGLE_SMALL_CYCLE, tuple(certs))
-        if p.mu <= -0.25:
+        if CertificateKind.DULAC in kinds:
             return RegionLabel(Region.NO_CYCLE_DULAC, tuple(certs))
-        if p.mu <= -5.0 / 36.0:
+        if CertificateKind.ENERGY in kinds:
             return RegionLabel(Region.NO_CYCLE_ENERGY, tuple(certs))
         certs.append("uncertified: -5/36 < mu < 0 with beta = 0; origin is "
                      "a stable node but no closed-orbit exclusion is proven")
         return RegionLabel(Region.NO_CYCLE_ENERGY, tuple(certs))
     # eps > 0, beta > 0
-    muc = hopf_curve(p.beta, p.eps)
+    muc = critical_mus(p).muc
     mu3 = homoclinic_curve(p.beta, p.eps)
     if abs(p.mu - mu3) <= HOMOCLINIC_CURVE_TOL:
         return RegionLabel(Region.HOMOCLINIC_PAIR, tuple(certs))

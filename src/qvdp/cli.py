@@ -12,7 +12,6 @@ repro      one-command rerun of the six reference unforced parameter sets
 
 Exit codes: 0 success, 2 usage/parameter error, 3 runtime numerical failure.
 Outputs are deterministic (17-significant-digit numbers, LF line endings).
-``QVDP_THREADS`` caps sweep/portrait parallelism.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -40,16 +38,6 @@ EXIT_NUMERICAL = 3
 HOMOCLINIC_PROXIMITY = 1e-3
 
 _TS_PER_PERIOD = 16  # time-series samples per forcing period
-
-
-def _threads() -> int:
-    env = os.environ.get("QVDP_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
 
 
 def _params_from(args) -> Params:
@@ -132,9 +120,8 @@ def cmd_portrait(args) -> int:
         print("portrait requires at least one --seed x,y", file=sys.stderr)
         return EXIT_USAGE
     tol = _tol_pair(args.tol)
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        results = list(pool.map(
-            lambda s: _integrate_seed(p, s, args.t0, args.t1, tol), args.seed))
+    results = [_integrate_seed(p, seed, args.t0, args.t1, tol)
+               for seed in args.seed]
 
     rows = []
     ok_seeds = 0
@@ -243,8 +230,7 @@ def cmd_sweep(args) -> int:
             point[ax1] = float(v1)
             point[ax2] = float(v2)
             cells.append((point["mu"], point["beta"], point["eps"]))
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        rows = list(pool.map(lambda c: _sweep_cell(*c), cells))
+    rows = [_sweep_cell(*c) for c in cells]
 
     def cell_text(row):
         out = [fmt(row[0]), fmt(row[1]), fmt(row[2]), row[3]]
@@ -483,8 +469,25 @@ def dispatch(args) -> int:
         return EXIT_NUMERICAL
 
 
+def _join_seed_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--seed X,Y`` as ``--seed=X,Y``.
+
+    argparse takes a separate value with a leading '-' (a negative x such
+    as ``-2,0``) for an option and rejects it as the value of ``--seed``.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--seed" and arg.startswith("-") \
+                and not arg.startswith("--"):
+            out[-1] = f"--seed={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_seed_values(argv))
     return dispatch(args)
 
 

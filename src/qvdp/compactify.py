@@ -34,8 +34,6 @@ from .equilibria import EquilibriumKind
 from .model import Params, State
 
 __all__ = [
-    "Chart",
-    "ChartPoint",
     "InfinityLabel",
     "InfinityEquilibrium",
     "field_chart_u",
@@ -47,18 +45,6 @@ __all__ = [
     "ProbeReport",
     "probe_infinity_kind",
 ]
-
-
-class Chart(enum.Enum):
-    U = "u"       # x = 1/z, y = u/z
-    V = "v"       # x = v/z, y = 1/z
-    FINITE = "finite"
-
-
-@dataclass(frozen=True)
-class ChartPoint:
-    chart: Chart
-    coords: tuple[float, float]
 
 
 class InfinityLabel(enum.Enum):

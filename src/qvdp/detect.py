@@ -5,16 +5,24 @@ Poincare return map on the half-axis section {y = 0, x > 0}, taken between
 successive downward crossings.  That one section works for every cycle this
 family produces: the single cycle around the origin (beta = 0), the small
 cycles around E1/E2, and the large cycle enclosing all three equilibria all
-cross it exactly once per period going down.  The fixed point is solved by
-a damped secant iteration with plain map iteration as fallback; the
-nontrivial Floquet multiplier is the finite-difference derivative of the
-return map at the fixed point.
+cross it exactly once per period going down.  Each return is one
+integration, stopped by a terminal event at the crossing, of the state
+augmented with the divergence integral.  The fixed point is solved by a
+damped secant iteration with plain map iteration as fallback.  By
+Liouville's formula the return map on {y = 0} has the derivative
+
+    P'(x0) = g(x0) / g(P(x0)) * exp(int div dt),   g(x) = beta x - eps x^3,
+
+so at a cycle the nontrivial Floquet multiplier is exp(int_0^T div dt),
+read off the closing return (Perko, Differential Equations and Dynamical
+Systems, sec. 3.4).  The cycle's geometry is sampled from the dense output
+of that same return.
 
 Homoclinic proximity is measured by shooting: the unstable manifold of the
 saddle at the origin is launched forward, the stable manifold backward,
-both from 1e-8 offsets along the respective eigenvectors, and the signed
-gap between their first section crossings brackets the homoclinic
-connection as mu varies.
+both from 1e-8 offsets along the respective eigenvectors, each integrated
+once up to its first section crossing, and the signed gap between the two
+crossings brackets the homoclinic connection as mu varies.
 
 The forced system is judged through its stroboscopic map: contraction to a
 point (a harmonically entrained periodic solution), a revisited finite set
@@ -27,14 +35,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .equilibria import EqLabel, find_equilibria
-from .integrate import (Direction, NonFinite, NoConvergence, Trajectory,
-                        detect_crossings, integrate, stroboscopic)
-from .model import Params, State, unforced_rhs
+from .integrate import (Direction, NonFinite, NoConvergence, integrate,
+                        stroboscopic)
+from .model import Params, State, divergence, unforced_rhs
 
 __all__ = [
     "LimitCycle",
@@ -53,11 +61,13 @@ __all__ = [
 _SECTION_TOL = (1e-12, 1e-10)
 _FIXED_POINT_RESIDUAL = 1e-8
 _MAX_RETURNS = 60
+_RETURN_HORIZON = 240.0
 # a converged section fixed point closer than this to an equilibrium, or a
 # loop staying within this distance of one, is a collapsed spiral, not a cycle
 _COLLAPSE_RADIUS = 1e-2
-# bounded orbits of this family stay within single digits; escapes toward
-# infinity grow stiffer with |x| (quartic damping), so bail out early
+# escapes toward infinity grow stiffer with |x| (quartic damping), so bail
+# out early: at 8 * max(1, mu).  Large cycles reach |y| of about 3 mu
+# (beta/eps in [2.5, 3.25], mu up to 8), so a fixed bound would hide them.
 _CYCLE_ESCAPE = 8.0
 
 
@@ -112,43 +122,39 @@ def winding_number(path_xy: np.ndarray, point) -> int:
 
 # --- return map ------------------------------------------------------------
 
-def _first_crossing(rhs, s0, section, direction, accept,
-                    t_chunk: float = 40.0, t_total: float = 240.0,
-                    tol=_SECTION_TOL, escape_radius: float = _CYCLE_ESCAPE):
-    """First accepted section crossing downstream of s0.
-
-    Returns (event_time_offset, state) or None when the orbit escapes or
-    never crosses within t_total.
-    """
-    t_done = 0.0
-    state = np.asarray(s0, dtype=float)
-    while t_done < t_total:
-        try:
-            traj = integrate(rhs, state, (0.0, t_chunk), tol=tol,
-                             escape_radius=escape_radius)
-        except NonFinite:
-            return None
-        events = detect_crossings(traj, section, direction)
-        for ev in events:
-            if ev.t > 1e-9 and accept(ev.state):
-                return (t_done + ev.t, ev.state)
-        state = traj.final
-        t_done += t_chunk
-    return None
-
-
-def _default_section(s):
-    return s[1]
-
-
 def _positive_x(s):
     return s[0] > 0.0
 
 
+def _to_section(field, s0, direction, accept, t_max, escape_radius,
+                tol=_SECTION_TOL, escape_components=slice(None)):
+    """One integration from ``s0`` to the first accepted crossing of {y = 0}.
+
+    Returns the trajectory, whose final state lies on the section, or None
+    when no accepted crossing in ``direction`` occurs within ``t_max``;
+    raises :class:`~qvdp.integrate.NonFinite` on escape.  A start exactly on
+    the section is not a crossing.  Off the accepted half the event is held
+    on the near side of the section, so leaving the half is never taken for
+    a crossing; the orbit has to enter the half from the near side, as it
+    does for every flow with x' = y or x' = -y and the directions used here.
+    """
+    sign = direction.value
+
+    def crossing(t, s):
+        if not accept(s):
+            return -sign
+        # a state exactly on the section counts as past it
+        return s[1] if s[1] != 0.0 else sign * math.ulp(0.0)
+    crossing.terminal = True
+    crossing.direction = sign
+
+    traj = integrate(field, s0, (0.0, t_max), tol=tol,
+                     escape_radius=escape_radius,
+                     escape_components=escape_components, stop_event=crossing)
+    return traj if traj.stopped else None
+
+
 def find_limit_cycle(p: Params, seed: State,
-                     section: Optional[Callable] = None,
-                     direction: Direction = Direction.DOWN,
-                     accept: Callable = _positive_x,
                      tol=_SECTION_TOL) -> Optional[LimitCycle]:
     """Locate a limit cycle of the unforced system reachable from ``seed``.
 
@@ -157,35 +163,38 @@ def find_limit_cycle(p: Params, seed: State,
     :class:`~qvdp.integrate.NoConvergence` if the fixed-point solve stalls
     without either outcome.
     """
-    if section is None:
-        section = _default_section
     rhs = unforced_rhs(p)
     eqs = find_equilibria(p)
     section_eq_x = [0.0] + [e.location.x for e in eqs if e.location.x > 0]
+    escape_radius = _CYCLE_ESCAPE * max(1.0, p.mu)
 
-    def ret(x):
-        hit = _first_crossing(rhs, (x, 0.0), section, direction, accept,
-                              tol=tol)
-        if hit is None:
+    def field(t, s):
+        # (x, y) and the divergence integral along the orbit
+        dx, dy = rhs(t, s[:2])
+        return np.array([dx, dy, divergence(s[0], p)])
+
+    def ret(x, y=0.0):
+        try:
+            return _to_section(field, (x, y, 0.0), Direction.DOWN,
+                               _positive_x, _RETURN_HORIZON, escape_radius,
+                               tol, slice(0, 2))
+        except NonFinite:
             return None
-        return hit  # (period, state)
 
-    first = _first_crossing(rhs, (float(seed[0]), float(seed[1])),
-                            section, direction, accept, tol=tol)
+    first = ret(float(seed[0]), float(seed[1]))
     if first is None:
         return None
-    x_prev = float(first[1][0])
+    x_prev = float(first.final[0])
 
     hit = ret(x_prev)
     if hit is None:
         return None
-    x_curr = float(hit[1][0])
+    x_curr = float(hit.final[0])
     g_prev = x_curr - x_prev
 
     def near_equilibrium(x):
         return min(abs(x - xe) for xe in section_eq_x) < _COLLAPSE_RADIUS
 
-    period = hit[0]
     for _ in range(_MAX_RETURNS):
         if abs(g_prev) < _FIXED_POINT_RESIDUAL:
             break
@@ -194,8 +203,7 @@ def find_limit_cycle(p: Params, seed: State,
         hit = ret(x_curr)
         if hit is None:
             return None
-        period = hit[0]
-        g_curr = float(hit[1][0]) - x_curr
+        g_curr = float(hit.final[0]) - x_curr
         denom = g_curr - g_prev
         if denom != 0.0:
             step = -g_curr * (x_curr - x_prev) / denom
@@ -218,43 +226,35 @@ def find_limit_cycle(p: Params, seed: State,
     hit = ret(x_star)
     if hit is None:
         return None
-    residual = abs(float(hit[1][0]) - x_star)
+    residual = abs(float(hit.final[0]) - x_star)
     if residual > _FIXED_POINT_RESIDUAL:
         # polish once by plain iteration
-        x_star = float(hit[1][0])
+        x_star = float(hit.final[0])
         hit = ret(x_star)
         if hit is None:
             return None
-        residual = abs(float(hit[1][0]) - x_star)
+        residual = abs(float(hit.final[0]) - x_star)
         if residual > _FIXED_POINT_RESIDUAL:
             raise NoConvergence(f"fixed point residual {residual:.3e}")
-    period = hit[0]
+    period = hit.t1
 
-    # one dense revolution for geometry checks
-    loop = integrate(rhs, np.array([x_star, 0.0]), (0.0, period), tol=tol,
-                     t_eval=np.linspace(0.0, period, 2001))
-    path = loop.states
+    # geometry from the dense output of the closing return
+    path = hit.at(np.linspace(0.0, period, 2001))[:, :2]
     dist_to_eq = min(
         np.max(np.hypot(path[:, 0] - e.location.x, path[:, 1] - e.location.y))
         for e in eqs)
     if dist_to_eq < _COLLAPSE_RADIUS:
         return None
 
-    # floquet: finite-difference derivative of the return map at x*
-    h = 1e-5 * max(1.0, abs(x_star))
-    up = ret(x_star + h)
-    dn = ret(x_star - h)
-    if up is None or dn is None:
-        raise NoConvergence("return map not defined at floquet stencil")
-    floquet = (float(up[1][0]) - float(dn[1][0])) / (2.0 * h)
-
+    # Liouville: the multiplier is exp of the divergence integral over a period
+    floquet = math.exp(hit.final[2])
     encloses = frozenset(
         e.label for e in eqs
         if winding_number(path, (e.location.x, e.location.y)) != 0)
     return LimitCycle(representative=State(x_star, 0.0),
                       period=float(period),
                       amplitude=float(np.max(np.abs(path[:, 0]))),
-                      floquet=float(floquet),
+                      floquet=floquet,
                       stable=abs(floquet) < 1.0,
                       encloses=encloses)
 
@@ -263,6 +263,7 @@ def find_limit_cycle(p: Params, seed: State,
 
 _LAUNCH_OFFSET = 1e-8
 _SHOOT_BOX = 5.0
+_SHOOT_HORIZON = 400.0
 
 
 def _saddle_eigvectors(p: Params):
@@ -275,21 +276,15 @@ def _saddle_eigvectors(p: Params):
 
 
 def _shoot_to_section(rhs, s0, direction, accept=_positive_x) -> float:
-    t_done, state = 0.0, np.asarray(s0, dtype=float)
-    t_chunk, t_total = 40.0, 400.0
-    while t_done < t_total:
-        try:
-            traj = integrate(rhs, state, (0.0, t_chunk), tol=_SECTION_TOL,
-                             escape_radius=_SHOOT_BOX)
-        except NonFinite as exc:
-            raise ManifoldEscape(
-                f"separatrix branch left |x|,|y| <= {_SHOOT_BOX}") from exc
-        for ev in detect_crossings(traj, _default_section, direction):
-            if ev.t > 1e-9 and accept(ev.state):
-                return float(ev.state[0])
-        state = traj.final
-        t_done += t_chunk
-    raise ManifoldEscape("no section crossing within the shooting horizon")
+    try:
+        traj = _to_section(rhs, s0, direction, accept, _SHOOT_HORIZON,
+                           _SHOOT_BOX)
+    except NonFinite as exc:
+        raise ManifoldEscape(
+            f"separatrix branch left |x|,|y| <= {_SHOOT_BOX}") from exc
+    if traj is None:
+        raise ManifoldEscape("no section crossing within the shooting horizon")
+    return float(traj.final[0])
 
 
 def separatrix_split(p: Params) -> SeparatrixSplit:

@@ -104,8 +104,7 @@ def _eigs_at_origin(p: Params) -> tuple[complex, complex]:
 
 def _eigs_at_pair(p: Params) -> tuple[complex, complex]:
     # roots of lambda^2 - sigma lambda + 2 beta = 0, sigma = mu - muc
-    muc = (p.beta ** 2 - p.eps * p.beta) / p.eps ** 2
-    sigma = p.mu - muc
+    sigma = p.mu - critical_mus(p).muc
     disc = sigma * sigma - 8.0 * p.beta
     root = cmath.sqrt(complex(disc))
     return (0.5 * (sigma + root), 0.5 * (sigma - root))

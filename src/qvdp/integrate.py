@@ -10,7 +10,8 @@ event machinery needs.  The layer adds:
   finite time, which is a reportable outcome (:class:`NonFinite`), not a
   crash;
 * sign-change detection of arbitrary scalar sections on the dense output,
-  refined by root bracketing to |section| < 1e-10;
+  refined by root bracketing to |section| < 1e-10, and a terminal event
+  that ends a run at its first section crossing;
 * stroboscopic sampling of the forced system at exact multiples of the
   forcing period.
 
@@ -109,6 +110,7 @@ class Trajectory:
     tol: Tol
     stats: dict
     escaped: bool = False
+    stopped: bool = False
     _dense: object = field(default=None, repr=False, compare=False)
 
     def at(self, times) -> np.ndarray:
@@ -159,7 +161,8 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
               t_eval: Optional[Sequence[float]] = None,
               max_step: float = np.inf,
               escape_radius: float = 1e4,
-              escape_components: slice = slice(None)) -> Trajectory:
+              escape_components: slice = slice(None),
+              stop_event: Optional[Callable] = None) -> Trajectory:
     """Integrate ``field_fn`` from ``s0`` over ``t_span``.
 
     Parameters
@@ -174,6 +177,9 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
     escape_radius : max-norm radius beyond which the run is declared escaped
     escape_components : which state components the escape monitor sees
         (the forced 3D extension excludes its unwrapped phase coordinate)
+    stop_event : optional terminal event ``g(t, state)`` in scipy's
+        convention (``terminal`` and ``direction`` attributes); the run
+        ends at its first zero with ``stopped`` set on the trajectory
 
     Raises
     ------
@@ -198,11 +204,12 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
         return np.max(np.abs(y[escape_components])) - escape_radius
     escape.terminal = True
     escape.direction = 1
+    events = [escape] if stop_event is None else [escape, stop_event]
 
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve_ivp(field_fn, t_span, y0, method=method,
                         rtol=tol.rel, atol=tol.abs, dense_output=dense,
-                        t_eval=t_eval, max_step=max_step, events=[escape])
+                        t_eval=t_eval, max_step=max_step, events=events)
 
     accepted = max(0, len(sol.t) - 1) if t_eval is None else None
     stats = {"nfev": sol.nfev}
@@ -212,8 +219,10 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
             method, sol.nfev, accepted, dense)
 
     escaped = len(sol.t_events[0]) > 0
+    stopped = stop_event is not None and len(sol.t_events[1]) > 0
     traj = Trajectory(t=sol.t, states=sol.y.T, tol=tol, stats=stats,
-                      escaped=escaped, _dense=sol.sol if dense else None)
+                      escaped=escaped, stopped=stopped,
+                      _dense=sol.sol if dense else None)
     if escaped:
         raise NonFinite(
             f"state escaped |s| > {escape_radius:g} at t={sol.t_events[0][0]:.6g}",

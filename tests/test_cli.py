@@ -190,6 +190,21 @@ def test_portrait_requires_seed(tmp_path):
     assert _run(["portrait", "--beta", "1", "--eps", "2"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["portrait", "--beta", "1", "--eps", "2", "--mu", "-0.1", "--t1", "5"],
+    ["forced", "--beta", "1", "--eps", "3", "--mu", "-0.3", "--alpha",
+     "-0.3", "--n", "20"],
+])
+def test_negative_seed_as_separate_value(tmp_path, argv):
+    # "--seed -2,0" is the same seed as "--seed=-2,0"
+    split, joined = tmp_path / "split.csv", tmp_path / "joined.csv"
+    assert _run(argv + ["--seed", "-2,0", "--out", str(split)]) == 0
+    assert _run(argv + ["--seed=-2,0", "--out", str(joined)]) == 0
+    assert split.read_bytes() == joined.read_bytes()
+    first = split.read_text().split("\n")[1].split(",")
+    assert [float(v) for v in first[2:]] == [-2.0, 0.0]
+
+
 def test_portrait_large_cycle_topology(tmp_path):
     # both a seed spiraling out of E2 and one falling in from outside end
     # on the same large cycle: late-time x-extents agree

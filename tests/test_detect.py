@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qvdp.detect import (SeparatrixSplit, Verdict, _shoot_to_section,
                          classify_forced, find_limit_cycle, rotation_number,
                          separatrix_split, winding_number)
-from qvdp.detect import _saddle_eigvectors, _LAUNCH_OFFSET
+from qvdp.detect import (_saddle_eigvectors, _positive_x, _to_section,
+                         _LAUNCH_OFFSET)
 from qvdp.equilibria import EqLabel, EquilibriumKind, find_equilibria
-from qvdp.bifurcation import homoclinic_curve
-from qvdp.integrate import Direction, integrate
+from qvdp.bifurcation import homoclinic_curve, hopf_curve
+from qvdp.integrate import Direction, detect_crossings, integrate
 from qvdp.model import Params, State, unforced_rhs
 
 
@@ -129,6 +131,76 @@ def test_no_cycle_on_escape():
     assert find_limit_cycle(p, State(2.0, 0.0), tol=(1e-9, 1e-7)) is None
 
 
+def test_cycle_beyond_fixed_escape_bound():
+    # beta/eps = 3 past mu_c: the large cycle reaches |y| ~ 3 mu, well
+    # beyond the escape bound of 8 that holds for mu <= 1
+    p = Params(mu=6.1, beta=3.0, eps=1.0)
+    cyc = find_limit_cycle(p, State(2.0, 0.0))
+    assert cyc is not None
+    traj = integrate(unforced_rhs(p), np.array(cyc.representative),
+                     (0.0, cyc.period), tol=(1e-12, 1e-10))
+    assert np.max(np.abs(traj.final - np.array(cyc.representative))) < 1e-6
+
+
+# --- Liouville multiplier vs the return map ----------------------------------
+
+def _first_return_x(p: Params, x0: float) -> float:
+    """x of the first downward crossing of {y = 0, x > 0} from (x0, 0)."""
+    traj = integrate(unforced_rhs(p), np.array([x0, 0.0]), (0.0, 40.0),
+                     tol=(1e-12, 1e-10))
+    return next(float(ev.state[0])
+                for ev in detect_crossings(traj, lambda s: s[1],
+                                           Direction.DOWN)
+                if ev.t > 1e-9 and ev.state[0] > 0.0)
+
+
+def _check_multiplier(p: Params, seed) -> None:
+    cyc = find_limit_cycle(p, seed)
+    assert cyc is not None
+    x = cyc.representative.x
+    h = 1e-5 * max(1.0, abs(x))
+    central = (_first_return_x(p, x + h) - _first_return_x(p, x - h)) / (2 * h)
+    assert abs(cyc.floquet - central) < 1e-6
+
+
+@pytest.mark.parametrize("p, seed", [
+    (Params(mu=1.0, beta=0.0, eps=2.0), State(2.0, 0.0)),
+    (Params(mu=-0.2, beta=1.0, eps=2.0), State(0.9, 0.0)),
+    (Params(mu=-0.1, beta=1.0, eps=2.0), State(2.0, 0.0)),
+])
+def test_liouville_multiplier_paper_regimes(p, seed):
+    _check_multiplier(p, seed)
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(beta=st.floats(0.9, 1.1), eps=st.floats(1.9, 2.1),
+       frac=st.floats(0.55, 0.75))
+def test_liouville_multiplier_two_small_cycles_band(beta, eps, frac):
+    muc, mu3 = hopf_curve(beta, eps), homoclinic_curve(beta, eps)
+    _check_multiplier(Params(mu=muc + frac * (mu3 - muc), beta=beta, eps=eps),
+                      State(math.sqrt(beta / eps) + 0.05, 0.0))
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(beta=st.floats(0.9, 1.1), eps=st.floats(1.9, 2.1),
+       offset=st.floats(0.05, 0.1))
+def test_liouville_multiplier_large_cycle_band(beta, eps, offset):
+    _check_multiplier(
+        Params(mu=homoclinic_curve(beta, eps) + offset, beta=beta, eps=eps),
+        State(2.0, 0.0))
+
+
+def test_return_from_the_section_does_not_stop_at_start():
+    # from (2, 0) the orbit leaves the section downward at t = 0; a plain
+    # terminal event would report that start as the crossing
+    p = Params(mu=-0.1, beta=1.0, eps=2.0)
+    traj = _to_section(unforced_rhs(p), (2.0, 0.0), Direction.DOWN,
+                       _positive_x, 240.0, 8.0)
+    assert traj is not None and traj.t1 > 1.0
+    assert abs(traj.final[1]) < 1e-10
+    assert abs(traj.final[0] - _first_return_x(p, 2.0)) < 1e-9
+
+
 # --- separatrix shooting -----------------------------------------------------
 
 def test_separatrix_split_near_homoclinic_threshold():
@@ -160,6 +232,27 @@ def test_separatrix_split_mirror_symmetry():
     xs = _shoot_to_section(rhs_back, -_LAUNCH_OFFSET * vs, Direction.DOWN,
                            accept=negative_x)
     assert abs(abs(xu - xs) - abs(ref.distance)) < 1e-9
+
+
+def test_separatrix_split_crosses_section_before_leaving_box():
+    # the unstable branch crosses the section, then leaves |x|,|y| <= 5
+    beta, eps = 1.2, 2.0
+    mu3 = homoclinic_curve(beta, eps)
+
+    def gap(mu):
+        return separatrix_split(Params(mu=mu, beta=beta, eps=eps)).distance
+
+    lo, hi = mu3 - 0.02, mu3 + 0.02
+    d_lo = gap(lo)
+    assert d_lo < 0 < gap(hi)
+    for _ in range(3):
+        mid = 0.5 * (lo + hi)
+        d_mid = gap(mid)
+        if d_mid * d_lo > 0:
+            lo, d_lo = mid, d_mid
+        else:
+            hi = mid
+    assert abs(0.5 * (lo + hi) - mu3) < 5e-3
 
 
 def test_separatrix_requires_saddle():
