@@ -40,7 +40,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .equilibria import critical_mus
-from .model import Params
+from .model import Params, State, field_unforced
 
 __all__ = [
     "PitchforkKind",
@@ -152,8 +152,8 @@ def _diagonalized_nonlinearity(p: Params, lam: complex):
     The field formula is evaluated directly at complex arguments, so no
     transcription of shifted Taylor coefficients enters here.
     """
-    mu, beta, eps = p.mu, p.beta, p.eps
-    x2 = math.sqrt(beta / eps)
+    beta = p.beta
+    x2 = math.sqrt(beta / p.eps)
     sigma = 2.0 * lam.real
     lamb = lam.conjugate()
     pref = lam / (lam - lamb)
@@ -162,8 +162,7 @@ def _diagonalized_nonlinearity(p: Params, lam: complex):
         zb = np.conj(z)
         u = (lamb * z + lam * zb) / (2.0 * beta)
         y = z + zb
-        x = x2 + u
-        ydot = (mu + x * x - x ** 4) * y + beta * x - eps * x ** 3
+        ydot = field_unforced(State(x2 + u, y), p).y
         return pref * (ydot - (-2.0 * beta * u + sigma * y))
 
     return n1

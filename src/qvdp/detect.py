@@ -7,16 +7,18 @@ family produces: the single cycle around the origin (beta = 0), the small
 cycles around E1/E2, and the large cycle enclosing all three equilibria all
 cross it exactly once per period going down.  Each return is one
 integration, stopped by a terminal event at the crossing, of the state
-augmented with the divergence integral.  The fixed point is solved by a
-damped secant iteration with plain map iteration as fallback.  By
-Liouville's formula the return map on {y = 0} has the derivative
+augmented with the divergence integral.  By Liouville's formula the return
+map on {y = 0} has the derivative
 
     P'(x0) = g(x0) / g(P(x0)) * exp(int div dt),   g(x) = beta x - eps x^3,
 
-so at a cycle the nontrivial Floquet multiplier is exp(int_0^T div dt),
-read off the closing return (Perko, Differential Equations and Dynamical
-Systems, sec. 3.4).  The cycle's geometry is sampled from the dense output
-of that same return.
+(Perko, Differential Equations and Dynamical Systems, sec. 3.4), so every
+return carries its own slope.  The search reports the attracting cycle the
+seed's forward orbit reaches: it follows the orbit return by return and
+shortcuts it by a Newton step wherever the map contracts and the step
+shrinks the residual.  At the cycle the nontrivial Floquet multiplier is
+exp(int_0^T div dt), read off the closing return, and the cycle's geometry
+is sampled from the dense output of that same return.
 
 Homoclinic proximity is measured by shooting: the unstable manifold of the
 saddle at the origin is launched forward, the stable manifold backward,
@@ -136,8 +138,7 @@ def _positive_x(s):
     return s[0] > 0.0
 
 
-def _to_section(field_fn, s0, direction, accept, t_max, escape_radius,
-                tol=_SECTION_TOL):
+def _to_section(field_fn, s0, direction, accept, t_max, escape_radius):
     """One integration from ``s0`` to the first accepted crossing of {y = 0}.
 
     Returns the trajectory, whose final state lies on the section, or None
@@ -158,19 +159,25 @@ def _to_section(field_fn, s0, direction, accept, t_max, escape_radius,
     crossing.terminal = True
     crossing.direction = sign
 
-    traj = integrate(field_fn, s0, (0.0, t_max), tol=tol,
+    traj = integrate(field_fn, s0, (0.0, t_max), tol=_SECTION_TOL,
                      escape_radius=escape_radius, stop_event=crossing)
     return traj if traj.stopped else None
 
 
-def find_limit_cycle(p: Params, seed: State,
-                     tol=_SECTION_TOL) -> Optional[LimitCycle]:
-    """Locate a limit cycle of the unforced system reachable from ``seed``.
+def find_limit_cycle(p: Params, seed: State) -> Optional[LimitCycle]:
+    """Locate the attracting limit cycle the forward orbit of ``seed`` reaches.
 
-    Returns None when the iterates escape to infinity, converge into an
-    equilibrium, or no section crossing occurs; raises
-    :class:`~qvdp.integrate.NoConvergence` if the fixed-point solve stalls
-    without either outcome.
+    Each step makes one return from x on the section.  Where the return map
+    contracts (slope P'(x) < 1, from Liouville's formula) a Newton step is
+    tried and kept only if it shrinks the residual |P(x) - x|; otherwise,
+    and always near a repelling focus, the iterate follows the seed's orbit
+    to P(x).  The return that closes to within 1e-8 gives the period, the
+    path and the multiplier.
+
+    Returns None when the orbit escapes to infinity, collapses into an
+    equilibrium, or stops crossing the section; raises
+    :class:`~qvdp.integrate.NoConvergence` if none of 60 returns from the
+    section closes.
     """
     rhs = unforced_rhs(p)
     eqs = find_equilibria(p)
@@ -185,66 +192,48 @@ def find_limit_cycle(p: Params, seed: State,
     def ret(x, y=0.0):
         try:
             return _to_section(aug_field, (x, y, 0.0), Direction.DOWN,
-                               _positive_x, _RETURN_HORIZON, escape_radius,
-                               tol)
+                               _positive_x, _RETURN_HORIZON, escape_radius)
         except NonFinite:
             return None
 
-    first = ret(float(seed[0]), float(seed[1]))
-    if first is None:
-        return None
-    x_prev = float(first.final[0])
-
-    hit = ret(x_prev)
-    if hit is None:
-        return None
-    x_curr = float(hit.final[0])
-    g_prev = x_curr - x_prev
+    def g(x):
+        # y' on the section {y = 0}
+        return p.beta * x - p.eps * x ** 3
 
     def near_equilibrium(x):
         return min(abs(x - xe) for xe in section_eq_x) < _COLLAPSE_RADIUS
 
-    for _ in range(_MAX_RETURNS):
-        if abs(g_prev) < _FIXED_POINT_RESIDUAL:
-            break
-        if near_equilibrium(x_curr) and near_equilibrium(x_prev):
-            return None  # spiral collapsing into an equilibrium
-        hit = ret(x_curr)
-        if hit is None:
-            return None
-        g_curr = float(hit.final[0]) - x_curr
-        denom = g_curr - g_prev
-        if denom != 0.0:
-            step = -g_curr * (x_curr - x_prev) / denom
-            # damp wild secant extrapolations; plain iteration as fallback
-            if abs(step) > 0.5 * max(abs(x_curr), 1.0):
-                x_new = x_curr + g_curr
-            else:
-                x_new = x_curr + step
-        else:
-            x_new = x_curr + g_curr
-        if x_new <= 0.0:
-            x_new = 0.5 * x_curr
-        x_prev, g_prev = x_curr, g_curr
-        x_curr = x_new
-    else:
-        raise NoConvergence("return map fixed point not found within "
-                            f"{_MAX_RETURNS} returns")
-
-    x_star = x_curr
-    hit = ret(x_star)
-    if hit is None:
+    first = ret(float(seed[0]), float(seed[1]))
+    if first is None:
         return None
-    residual = abs(float(hit.final[0]) - x_star)
-    if residual > _FIXED_POINT_RESIDUAL:
-        # polish once by plain iteration
-        x_star = float(hit.final[0])
-        hit = ret(x_star)
-        if hit is None:
+    x_try, newton = float(first.final[0]), False
+    for _ in range(_MAX_RETURNS):
+        trial = ret(x_try)
+        if newton and (trial is None
+                       or abs(float(trial.final[0]) - x_try) >= abs(resid)):
+            x_try, newton = px, False  # rejected: follow the orbit instead
+            continue
+        if trial is None:
             return None
-        residual = abs(float(hit.final[0]) - x_star)
-        if residual > _FIXED_POINT_RESIDUAL:
-            raise NoConvergence(f"fixed point residual {residual:.3e}")
+        x, hit = x_try, trial
+        px = float(hit.final[0])
+        resid = px - x
+        if abs(resid) < _FIXED_POINT_RESIDUAL:
+            break
+        if near_equilibrium(x) and near_equilibrium(px):
+            return None  # spiral collapsing into an equilibrium
+        x_try, newton = px, False
+        # Liouville: P'(x) = g(x) / g(P(x)) * exp(int div dt)
+        slope = g(x) / g(px) * math.exp(hit.final[2])
+        if slope < 1.0:
+            step = -resid / (slope - 1.0)
+            if abs(step) <= 0.5 * max(x, 1.0):
+                x_try = x + step if x + step > 0.0 else 0.5 * x
+                newton = True
+    else:
+        raise NoConvergence(f"none of {_MAX_RETURNS} returns from the section "
+                            f"closed to within {_FIXED_POINT_RESIDUAL:g}")
+
     period = hit.t1
 
     # geometry from the dense output of the closing return
@@ -260,7 +249,7 @@ def find_limit_cycle(p: Params, seed: State,
     encloses = frozenset(
         e.label for e in eqs
         if winding_number(path, (e.location.x, e.location.y)) != 0)
-    return LimitCycle(representative=State(x_star, 0.0),
+    return LimitCycle(representative=State(x, 0.0),
                       period=float(period),
                       amplitude=float(np.max(np.abs(path[:, 0]))),
                       floquet=floquet,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qvdp import detect
 from qvdp.detect import (SeparatrixSplit, Verdict, _shoot_to_section,
                          classify_forced, escape_bound, find_limit_cycle,
                          rotation_number, separatrix_split, winding_number)
@@ -12,7 +13,7 @@ from qvdp.detect import (_saddle_eigvectors, _positive_x, _to_section,
 from qvdp.equilibria import EqLabel, EquilibriumKind, find_equilibria
 from qvdp.bifurcation import homoclinic_curve, hopf_curve
 from qvdp.integrate import Direction, detect_crossings, integrate
-from qvdp.model import Params, State, unforced_rhs
+from qvdp.model import Params, State, divergence, unforced_rhs
 
 
 # --- rotation number ---------------------------------------------------------
@@ -136,7 +137,65 @@ def test_no_cycle_when_spiraling_into_equilibria():
 
 def test_no_cycle_on_escape():
     p = Params(mu=0.3, beta=1.0, eps=-1.0)
-    assert find_limit_cycle(p, State(2.0, 0.0), tol=(1e-9, 1e-7)) is None
+    assert find_limit_cycle(p, State(2.0, 0.0)) is None
+
+
+def test_large_cycle_from_seed_outside_unstable_focus():
+    # the orbit spirals away from the repelling focus E2 out to the large
+    # cycle; the search follows it instead of settling onto the focus
+    p = Params(mu=-0.1, beta=1.0, eps=2.0)
+    cyc = find_limit_cycle(p, State(0.75, 0.0))
+    assert cyc is not None and cyc.stable
+    assert cyc.encloses == frozenset({EqLabel.O, EqLabel.E1, EqLabel.E2})
+
+
+def test_small_cycle_from_seed_outside_its_loop():
+    beta, eps = 0.905, 1.942
+    p = Params(mu=-0.2098, beta=beta, eps=eps)
+    cyc = find_limit_cycle(p, State(math.sqrt(beta / eps) + 0.15, 0.0))
+    assert cyc is not None and cyc.stable
+    assert cyc.encloses == frozenset({EqLabel.E2})
+
+
+def test_small_cycle_from_seeds_on_both_sides():
+    # two seeds between the focus E2 (x = 0.707) and the cycle (x = 0.979
+    # on the section), one outside it: all reach the one stable cycle
+    p = Params(mu=-0.19, beta=1.0, eps=2.0)
+    found = [find_limit_cycle(p, State(x, 0.0)) for x in (0.72, 0.9, 1.2)]
+    assert all(c is not None for c in found)
+    assert all(c.encloses == frozenset({EqLabel.E2}) and c.stable
+               for c in found)
+    ref = found[0]
+    for cyc in found[1:]:
+        assert abs(cyc.representative.x - ref.representative.x) < 1e-6
+        assert abs(cyc.period - ref.period) < 1e-6
+
+
+def _winding_set(p: Params, seed: State) -> frozenset:
+    """Equilibria the seed's orbit winds around over t in [300, 400]."""
+    t = np.linspace(300.0, 400.0, 20001)
+    traj = integrate(unforced_rhs(p), np.array(seed), (0.0, 400.0),
+                     tol=(1e-10, 1e-10), t_eval=t)
+    return frozenset(e.label for e in find_equilibria(p)
+                     if winding_number(traj.states, e.location) != 0)
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(beta=st.floats(0.9, 1.1), eps=st.floats(1.9, 2.1),
+       frac=st.one_of(st.floats(0.55, 0.75), st.floats(1.1, 1.5)),
+       offset=st.floats(0.01, 0.3))
+def test_search_reports_the_cycle_the_orbit_reaches(beta, eps, frac, offset):
+    # frac < 1: the two-small-cycles band (mu_c, mu_3); frac > 1: just
+    # past the homoclinic loop, where the large cycle takes over
+    muc, mu3 = hopf_curve(beta, eps), homoclinic_curve(beta, eps)
+    p = Params(mu=muc + frac * (mu3 - muc), beta=beta, eps=eps)
+    seed = State(math.sqrt(beta / eps) + offset, 0.0)
+    reached = _winding_set(p, seed)
+    if reached == frozenset({EqLabel.E1}):
+        # the cycle around E1 alone never meets {y = 0, x > 0}
+        reached = frozenset()
+    cyc = find_limit_cycle(p, seed)
+    assert (cyc.encloses if cyc is not None else frozenset()) == reached
 
 
 def test_no_cycle_search_crawls_to_a_mu_scaled_bound():
@@ -211,6 +270,44 @@ def test_liouville_multiplier_large_cycle_band(beta, eps, offset):
     _check_multiplier(
         Params(mu=homoclinic_curve(beta, eps) + offset, beta=beta, eps=eps),
         State(2.0, 0.0))
+
+
+@pytest.mark.parametrize("x0", [1.5, 0.6])
+def test_liouville_slope_matches_return_map(x0):
+    # P'(x0) = g(x0) / g(P(x0)) * exp(int div dt), g(x) = beta x - eps x^3,
+    # read off one return; positive at 1.5, negative at 0.6 < x_E2
+    p = Params(mu=-0.1, beta=1.0, eps=2.0)
+    rhs = unforced_rhs(p)
+
+    def aug_field(t, s):
+        return np.append(rhs(t, s[:2]), divergence(s[0], p))
+
+    def g(x):
+        return p.beta * x - p.eps * x ** 3
+
+    hit = _to_section(aug_field, (x0, 0.0, 0.0), Direction.DOWN,
+                      _positive_x, 240.0, 8.0)
+    px = float(hit.final[0])
+    slope = g(x0) / g(px) * math.exp(hit.final[2])
+    h = 1e-5 * max(1.0, abs(x0))
+    central = (_first_return_x(p, x0 + h)
+               - _first_return_x(p, x0 - h)) / (2 * h)
+    assert abs(slope - central) < 1e-6
+
+
+def test_energy_boundary_search_gives_up_within_30_returns(monkeypatch):
+    # criterion-7 energy set at its boundary: no cycle; the orbit spirals
+    # into the origin until a return no longer crosses the section
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _to_section(*args)
+
+    monkeypatch.setattr(detect, "_to_section", counting)
+    p = Params(mu=-5.0 / 36.0, beta=0.0, eps=2.0)
+    assert find_limit_cycle(p, State(2.2, 0.0)) is None
+    assert len(calls) <= 30
 
 
 def test_return_from_the_section_does_not_stop_at_start():
