@@ -18,7 +18,7 @@ cli          command-line interface (`qvdp ...`)
 
 from .model import Params, State
 from .equilibria import (EqLabel, Equilibrium, EquilibriumKind, CriticalMus,
-                         classify, critical_mus, eigenvalues_at, find_equilibria)
+                         critical_mus, find_equilibria)
 from .bifurcation import (Certificate, CertificateKind, CyclePrediction,
                           HopfData, MelnikovMethod, MelnikovResult,
                           PitchforkKind, PitchforkReduction, Region,

@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .equilibria import critical_mus
+from .equilibria import critical_mus, find_equilibria
 from .model import Params, State, field_unforced
 
 __all__ = [
@@ -135,12 +135,10 @@ class HopfData:
 
 
 def _eig_pair(p: Params) -> complex:
-    mus = critical_mus(p)
-    sigma = p.mu - mus.muc
-    disc = 8.0 * p.beta - sigma * sigma
-    if disc <= 0:
+    lam = find_equilibria(p)[2].eigs[0]  # E2
+    if lam.imag <= 0:
         raise ValueError("eigenvalues at E1/E2 are real; need mu1 < mu < mu2")
-    return complex(0.5 * sigma, 0.5 * math.sqrt(disc))
+    return lam
 
 
 def _diagonalized_nonlinearity(p: Params, lam: complex):
@@ -269,8 +267,9 @@ def hopf_cycle_prediction(p: Params) -> CyclePrediction:
     delta, omega = lam.real, lam.imag
     alpha = delta / omega
     nf_radius = math.sqrt(alpha)
-    # radial truncation r' = delta r + Re c1 r^3 => r* = sqrt(-delta/Re c1)
-    z_radius = math.sqrt(delta / (-hopf.c1.real))
+    # radial truncation r' = delta r + Re c1(mu_c) r^3 => r* = sqrt(-delta/Re c1);
+    # Re c1 at mu itself changes sign just above mu_c when beta/eps is large
+    z_radius = math.sqrt(delta / (-hopf.l1 * hopf.omega0))
     x_radius = z_radius * abs(lam) / p.beta
     return CyclePrediction(True, x_radius, z_radius, nf_radius)
 
@@ -278,8 +277,8 @@ def hopf_cycle_prediction(p: Params) -> CyclePrediction:
 def torus_frequency_estimate(p: Params) -> float:
     """Angular frequency of the Hopf cycle to cubic order.
 
-    omega(mu) + Im c1 * rho0 with rho0 = -Re lambda / Re c1, the phase
-    speed on the truncated normal-form cycle.  Under small periodic
+    omega(mu) + Im c1 * rho0 with rho0 = -Re lambda / Re c1(mu_c), the
+    phase speed on the truncated normal-form cycle.  Under small periodic
     forcing this is the predicted first fundamental frequency of the
     invariant torus near E1/E2.
     """
@@ -287,7 +286,7 @@ def torus_frequency_estimate(p: Params) -> float:
     lam = hopf.lambda_mu
     if lam.real <= 0:
         return lam.imag
-    rho0 = -lam.real / hopf.c1.real
+    rho0 = -lam.real / (hopf.l1 * hopf.omega0)
     return lam.imag + hopf.c1.imag * rho0
 
 

@@ -43,8 +43,9 @@ _TS_PER_PERIOD = 16  # time-series samples per forcing period
 
 
 def _params_from(args) -> Params:
-    return Params(mu=args.mu, beta=args.beta, eps=args.eps,
-                  alpha=args.alpha, omega=args.omega)
+    # --alpha/--omega exist only on the subcommands that read the forcing
+    return Params(**{k: v for k, v in vars(args).items()
+                     if k in ("mu", "beta", "eps", "alpha", "omega")})
 
 
 def _tol_pair(rel: float) -> tuple[float, float]:
@@ -293,21 +294,11 @@ def cmd_forced(args) -> int:
         "n": n,
         "verdict": report.verdict.value,
         "rotation_number": report.rotation_number,
-        "evidence": _jsonable(report.evidence),
+        "evidence": report.evidence,
     }
     json_path = f"{base}.json" if args.out else None
     _write(json_path, dumps_json(doc))
     return EXIT_OK
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 # --- repro -------------------------------------------------------------------
@@ -379,13 +370,14 @@ def _grid_spec(text: str):
             f"grid must be 'AXIS:MIN:MAX:N' with N >= 2, got {text!r}") from exc
 
 
-def _add_common_flags(sp) -> None:
+def _add_common_flags(sp, forcing: bool = False) -> None:
     sp.add_argument("--out", default=None, help="output path (default stdout)")
     sp.add_argument("--mu", type=float, default=0.0)
     sp.add_argument("--beta", type=float, default=0.0)
     sp.add_argument("--eps", type=float, default=1.0)
-    sp.add_argument("--alpha", type=float, default=0.0)
-    sp.add_argument("--omega", type=float, default=1.0)
+    if forcing:
+        sp.add_argument("--alpha", type=float, default=0.0)
+        sp.add_argument("--omega", type=float, default=1.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("classify", help="equilibria and regime (JSON)")
-    _add_common_flags(sp)
+    _add_common_flags(sp, forcing=True)
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("portrait", help="trajectories from seeds (CSV/SVG)")
@@ -426,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_melnikov)
 
     sp = sub.add_parser("forced", help="stroboscopic analysis of the forced system")
-    _add_common_flags(sp)
+    _add_common_flags(sp, forcing=True)
     sp.add_argument("--seed", type=_seed_pair, action="append", default=[])
     sp.add_argument("--n", type=int, default=2000,
                     help="number of forcing periods to sample")

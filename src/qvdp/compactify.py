@@ -18,8 +18,10 @@ parameters; B is a stable node for eps <= 0 and a degenerate saddle for
 eps > 0.  Because the rescale dt = z^4 dtau has even degree, both antipodal
 copies share the kind.  The catalogue is stored closed-form and checked
 numerically by trajectory-direction probes (see :func:`probe_infinity_kind`):
-the blow-up chain that proves it is not reproduced at runtime.  Each probe
-is one :func:`~qvdp.integrate.integrate` call stopped at its verdict
+the blow-up chain that proves it is not reproduced at runtime.  All four
+points share one probe loop, one verdict rule and one kind rule; only the
+chart, the size measure and its thresholds differ between B and C.  Each
+probe is one :func:`~qvdp.integrate.integrate` call stopped at its leave
 threshold, so a failed integration raises instead of being read as a verdict.
 """
 
@@ -153,30 +155,26 @@ class ProbeReport:
 _N_PROBES = 16
 _PROBE_RADIUS = 0.35
 _PROBE_TAU = 400.0
-_B_GROW, _B_SHRINK = 1.15, 0.85  # |z| / |z0| verdict thresholds at B
-_C_GROW = 1.6                    # radius growth verdict threshold at C
+# per pair: chart field, probe size measure, and the leave / approach
+# thresholds on that size as multiples of the probe radius
+_B_PROBE = (field_chart_u, lambda s: abs(s[1]), 1.15, 0.85)
+_C_PROBE = (field_chart_v, lambda s: math.hypot(s[0], s[1]), 1.6, 0.5)
 
 
-def _probe(chart_field, p: Params, s0, leave):
-    """One probe orbit of a chart field, stopped where ``leave`` rises to 0."""
+def _probe_verdict(chart, p: Params, s0) -> str:
+    """'leave', 'approach' or 'undecided' for one probe orbit from ``s0``."""
+    field, size, grow, shrink = chart
+
+    def leave(t, s):
+        return size(s) - grow * _PROBE_RADIUS
     leave.terminal = True
     leave.direction = 1
-    return integrate(lambda t, s: np.array(chart_field(s[0], s[1], p)), s0,
+    traj = integrate(lambda t, s: np.array(field(s[0], s[1], p)), s0,
                      (0.0, _PROBE_TAU), tol=(1e-12, 1e-9), dense=False,
                      stop_event=leave)
-
-
-def _b_probe_verdict(p: Params, u0: float, z0: float) -> str:
-    # the u direction contracts like e^(-tau) for every parameter choice;
-    # the kind is decided by the slow drift of the center coordinate z
-    if z0 == 0.0:
-        return "approach"  # invariant axis: u' = -u + O(u^2 z^4)
-    z_out = _B_GROW * abs(z0)
-    traj = _probe(field_chart_u, p, np.array([u0, z0]),
-                  lambda t, s: abs(s[1]) - z_out)
     if traj.stopped:
         return "leave"
-    if abs(traj.final[1]) <= _B_SHRINK * abs(z0):
+    if size(traj.final) <= shrink * _PROBE_RADIUS:
         return "approach"
     return "undecided"
 
@@ -194,62 +192,41 @@ def _count_alternations(verdicts: list[str]) -> int:
 def probe_infinity_kind(p: Params, label: InfinityLabel) -> ProbeReport:
     """Numerically infer the kind of an equator equilibrium from probe orbits.
 
-    Sixteen probes ring the equilibrium at radius 0.35 and run for up to
-    tau = 400.  For the B pair, probes ring the chart-U origin; verdicts
-    compare the center coordinate |z| against its start: a probe leaves
-    once |z| reaches 1.15 |z0| and approaches if it ends below 0.85 |z0|
-    (the hyperbolic u direction is uniformly contracting, so radius alone
-    cannot separate the degenerate saddle from the node).  Probes exactly
-    on the u axis witness the contracting separatrix pair.  For the C pair,
-    probes ring the chart-V origin and the verdict is plain radius growth
-    to 1.6 times the start, which every direction exhibits at an unstable
-    node.
+    Sixteen probes ring the equilibrium at radius 0.35 in its chart (U for
+    the B pair, V for the C pair) and run for up to tau = 400.  One rule
+    gives every verdict: a probe leaves once its size grows past the leave
+    threshold, approaches if it ends at or below the approach threshold,
+    and is undecided otherwise.  At B the size is the center coordinate
+    |z| with thresholds 1.15 and 0.85 times the start (the hyperbolic u
+    direction is uniformly contracting, so radius alone cannot separate the
+    degenerate saddle from the node); at C it is the chart radius with
+    thresholds 1.6 and 0.5.  One rule gives the kind from the decided
+    verdicts: all approach is a stable node, all leave an unstable node,
+    anything else a saddle.
 
-    Probe angles avoid degenerate near-axis starts by padding the z
-    coordinate away from zero; the two on-axis directions are kept exact.
+    At B the z coordinate of each probe is padded to +-0.35 so its slow
+    drift is observable within tau = 400, keeping the angular sign
+    pattern; the two probes exactly on the u axis witness the contracting
+    separatrix pair and approach without integration.
     """
+    at_b = label in (InfinityLabel.B_PLUS, InfinityLabel.B_MINUS)
+    chart = _B_PROBE if at_b else _C_PROBE
     radius = _PROBE_RADIUS
-    angles = 2.0 * np.pi * np.arange(_N_PROBES) / _N_PROBES
     verdicts: list[str] = []
+    for th in 2.0 * np.pi * np.arange(_N_PROBES) / _N_PROBES:
+        a, b = radius * math.cos(th), radius * math.sin(th)
+        if at_b:
+            if abs(b) < 1e-12:
+                verdicts.append("approach")  # invariant axis: u' = -u + O(u^2 z^4)
+                continue
+            b = math.copysign(radius, b)
+        verdicts.append(_probe_verdict(chart, p, np.array([a, b])))
 
-    if label in (InfinityLabel.B_PLUS, InfinityLabel.B_MINUS):
-        for th in angles:
-            u0 = radius * math.cos(th)
-            z0 = radius * math.sin(th)
-            if abs(z0) < 1e-12:
-                z0 = 0.0  # exact invariant axis
-            else:
-                # pin the slow coordinate to the probe radius so its
-                # degree-7 drift is observable within tau = 400; the angular
-                # sign pattern is preserved
-                z0 = math.copysign(radius, z0)
-            verdicts.append(_b_probe_verdict(p, u0, z0))
-        flips = _count_alternations(verdicts)
-        decided = [v for v in verdicts if v != "undecided"]
-        if decided and all(v == "approach" for v in decided):
-            kind = EquilibriumKind.STABLE_NODE
-        elif decided and all(v == "leave" for v in decided):
-            kind = EquilibriumKind.UNSTABLE_NODE
-        else:
-            kind = EquilibriumKind.SADDLE
-        return ProbeReport(tuple(verdicts), flips, kind)
-
-    # C pair, chart V: unstable node, all probes leave
-    r_out = _C_GROW * radius
-    for th in angles:
-        s0 = np.array([radius * math.cos(th), radius * math.sin(th)])
-        traj = _probe(field_chart_v, p, s0,
-                      lambda t, s: math.hypot(s[0], s[1]) - r_out)
-        if traj.stopped:
-            verdicts.append("leave")
-        else:
-            rT = math.hypot(traj.final[0], traj.final[1])
-            verdicts.append("approach" if rT < 0.5 * radius else "undecided")
-    flips = _count_alternations(verdicts)
-    if all(v == "leave" for v in verdicts):
-        kind = EquilibriumKind.UNSTABLE_NODE
-    elif all(v == "approach" for v in verdicts):
+    decided = [v for v in verdicts if v != "undecided"]
+    if decided and all(v == "approach" for v in decided):
         kind = EquilibriumKind.STABLE_NODE
+    elif decided and all(v == "leave" for v in decided):
+        kind = EquilibriumKind.UNSTABLE_NODE
     else:
         kind = EquilibriumKind.SADDLE
-    return ProbeReport(tuple(verdicts), flips, kind)
+    return ProbeReport(tuple(verdicts), _count_alternations(verdicts), kind)

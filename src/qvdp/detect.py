@@ -266,11 +266,9 @@ _SHOOT_HORIZON = 400.0
 
 
 def _saddle_eigvectors(p: Params):
-    disc = math.sqrt(p.mu * p.mu + 4.0 * p.beta)
-    lam_u = 0.5 * (p.mu + disc)
-    lam_s = 0.5 * (p.mu - disc)
-    vu = np.array([1.0, lam_u])
-    vs = np.array([1.0, lam_s])
+    lam_u, lam_s = find_equilibria(p)[0].eigs  # the origin
+    vu = np.array([1.0, lam_u.real])
+    vs = np.array([1.0, lam_s.real])
     return vu / np.linalg.norm(vu), vs / np.linalg.norm(vs)
 
 

@@ -38,8 +38,6 @@ __all__ = [
     "CriticalMus",
     "find_equilibria",
     "critical_mus",
-    "classify",
-    "eigenvalues_at",
 ]
 
 
@@ -152,16 +150,3 @@ def find_equilibria(p: Params) -> list[Equilibrium]:
         out.append(Equilibrium(State(x2, 0.0), eigs, kind, EqLabel.E2))
     return out
 
-
-def classify(e: Equilibrium, p: Params) -> EquilibriumKind:
-    """Type and stability of equilibrium ``e`` under parameters ``p``."""
-    if e.label is EqLabel.O:
-        return _kind_at_origin(p)
-    return _kind_at_pair(p)
-
-
-def eigenvalues_at(e: Equilibrium, p: Params) -> tuple[complex, complex]:
-    """Characteristic roots of the linearization at ``e`` (closed form)."""
-    if e.label is EqLabel.O:
-        return _eigs_at_origin(p)
-    return _eigs_at_pair(p)

@@ -223,10 +223,8 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
         raise NonFinite(
             f"state escaped |s| > {escape_radius:g} at t={sol.t_events[0][0]:.6g}",
             traj)
-    if not sol.success:
-        if sol.status == -1:
-            raise StepUnderflow(sol.message)
-        raise IntegrationError(sol.message)
+    if not sol.success:  # status -1, the only failing status solve_ivp sets
+        raise StepUnderflow(sol.message)
     return traj
 
 

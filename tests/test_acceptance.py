@@ -14,8 +14,8 @@ from qvdp.bifurcation import (MelnikovMethod, homoclinic_curve, hopf_curve,
                               nonexistence_certificate, CertificateKind)
 from qvdp.compactify import InfinityLabel, probe_infinity_kind
 from qvdp.detect import Verdict, classify_forced, find_limit_cycle, separatrix_split
-from qvdp.equilibria import (EqLabel, EquilibriumKind, classify, critical_mus,
-                             eigenvalues_at, find_equilibria)
+from qvdp.equilibria import (EqLabel, EquilibriumKind, critical_mus,
+                             find_equilibria)
 from qvdp.integrate import NonFinite, Direction, detect_crossings, integrate
 from qvdp.model import (Params, State, hamiltonian, hamiltonian_rhs, jacobian,
                         unforced_rhs)
@@ -79,7 +79,7 @@ def _saddle_sim_ok(p, eq) -> bool:
 
 
 def _focus_node_sim_ok(p, eq, stable: bool) -> bool:
-    eigs = eigenvalues_at(eq, p)
+    eigs = eq.eigs
     lam = eigs[0]
     if abs(lam.imag) > 1e-12:
         # integrate whole spiral turns so the elliptic modulation of the
@@ -146,12 +146,12 @@ def test_criterion_01_table_classification():
 
     def check(p, label, expected, sim_fn):
         eq = next(e for e in find_equilibria(p) if e.label is label)
-        got = classify(eq, p)
+        got = eq.kind
         if got is not expected:
             failures.append(f"enum {p} {label}: {got} != {expected}")
             return
         if expected not in (K.DEGENERATE_UNSTABLE_FOCUS,) and p.beta > 0:
-            pat = _sign_pattern(eigenvalues_at(eq, p))
+            pat = _sign_pattern(eq.eigs)
             if pat is not expected:
                 failures.append(f"eig pattern {p} {label}")
                 return

@@ -201,6 +201,20 @@ def test_cycle_prediction_matches_detected_amplitude():
     assert abs(xdev - pred.radius_estimate) < 0.25 * xdev
 
 
+@pytest.mark.parametrize("beta,eps,mu_off",
+                         [(4.0, 0.5, 0.01), (4.0, 1.0, 0.1), (2.0, 0.5, 0.1)])
+def test_cycle_prediction_past_re_c1_sign_change(beta, eps, mu_off):
+    # Re c1 at mu turns positive just above mu_c here (at beta=4, eps=0.5:
+    # -0.125 at mu_c, +0.187 at mu_c + 0.01); the radial truncation uses
+    # Re c1(mu_c) = -1/(2 beta), so |z| = sqrt(beta (mu - mu_c))
+    p = Params(mu=hopf_curve(beta, eps) + mu_off, beta=beta, eps=eps)
+    assert hopf_normal_form(p).c1.real > 0
+    pred = hopf_cycle_prediction(p)
+    assert pred.exists
+    assert abs(pred.z_radius - math.sqrt(beta * mu_off)) < 1e-9
+    assert math.isfinite(torus_frequency_estimate(p))
+
+
 def test_torus_frequency_tracks_cycle_frequency():
     # in the two-small-cycles band the cubic normal form should beat the
     # bare linear frequency by a wide margin

@@ -272,6 +272,18 @@ def test_format_only_on_portrait():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["portrait", "--seed", "1,0"],
+    ["sweep", "--grid", "beta:0:1:2", "--grid", "mu:0:1:2"],
+    ["melnikov", "--beta", "1", "--eps", "2"],
+])
+def test_forcing_flags_only_where_read(argv):
+    for flag in ("--alpha", "--omega"):
+        with pytest.raises(SystemExit) as exc:
+            _run([*argv, flag, "0.3"])
+        assert exc.value.code == 2
+
+
 # --- sweep ---------------------------------------------------------------------
 
 def test_sweep_contract_and_speed(tmp_path):

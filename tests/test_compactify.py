@@ -138,6 +138,18 @@ def test_probe_verification_of_c_kind(eps):
         assert all(v == "leave" for v in report.verdicts)
 
 
+def test_probe_c_kind_from_decided_verdicts():
+    # two C probes end inside the ring without reaching either threshold;
+    # the kind follows the 14 decided ones, as at B
+    p = Params(mu=0.918, beta=1.631, eps=2.466)
+    for label in (InfinityLabel.C_PLUS, InfinityLabel.C_MINUS):
+        report = probe_infinity_kind(p, label)
+        assert [i for i, v in enumerate(report.verdicts)
+                if v != "leave"] == [6, 10]
+        assert report.verdicts[6] == report.verdicts[10] == "undecided"
+        assert report.inferred_kind is K.UNSTABLE_NODE
+
+
 def test_antipodal_pairs_share_kind():
     # the time rescale has even degree, so both copies behave identically
     for eps in (2.0, -1.0):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qvdp.equilibria import (EqLabel, EquilibriumKind, classify, critical_mus,
-                             eigenvalues_at, find_equilibria)
+from qvdp.equilibria import (EqLabel, EquilibriumKind, critical_mus,
+                             find_equilibria)
 from qvdp.model import Params, field_unforced, jacobian
 
 K = EquilibriumKind
@@ -63,7 +63,7 @@ def test_critical_mus_match_discriminant_sign_change():
 ])
 def test_classify_origin_rows(p, expect_o):
     eqs = find_equilibria(p)
-    assert classify(eqs[0], p) is expect_o
+    assert eqs[0].kind is expect_o
 
 
 def test_classify_pair_rows():
@@ -81,29 +81,29 @@ def test_classify_pair_rows():
     for mu, expect in cases:
         p = Params(mu=mu, beta=beta, eps=eps)
         eqs = find_equilibria(p)
-        assert classify(eqs[1], p) is expect
-        assert classify(eqs[2], p) is expect
-        assert classify(eqs[0], p) is K.SADDLE
+        assert eqs[1].kind is expect
+        assert eqs[2].kind is expect
+        assert eqs[0].kind is K.SADDLE
 
 
 def test_reference_classifications():
     p = Params(mu=-0.25, beta=1.0, eps=2.0)
     eqs = find_equilibria(p)
-    assert classify(eqs[0], p) is K.SADDLE
-    assert classify(eqs[1], p) is K.STABLE_FOCUS
+    assert eqs[0].kind is K.SADDLE
+    assert eqs[1].kind is K.STABLE_FOCUS
     p2 = Params(mu=0.2, beta=1.0, eps=2.0)
-    assert classify(find_equilibria(p2)[2], p2) is K.UNSTABLE_FOCUS
+    assert find_equilibria(p2)[2].kind is K.UNSTABLE_FOCUS
     p3 = Params(mu=0.0, beta=0.0, eps=2.0)
-    assert classify(find_equilibria(p3)[0], p3) is K.DEGENERATE_UNSTABLE_FOCUS
+    assert find_equilibria(p3)[0].kind is K.DEGENERATE_UNSTABLE_FOCUS
 
 
 def test_eigenvalues_reference_values():
     p = Params(mu=0.0, beta=1.0, eps=2.0)
     eqs = find_equilibria(p)
-    lo = eigenvalues_at(eqs[0], p)
+    lo = eqs[0].eigs
     assert {round(v.real, 12) for v in lo} == {1.0, -1.0}
     pc = Params(mu=-0.25, beta=1.0, eps=2.0)
-    le = eigenvalues_at(find_equilibria(pc)[2], pc)
+    le = find_equilibria(pc)[2].eigs
     assert abs(le[0] - 1.41421356j) < 1e-8
     assert abs(le[1] + 1.41421356j) < 1e-8
 
@@ -116,11 +116,20 @@ def test_eigenvalues_match_generic_solver():
         mu = rng.uniform(-4.0, 4.0)
         p = Params(mu=mu, beta=beta, eps=eps)
         for e in find_equilibria(p):
-            closed = sorted(eigenvalues_at(e, p), key=lambda z: (z.real, z.imag))
+            closed = sorted(e.eigs, key=lambda z: (z.real, z.imag))
             generic = sorted(np.linalg.eigvals(jacobian(e.location, p)),
                              key=lambda z: (z.real, z.imag))
             for a, b in zip(closed, generic):
                 assert abs(a - b) < 1e-10
+
+
+def test_kinds_and_eigenvalues_come_only_from_find_equilibria():
+    import qvdp
+    from qvdp import equilibria
+    for module in (qvdp, equilibria):
+        for name in ("classify", "eigenvalues_at"):
+            assert not hasattr(module, name)
+            assert name not in getattr(module, "__all__", ())
 
 
 def test_pair_classification_symmetry():
@@ -129,7 +138,7 @@ def test_pair_classification_symmetry():
         p = Params(mu=rng.uniform(-4, 4), beta=rng.uniform(0.05, 3),
                    eps=rng.uniform(0.1, 3))
         eqs = find_equilibria(p)
-        assert classify(eqs[1], p) is classify(eqs[2], p)
+        assert eqs[1].kind is eqs[2].kind
 
 
 def _sign_pattern_kind(eigs) -> EquilibriumKind:
@@ -156,4 +165,4 @@ def test_classification_matches_eigenvalue_signs_when_nondegenerate():
         if min(abs(mu - m) for m in (mus.mu1, mus.muc, mus.mu2)) < margin:
             continue
         for e in find_equilibria(p):
-            assert classify(e, p) is _sign_pattern_kind(eigenvalues_at(e, p))
+            assert e.kind is _sign_pattern_kind(e.eigs)
