@@ -17,7 +17,8 @@ evaluating the complex-diagonalized system on circles |z| = r and reading
 the Taylor coefficients off FFT modes.  Hand-transcribed closed forms for
 these coefficients are error-prone; the identity Re c1(mu_c) = -1/(2 beta) and an
 independent polynomial-composition oracle in the test suite pin the
-computation down instead.
+computation down instead.  Quantities that need only that identity (the
+first Lyapunov coefficient and the cycle prediction) read it in closed form.
 
 Region classification follows the global phase-portrait regimes: saddle-only
 escape (eps <= 0), the single Poincare-Bendixson cycle (eps > 0, beta = 0,
@@ -121,8 +122,12 @@ class HopfData:
     ``g`` maps (k, l) with 2 <= k+l <= 3 to the coefficient of
     z^k zbar^l / (k! l!) in the complex-diagonalized equation
     z' = lambda z + sum g_kl z^k zbar^l / (k! l!).  ``c1`` is the cubic
-    resonant coefficient after removing the non-resonant terms; ``l1`` the
-    first Lyapunov coefficient Re c1(mu_c) / omega(mu_c).
+    resonant coefficient after removing the non-resonant terms; ``g`` and
+    ``c1`` are read off the vector field by FFT at the given mu.  The other
+    fields are closed forms: ``lambda_mu`` the E2 eigenvalue, ``l1`` the
+    first Lyapunov coefficient Re c1(mu_c) / omega0 = -1/(2 beta omega0),
+    ``ddelta_dmu`` = 1/2, ``muc`` the Hopf value and ``omega0`` =
+    sqrt(2 beta) the frequency there.
     """
 
     lambda_mu: complex
@@ -218,8 +223,9 @@ def hopf_normal_form(p: Params) -> HopfData:
     """Normal-form data at E2 for the given parameters.
 
     Requires beta > 0, eps > 0, and mu within (mu1, mu2) so the
-    linearization is a focus.  ``c1`` is evaluated at the given mu;
-    ``l1`` at the critical value mu_c, where Re c1 = -1/(2 beta).
+    linearization is a focus.  ``g`` and ``c1`` come from one FFT
+    extraction at the given mu; ``l1`` is the closed form at the critical
+    value mu_c, where Re c1 = -1/(2 beta).
     """
     if not (p.beta > 0 and p.eps > 0):
         raise ValueError("hopf normal form requires beta > 0 and eps > 0")
@@ -229,10 +235,7 @@ def hopf_normal_form(p: Params) -> HopfData:
     c1 = _c1_from_g(g, lam)
 
     omega0 = math.sqrt(2.0 * p.beta)
-    pc = Params(mu=mus.muc, beta=p.beta, eps=p.eps, alpha=0.0, omega=p.omega)
-    lam_c = _eig_pair(pc)
-    c1_c = _c1_from_g(_g_coeffs(pc, lam_c), lam_c)
-    l1 = c1_c.real / omega0
+    l1 = -0.5 / p.beta / omega0
 
     return HopfData(lambda_mu=lam, g=g, c1=c1, l1=l1, ddelta_dmu=0.5,
                     muc=mus.muc, omega0=omega0)
@@ -242,17 +245,17 @@ def hopf_normal_form(p: Params) -> HopfData:
 class CyclePrediction:
     """Leading-order prediction of the Hopf cycle around E1/E2.
 
-    ``radius_estimate`` is the predicted half peak-to-peak x-excursion
-    around the equilibrium (the quantity comparable with a detected cycle);
-    ``z_radius`` the amplitude in the complex eigen-coordinate,
-    ``normal_form_radius`` sqrt(alpha) in the fully rescaled normal form.
-    All are truncations at cubic order and degrade ~linearly in mu - mu_c.
+    Both radii are closed forms in the E2 eigenvalue lambda:
+    ``z_radius`` = sqrt(2 beta Re lambda) = sqrt(beta (mu - mu_c)) is the
+    amplitude in the complex eigen-coordinate, and ``radius_estimate`` =
+    z_radius |lambda| / beta the predicted half peak-to-peak x-excursion
+    around the equilibrium (the quantity comparable with a detected cycle).
+    Both are truncations at cubic order and degrade ~linearly in mu - mu_c.
     """
 
     exists: bool
     radius_estimate: float
     z_radius: float
-    normal_form_radius: float
 
 
 def hopf_cycle_prediction(p: Params) -> CyclePrediction:
@@ -261,32 +264,29 @@ def hopf_cycle_prediction(p: Params) -> CyclePrediction:
         raise ValueError("cycle prediction requires beta > 0 and eps > 0")
     mus = critical_mus(p)
     if p.mu <= mus.muc:
-        return CyclePrediction(False, 0.0, 0.0, 0.0)
-    hopf = hopf_normal_form(p)
-    lam = hopf.lambda_mu
-    delta, omega = lam.real, lam.imag
-    alpha = delta / omega
-    nf_radius = math.sqrt(alpha)
-    # radial truncation r' = delta r + Re c1(mu_c) r^3 => r* = sqrt(-delta/Re c1);
-    # Re c1 at mu itself changes sign just above mu_c when beta/eps is large
-    z_radius = math.sqrt(delta / (-hopf.l1 * hopf.omega0))
-    x_radius = z_radius * abs(lam) / p.beta
-    return CyclePrediction(True, x_radius, z_radius, nf_radius)
+        return CyclePrediction(False, 0.0, 0.0)
+    lam = _eig_pair(p)
+    # radial truncation r' = Re lambda r + Re c1(mu_c) r^3 with
+    # Re c1(mu_c) = -1/(2 beta); Re c1 at mu itself changes sign just above
+    # mu_c when beta/eps is large
+    z_radius = math.sqrt(2.0 * p.beta * lam.real)
+    return CyclePrediction(True, z_radius * abs(lam) / p.beta, z_radius)
 
 
 def torus_frequency_estimate(p: Params) -> float:
     """Angular frequency of the Hopf cycle to cubic order.
 
-    omega(mu) + Im c1 * rho0 with rho0 = -Re lambda / Re c1(mu_c), the
-    phase speed on the truncated normal-form cycle.  Under small periodic
-    forcing this is the predicted first fundamental frequency of the
-    invariant torus near E1/E2.
+    omega(mu) + Im c1 * rho0 with rho0 = -Re lambda / Re c1(mu_c)
+    = 2 beta Re lambda (the squared ``z_radius`` of
+    :func:`hopf_cycle_prediction`), the phase speed on the truncated
+    normal-form cycle.  Under small periodic forcing this is the predicted
+    first fundamental frequency of the invariant torus near E1/E2.
     """
     hopf = hopf_normal_form(p)
     lam = hopf.lambda_mu
     if lam.real <= 0:
         return lam.imag
-    rho0 = -lam.real / (hopf.l1 * hopf.omega0)
+    rho0 = 2.0 * p.beta * lam.real
     return lam.imag + hopf.c1.imag * rho0
 
 

@@ -266,11 +266,10 @@ def cmd_forced(args) -> int:
         print("forced analysis requires alpha != 0", file=sys.stderr)
         return EXIT_USAGE
     seed = args.seed[0] if args.seed else (0.0, 1.2)
-    tol = _tol_pair(min(args.tol, 1e-10))
     T = p.forcing_period
     n = args.n
     try:
-        series = stroboscopic(p, seed, n, tol, per_period=_TS_PER_PERIOD)
+        series = stroboscopic(p, seed, n, per_period=_TS_PER_PERIOD)
     except IntegrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -422,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=_seed_pair, action="append", default=[])
     sp.add_argument("--n", type=int, default=2000,
                     help="number of forcing periods to sample")
-    sp.add_argument("--tol", type=float, default=1e-10)
     sp.set_defaults(func=cmd_forced)
 
     sp = sub.add_parser("repro", help="rerun the reference parameter sets")

@@ -61,7 +61,6 @@ __all__ = [
     "escape_bound",
 ]
 
-_SECTION_TOL = (1e-12, 1e-10)
 _FIXED_POINT_RESIDUAL = 1e-8
 _MAX_RETURNS = 60
 _RETURN_HORIZON = 240.0
@@ -159,7 +158,7 @@ def _to_section(field_fn, s0, direction, accept, t_max, escape_radius):
     crossing.terminal = True
     crossing.direction = sign
 
-    traj = integrate(field_fn, s0, (0.0, t_max), tol=_SECTION_TOL,
+    traj = integrate(field_fn, s0, (0.0, t_max),
                      escape_radius=escape_radius, stop_event=crossing)
     return traj if traj.stopped else None
 

@@ -292,7 +292,7 @@ def detect_crossings(traj: Trajectory,
 
 
 def stroboscopic(p: Params, s0, n: int,
-                 tol=(1e-12, 1e-10),
+                 tol=DEFAULT_TOL,
                  per_period: int = 1) -> np.ndarray:
     """Forced-system states at t = k * T / per_period, k = 0..n*per_period.
 

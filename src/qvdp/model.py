@@ -7,8 +7,8 @@ The family under study is the planar system
 
 with real parameters (mu, beta, eps, alpha, omega), beta >= 0.  The unforced
 system (alpha = 0) is Z2-equivariant: orbits come in (x, y) <-> (-x, -y)
-pairs.  An equivalent Lienard form and the Hamiltonian of the eps1 = 0
-scaling limit are provided alongside the raw fields.
+pairs.  The Hamiltonian of the eps1 = 0 scaling limit is provided
+alongside the raw fields.
 
 All functions here are pure and operate on 64-bit floats; parameter
 validation happens once, at :class:`Params` construction.
@@ -25,16 +25,12 @@ import numpy as np
 __all__ = [
     "Params",
     "State",
-    "LienardForms",
     "field_unforced",
-    "field_forced",
-    "field_lienard",
     "jacobian",
     "divergence",
     "hamiltonian",
     "unforced_rhs",
     "forced_rhs_3d",
-    "lienard_rhs",
     "hamiltonian_rhs",
 ]
 
@@ -82,63 +78,11 @@ class Params:
         return 2.0 * math.pi / self.omega
 
 
-@dataclass(frozen=True)
-class LienardForms:
-    """Odd polynomials F, g of the equivalent Lienard form.
-
-    The unforced system is orbit-equivalent to
-
-        x' = y - F(x),   y' = -g(x)
-
-    with F(x) = -mu x - x^3/3 + x^5/5 and g(x) = -beta x + eps x^3.
-    Coefficients are stored for the odd powers (x, x^3, x^5) and
-    (x, x^3) respectively.
-    """
-
-    F_coeffs: tuple[float, float, float]
-    g_coeffs: tuple[float, float]
-
-    @classmethod
-    def from_params(cls, p: Params) -> "LienardForms":
-        return cls(F_coeffs=(-p.mu, -1.0 / 3.0, 1.0 / 5.0),
-                   g_coeffs=(-p.beta, p.eps))
-
-    def F(self, x: float) -> float:
-        c1, c3, c5 = self.F_coeffs
-        x2 = x * x
-        return x * (c1 + x2 * (c3 + x2 * c5))
-
-    def g(self, x: float) -> float:
-        d1, d3 = self.g_coeffs
-        return x * (d1 + x * x * d3)
-
-
 def field_unforced(s: State, p: Params) -> State:
     """Vector field of the autonomous (alpha = 0) system at state ``s``."""
     x, y = s
     x2 = x * x
     return State(y, (p.mu + x2 - x2 * x2) * y + p.beta * x - p.eps * x2 * x)
-
-
-def field_forced(s: State, t: float, p: Params) -> State:
-    """Vector field of the forced system at state ``s`` and time ``t``.
-
-    Reduces exactly to :func:`field_unforced` when ``alpha == 0``.
-    """
-    x, y = s
-    dx, dy = field_unforced(s, p)
-    return State(dx, dy - p.alpha * x * math.cos(p.omega * t))
-
-
-def field_lienard(s: State, p: Params) -> State:
-    """Vector field of the Z2-equivariant Lienard form at state ``s``.
-
-    Solutions map onto solutions of the unforced field under
-    (x, y) -> (x, y + F(x)).
-    """
-    forms = LienardForms.from_params(p)
-    x, y = s
-    return State(y - forms.F(x), -forms.g(x))
 
 
 def jacobian(s: State, p: Params) -> np.ndarray:
@@ -205,17 +149,6 @@ def forced_rhs_3d(p: Params) -> Callable[[float, np.ndarray], np.ndarray]:
         dy = (mu + x2 - x2 * x2) * y + beta * x - eps * x2 * x \
             - alpha * x * math.cos(theta)
         return np.array([y, dy, omega])
-
-    return rhs
-
-
-def lienard_rhs(p: Params) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Closure f(t, [x, y]) for the Lienard form."""
-    forms = LienardForms.from_params(p)
-
-    def rhs(t, s):
-        x, y = s
-        return np.array([y - forms.F(x), -forms.g(x)])
 
     return rhs
 

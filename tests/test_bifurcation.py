@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from qvdp import bifurcation
 from qvdp.bifurcation import (CertificateKind, MelnikovMethod, PitchforkKind,
                               Region, classify_region, homoclinic_curve,
                               hopf_curve, hopf_cycle_prediction,
@@ -186,6 +187,28 @@ def test_cycle_prediction_existence():
     assert pred2.exists and pred2.radius_estimate > 0
     with pytest.raises(ValueError):
         hopf_cycle_prediction(Params(mu=0.2, beta=0.0, eps=2.0))
+    mu2 = critical_mus(p).mu2
+    for mu in (mu2, mu2 + 1.0):  # E2 a node: no focus, no small cycle
+        with pytest.raises(ValueError):
+            hopf_cycle_prediction(Params(mu=mu, beta=1.0, eps=2.0))
+
+
+def test_normal_form_extracted_once(monkeypatch):
+    # l1 and the cycle prediction read Re c1(mu_c) = -1/(2 beta) in closed
+    # form; only g and c1 at mu itself need the FFT extraction
+    calls = []
+    extract = bifurcation._taylor_coeffs
+
+    def counted(n1, radius):
+        calls.append(radius)
+        return extract(n1, radius)
+
+    monkeypatch.setattr(bifurcation, "_taylor_coeffs", counted)
+    p = Params(mu=-0.2, beta=1.0, eps=2.0)
+    hopf_cycle_prediction(p)
+    assert len(calls) == 0
+    hopf_normal_form(p)
+    assert len(calls) == 1
 
 
 def test_cycle_prediction_matches_detected_amplitude():

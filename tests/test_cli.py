@@ -385,6 +385,14 @@ def test_forced_requires_alpha():
                  "--alpha", "0", "--n", "10"]) == 2
 
 
+def test_forced_has_no_tol_flag():
+    # the strobe tolerance is fixed at the integrator default (1e-12, 1e-10)
+    with pytest.raises(SystemExit) as exc:
+        _run(["forced", "--mu", "-0.3", "--beta", "1", "--eps", "3",
+              "--alpha", "-0.3", "--n", "10", "--tol", "1e-6"])
+    assert exc.value.code == 2
+
+
 def test_forced_series_bounded(tmp_path):
     out = tmp_path / "f.csv"
     _run(["forced", "--mu", "-0.1", "--beta", "1", "--eps", "3",

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qvdp.integrate import integrate
-from qvdp.model import (LienardForms, Params, State, divergence, field_forced,
-                        field_lienard, field_unforced, hamiltonian,
-                        hamiltonian_rhs, jacobian, lienard_rhs, unforced_rhs)
+from qvdp.model import (Params, State, divergence, field_unforced,
+                        forced_rhs_3d, hamiltonian, hamiltonian_rhs, jacobian,
+                        unforced_rhs)
 
 finite_coord = st.floats(min_value=-3.0, max_value=3.0,
                          allow_nan=False, allow_infinity=False)
@@ -38,48 +38,51 @@ def test_field_unforced_values():
     assert abs(dy) < 1e-15
 
 
-def test_field_forced_values_and_reduction():
+def _random_params(rng):
+    beta = rng.uniform(0.0, 2.0)
+    eps = rng.uniform(-2.0, 2.0) if beta > 0 else rng.uniform(0.1, 2.0)
+    return Params(mu=rng.uniform(-1.0, 1.0), beta=beta, eps=eps,
+                  alpha=rng.uniform(-1.0, 1.0), omega=rng.uniform(0.1, 3.0))
+
+
+def test_rhs_closures_match_field_bit_for_bit():
+    # the closures every integration runs are the pinned spellings of the field
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        p = _random_params(rng)
+        unforced, forced = unforced_rhs(p), forced_rhs_3d(p)
+        for _ in range(10):
+            x, y = rng.uniform(-3.0, 3.0, size=2)
+            theta, t = rng.uniform(-10.0, 10.0, size=2)
+            f = field_unforced(State(x, y), p)
+            assert unforced(t, np.array([x, y])).tolist() == [f.x, f.y]
+            assert forced(t, np.array([x, y, theta])).tolist() == [
+                f.x, f.y - p.alpha * x * math.cos(theta), p.omega]
+
+
+def test_forced_rhs_values_and_reduction():
     p = Params(mu=0.0, beta=1.0, eps=3.0, alpha=-0.3, omega=1.0)
-    assert field_forced(State(1.0, 0.0), 0.0, p) == State(0.0, -1.7)
+    assert forced_rhs_3d(p)(0.0, np.array([1.0, 0.0, 0.0])).tolist() == [
+        0.0, -1.7, 1.0]
     p0 = Params(mu=0.4, beta=0.5, eps=1.5, alpha=0.0, omega=2.0)
     rng = np.random.default_rng(7)
     for _ in range(25):
-        s = State(*rng.uniform(-2, 2, size=2))
-        t = rng.uniform(0, 10)
-        assert field_forced(s, t, p0) == field_unforced(s, p0)
+        s = rng.uniform(-2, 2, size=2)
+        theta = rng.uniform(0, 20)
+        f = forced_rhs_3d(p0)(0.0, np.array([*s, theta]))
+        assert f[:2].tolist() == list(field_unforced(State(*s), p0))
 
 
-def test_field_forced_periodicity():
+def test_forced_rhs_periodicity():
     p = Params(mu=-0.1, beta=1.0, eps=3.0, alpha=-0.3, omega=1.3)
-    T = 2.0 * math.pi / p.omega
+    rhs = forced_rhs_3d(p)
     rng = np.random.default_rng(3)
     for _ in range(25):
-        s = State(*rng.uniform(-2, 2, size=2))
-        t = rng.uniform(0, 20)
-        a = field_forced(s, t, p)
-        b = field_forced(s, t + T, p)
-        assert abs(a.y - b.y) < 1e-12
-
-
-def test_field_lienard_values():
-    p = Params(mu=0.0, beta=0.0, eps=1.0)
-    assert field_lienard(State(0.0, 0.0), p) == State(0.0, 0.0)
-    dx, dy = field_lienard(State(1.0, 0.0), p)
-    assert abs(dx - 2.0 / 15.0) < 1e-15
-    assert dy == -1.0
-
-
-def test_lienard_orbit_equivalence():
-    # y -> y + F(x) maps solutions of the base field onto Lienard solutions
-    p = Params(mu=0.0, beta=1.0, eps=2.0)
-    forms = LienardForms.from_params(p)
-    s0 = (0.4, 0.2)
-    grid = np.linspace(0.0, 20.0, 200)
-    base = integrate(unforced_rhs(p), np.array(s0), (0.0, 20.0),
-                     tol=(1e-12, 1e-10), t_eval=grid)
-    lied = integrate(lienard_rhs(p), np.array([s0[0], s0[1] + forms.F(s0[0])]),
-                     (0.0, 20.0), tol=(1e-12, 1e-10), t_eval=grid)
-    assert np.max(np.abs(base.states[:, 0] - lied.states[:, 0])) < 1e-8
+        s = rng.uniform(-2, 2, size=2)
+        theta = rng.uniform(0, 20)
+        a = rhs(0.0, np.array([*s, theta]))
+        b = rhs(0.0, np.array([*s, theta + 2.0 * math.pi]))
+        assert abs(a[1] - b[1]) < 1e-12
 
 
 def test_jacobian_closed_forms():
@@ -152,10 +155,3 @@ def test_divergence_bounded(x, mu):
     p = Params(mu=mu, beta=1.0, eps=1.0)
     assert divergence(x, p) <= mu + 0.25 + 1e-12
 
-
-def test_lienard_forms_odd():
-    p = Params(mu=0.4, beta=1.2, eps=0.7)
-    forms = LienardForms.from_params(p)
-    for x in np.linspace(-2, 2, 41):
-        assert abs(forms.F(-x) + forms.F(x)) < 1e-15
-        assert abs(forms.g(-x) + forms.g(x)) < 1e-15
