@@ -30,7 +30,7 @@ from .compactify import (InfinityEquilibrium, InfinityLabel, disk_project,
                          field_chart_u, field_chart_v, infinity_equilibria,
                          probe_infinity_kind)
 from .integrate import (Direction, NonFinite, NoConvergence, SectionEvent,
-                        StepUnderflow, Tol, Trajectory, detect_crossings,
+                        StepUnderflow, Trajectory, detect_crossings,
                         integrate, stroboscopic)
 from .detect import (AttractorReport, LimitCycle, ManifoldEscape,
                      RotationEstimate, SeparatrixSplit, Verdict,

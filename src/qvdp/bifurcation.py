@@ -140,10 +140,10 @@ class HopfData:
 
 
 def _eig_pair(p: Params) -> complex:
-    lam = find_equilibria(p)[2].eigs[0]  # E2
-    if lam.imag <= 0:
+    e2 = find_equilibria(p)[2]
+    if not e2.kind.focus:
         raise ValueError("eigenvalues at E1/E2 are real; need mu1 < mu < mu2")
-    return lam
+    return e2.eigs[0]
 
 
 def _diagonalized_nonlinearity(p: Params, lam: complex):

@@ -19,7 +19,7 @@ Outputs are deterministic (17-significant-digit numbers, LF line endings).
 from __future__ import annotations
 
 import argparse
-import math
+import dataclasses
 import os
 import sys
 
@@ -29,7 +29,7 @@ from . import bifurcation, detect, equilibria
 from .compactify import disk_project
 from .integrate import IntegrationError, NonFinite, integrate, stroboscopic
 from .model import Params, State, unforced_rhs
-from .output import PortraitSVG, dumps_json, fmt, rows_to_csv
+from .output import PortraitSVG, dumps_json, rows_to_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -43,13 +43,9 @@ _TS_PER_PERIOD = 16  # time-series samples per forcing period
 
 
 def _params_from(args) -> Params:
-    # --alpha/--omega exist only on the subcommands that read the forcing
+    # only forced has --alpha/--omega; elsewhere alpha = 0, omega = 1
     return Params(**{k: v for k, v in vars(args).items()
                      if k in ("mu", "beta", "eps", "alpha", "omega")})
-
-
-def _tol_pair(rel: float) -> tuple[float, float]:
-    return (rel * 1e-2, rel)
 
 
 def _write(path, text: str) -> None:
@@ -60,9 +56,13 @@ def _write(path, text: str) -> None:
             fh.write(text)
 
 
-def _params_doc(p: Params) -> dict:
-    return {"mu": p.mu, "beta": p.beta, "eps": p.eps,
-            "alpha": p.alpha, "omega": p.omega}
+def _critical_values(p: Params):
+    """(mu1, muc, mu2, mu3), or None unless beta > 0 and eps > 0."""
+    if not (p.beta > 0 and p.eps > 0):
+        return None
+    mus = equilibria.critical_mus(p)
+    return (mus.mu1, mus.muc, mus.mu2,
+            bifurcation.homoclinic_curve(p.beta, p.eps))
 
 
 # --- classify ----------------------------------------------------------------
@@ -70,29 +70,24 @@ def _params_doc(p: Params) -> dict:
 def cmd_classify(args) -> int:
     p = _params_from(args)
     eqs = equilibria.find_equilibria(p)
-    doc: dict = {"params": _params_doc(p)}
+    doc: dict = {"params": dataclasses.asdict(p)}
     doc["equilibria"] = [
         {"label": e.label.value, "x": e.location.x, "y": e.location.y,
          "eigenvalues": [[ev.real, ev.imag] for ev in e.eigs],
          "kind": e.kind.value}
         for e in eqs
     ]
-    if p.beta > 0 and p.eps > 0:
-        mus = equilibria.critical_mus(p)
-        mu3 = bifurcation.homoclinic_curve(p.beta, p.eps)
-        doc["critical_mus"] = {"mu1": mus.mu1, "muc": mus.muc, "mu2": mus.mu2}
-        doc["mu3"] = mu3
-        doc["homoclinic_distance"] = abs(p.mu - mu3)
-        proximal = abs(p.mu - mu3) <= HOMOCLINIC_PROXIMITY
+    crit = _critical_values(p)
+    if crit is None:
+        doc.update(critical_mus=None, mu3=None, homoclinic_distance=None)
     else:
-        doc["critical_mus"] = None
-        doc["mu3"] = None
-        doc["homoclinic_distance"] = None
-        proximal = False
+        doc.update(critical_mus=dict(zip(("mu1", "muc", "mu2"), crit)),
+                   mu3=crit[3], homoclinic_distance=abs(p.mu - crit[3]))
     region = bifurcation.classify_region(p)
     doc["region_label"] = region.label.value
     doc["certificates"] = list(region.certificates)
-    doc["homoclinic_proximal"] = proximal
+    doc["homoclinic_proximal"] = (
+        crit is not None and doc["homoclinic_distance"] <= HOMOCLINIC_PROXIMITY)
     _write(args.out, dumps_json(doc))
     return EXIT_OK
 
@@ -102,43 +97,37 @@ def cmd_classify(args) -> int:
 _PORTRAIT_ESCAPE = 10.0  # detect.escape_bound base of the portraits
 
 
-def _integrate_seed(p: Params, seed, t0: float, t1: float, tol):
-    rhs = unforced_rhs(p)
-    try:
-        traj = integrate(rhs, np.array(seed), (t0, t1), tol=tol,
-                         escape_radius=detect.escape_bound(
-                             p, _PORTRAIT_ESCAPE))
-        return traj, None
-    except NonFinite as exc:
-        return exc.trajectory, "escaped"
-    except IntegrationError as exc:
-        return None, str(exc)
-
-
 def cmd_portrait(args) -> int:
     p = _params_from(args)
     if not args.seed:
         print("portrait requires at least one --seed x,y", file=sys.stderr)
         return EXIT_USAGE
-    tol = _tol_pair(args.tol)
-    results = [_integrate_seed(p, seed, args.t0, args.t1, tol)
-               for seed in args.seed]
+    rhs = unforced_rhs(p)
+    escape_radius = detect.escape_bound(p, _PORTRAIT_ESCAPE)
 
-    rows = []
-    ok_seeds = 0
-    for sid, (traj, err) in enumerate(results):
+    kept, rows = [], []
+    for sid, seed in enumerate(args.seed):
+        err = None
+        try:
+            traj = integrate(rhs, np.array(seed), (0.0, args.t1),
+                             tol=(args.tol * 1e-2, args.tol),
+                             escape_radius=escape_radius)
+        except NonFinite as exc:
+            traj, err = exc.trajectory, "escaped"
+        except IntegrationError as exc:
+            traj, err = None, str(exc)
         if traj is None or len(traj.t) < 2:
             print(f"warning: seed {sid} failed: {err or 'no samples'}",
                   file=sys.stderr)
             continue
-        if err == "escaped":
+        if err:
             print(f"warning: seed {sid} escaped to infinity at "
                   f"t={traj.t1:.6g} (partial trajectory kept)",
                   file=sys.stderr)
-        ok_seeds += 1
-        for t, (x, y) in zip(traj.t, traj.states):
-            rows.append((sid, float(t), float(x), float(y)))
-    if ok_seeds == 0:
+        kept.append(traj)
+        rows += [(sid, float(t), float(x), float(y))
+                 for t, (x, y) in zip(traj.t, traj.states)]
+    if not kept:
         print("error: all seeds failed to integrate", file=sys.stderr)
         return EXIT_NUMERICAL
     _write(args.out, rows_to_csv(("seed_id", "t", "x", "y"), rows))
@@ -149,24 +138,18 @@ def cmd_portrait(args) -> int:
         svg = PortraitSVG(half_width=1.1 if args.disk else 3.0)
         if args.disk:
             svg.circle(0.0, 0.0, 1.0)
-        for traj, err in results:
-            if traj is None or len(traj.t) < 2:
-                continue
-            pts = traj.states[:, :2]
-            if args.disk:
-                pts = np.array([disk_project(State(x, y)) for x, y in pts])
-            svg.polyline(pts)
+
+        def view(xy):
+            return [disk_project(pt) for pt in xy] if args.disk else xy
+
+        for traj in kept:
+            svg.polyline(view(traj.states[:, :2]))
         for e in equilibria.find_equilibria(p):
-            x, y = e.location
-            if args.disk:
-                x, y = disk_project(e.location)
+            x, y = disk_project(e.location) if args.disk else e.location
             svg.marker(x, y, stable=e.kind.stable,
                        saddle=e.kind is equilibria.EquilibriumKind.SADDLE)
         for cyc in _detect_cycles_for_portrait(p, args.seed):
-            loop = cyc.path
-            if args.disk:
-                loop = np.array([disk_project(State(x, y)) for x, y in loop])
-            svg.closed_curve(loop)
+            svg.closed_curve(view(cyc.path))
         _write(svg_path, svg.render())
     return EXIT_OK
 
@@ -178,29 +161,23 @@ def _detect_cycles_for_portrait(p: Params, seeds) -> list:
             cyc = detect.find_limit_cycle(p, State(*seed))
         except IntegrationError:
             continue
-        if cyc is None:
-            continue
-        if all(abs(cyc.period - c.period) > 1e-6
-               or abs(cyc.representative.x - c.representative.x) > 1e-6
-               for c in found):
+        if cyc is not None and all(
+                abs(cyc.period - c.period) > 1e-6
+                or abs(cyc.representative.x - c.representative.x) > 1e-6
+                for c in found):
             found.append(cyc)
     return found
 
 
 # --- sweep -------------------------------------------------------------------
 
-def _sweep_cell(mu: float, beta: float, eps: float):
+def _sweep_cell(mu: float, beta: float, eps: float) -> list:
     try:
         p = Params(mu=mu, beta=beta, eps=eps)
     except ValueError:
-        return (beta, mu, eps, "invalid_params",
-                math.nan, math.nan, math.nan, math.nan)
+        return [beta, mu, eps, "invalid_params"] + ["nan"] * 4
     region = bifurcation.classify_region(p).label.value
-    if beta > 0 and eps > 0:
-        mus = equilibria.critical_mus(p)
-        mu3 = bifurcation.homoclinic_curve(beta, eps)
-        return (beta, mu, eps, region, mus.mu1, mus.muc, mus.mu2, mu3)
-    return (beta, mu, eps, region, math.nan, math.nan, math.nan, math.nan)
+    return [beta, mu, eps, region, *(_critical_values(p) or ["nan"] * 4)]
 
 
 def cmd_sweep(args) -> int:
@@ -217,25 +194,11 @@ def cmd_sweep(args) -> int:
             return EXIT_USAGE
         axes.append((name, np.linspace(lo, hi, count)))
     (ax1, vals1), (ax2, vals2) = axes
-    cells = []
-    for v1 in vals1:
-        for v2 in vals2:
-            point = dict(base)
-            point[ax1] = float(v1)
-            point[ax2] = float(v2)
-            cells.append((point["mu"], point["beta"], point["eps"]))
-    rows = [_sweep_cell(*c) for c in cells]
-
-    def cell_text(row):
-        out = [fmt(row[0]), fmt(row[1]), fmt(row[2]), row[3]]
-        out += ["nan" if isinstance(v, float) and math.isnan(v) else fmt(v)
-                for v in row[4:]]
-        return out
-
-    text = rows_to_csv(("beta", "mu", "eps", "region",
-                        "mu1", "muc", "mu2", "mu3"),
-                       [cell_text(r) for r in rows])
-    _write(args.out, text)
+    # a repeated axis takes its second value, as the later key wins
+    rows = [_sweep_cell(**{**base, ax1: float(v1), ax2: float(v2)})
+            for v1 in vals1 for v2 in vals2]
+    _write(args.out, rows_to_csv(("beta", "mu", "eps", "region",
+                                  "mu1", "muc", "mu2", "mu3"), rows))
     return EXIT_OK
 
 
@@ -288,7 +251,7 @@ def cmd_forced(args) -> int:
 
     report = detect.classify_forced(p, State(*seed), n, samples=strobe)
     doc = {
-        "params": _params_doc(p),
+        "params": dataclasses.asdict(p),
         "seed": [seed[0], seed[1]],
         "n": n,
         "verdict": report.verdict.value,
@@ -319,6 +282,8 @@ _FORCED_EXAMPLES = [
 
 
 def cmd_repro(args) -> int:
+    if args.n < 1:
+        raise ValueError("repro requires --n >= 1")
     outdir = args.out or "repro_out"
     os.makedirs(outdir, exist_ok=True)
     manifest = {"unforced": [], "forced": [], "n_strobe": args.n}
@@ -369,14 +334,11 @@ def _grid_spec(text: str):
             f"grid must be 'AXIS:MIN:MAX:N' with N >= 2, got {text!r}") from exc
 
 
-def _add_common_flags(sp, forcing: bool = False) -> None:
+def _add_common_flags(sp) -> None:
     sp.add_argument("--out", default=None, help="output path (default stdout)")
     sp.add_argument("--mu", type=float, default=0.0)
     sp.add_argument("--beta", type=float, default=0.0)
     sp.add_argument("--eps", type=float, default=1.0)
-    if forcing:
-        sp.add_argument("--alpha", type=float, default=0.0)
-        sp.add_argument("--omega", type=float, default=1.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("classify", help="equilibria and regime (JSON)")
-    _add_common_flags(sp, forcing=True)
+    _add_common_flags(sp)
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("portrait", help="trajectories from seeds (CSV/SVG)")
@@ -396,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="svg also writes the portrait next to the CSV")
     sp.add_argument("--seed", type=_seed_pair, action="append", default=[],
                     help="initial state 'x,y' (repeatable)")
-    sp.add_argument("--t0", type=float, default=0.0)
     sp.add_argument("--t1", type=float, default=60.0)
     sp.add_argument("--tol", type=float, default=1e-10,
                     help="relative tolerance (absolute = rel/100)")
@@ -417,7 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_melnikov)
 
     sp = sub.add_parser("forced", help="stroboscopic analysis of the forced system")
-    _add_common_flags(sp, forcing=True)
+    _add_common_flags(sp)
+    sp.add_argument("--alpha", type=float, default=0.0)
+    sp.add_argument("--omega", type=float, default=1.0)
     sp.add_argument("--seed", type=_seed_pair, action="append", default=[])
     sp.add_argument("--n", type=int, default=2000,
                     help="number of forcing periods to sample")

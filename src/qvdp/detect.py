@@ -384,7 +384,8 @@ def classify_forced(p: Params, s0: State, n: int = 2000,
     invariant closed curve -- nearest-neighbor adjacency gaps bounded by
     ``5 x median`` and by 2% of the curve extent, monotone winding, and a
     convergent rotation number.  Anything else is reported irregular.
-    All thresholds appear in ``evidence``.
+    ``evidence["thresholds"]`` lists every threshold except the curve
+    test's 2% thinness bound and its 200-sample minimum.
 
     A precomputed ``samples`` array (as produced by
     :func:`~qvdp.integrate.stroboscopic`) skips the integration.

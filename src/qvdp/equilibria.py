@@ -14,6 +14,7 @@ and at E1/E2
 The eigenvalue discriminant at E1/E2 changes sign at mu_1 = mu_c - 2 sqrt(2 beta)
 and mu_2 = mu_c + 2 sqrt(2 beta); together with the sign of mu - mu_c these
 delimit the stable node / stable focus / unstable focus / unstable node bands.
+The band decides the kind, and the eigenvalues are complex exactly at a focus.
 
 Degenerate linearizations (a zero eigenvalue at beta = 0, a double zero at
 beta = mu = 0) are classified by the known closed-form answer for this family
@@ -55,6 +56,12 @@ class EquilibriumKind(enum.Enum):
     @property
     def stable(self) -> bool:
         return self in (EquilibriumKind.STABLE_NODE, EquilibriumKind.STABLE_FOCUS)
+
+    @property
+    def focus(self) -> bool:
+        return self in (EquilibriumKind.STABLE_FOCUS,
+                        EquilibriumKind.UNSTABLE_FOCUS,
+                        EquilibriumKind.DEGENERATE_UNSTABLE_FOCUS)
 
 
 class EqLabel(enum.Enum):
@@ -100,10 +107,15 @@ def _eigs_at_origin(p: Params) -> tuple[complex, complex]:
     return (complex(0.5 * (p.mu + r)), complex(0.5 * (p.mu - r)))
 
 
-def _eigs_at_pair(p: Params) -> tuple[complex, complex]:
+def _eigs_at_pair(p: Params, focus: bool) -> tuple[complex, complex]:
     # roots of lambda^2 - sigma lambda + 2 beta = 0, sigma = mu - muc
-    sigma = p.mu - critical_mus(p).muc
+    mus = critical_mus(p)
+    sigma = p.mu - mus.muc
     disc = sigma * sigma - 8.0 * p.beta
+    if (disc < 0.0) != focus:
+        # rounding at a band edge; the factored form (mu - mu1)(mu - mu2)
+        # has the band's sign
+        disc = (p.mu - mus.mu1) * (p.mu - mus.mu2)
     root = cmath.sqrt(complex(disc))
     return (0.5 * (sigma + root), 0.5 * (sigma - root))
 
@@ -144,8 +156,8 @@ def find_equilibria(p: Params) -> list[Equilibrium]:
                        kind=_kind_at_origin(p), label=EqLabel.O)]
     if p.beta > 0 and p.eps > 0:
         x2 = math.sqrt(p.beta / p.eps)
-        eigs = _eigs_at_pair(p)
         kind = _kind_at_pair(p)
+        eigs = _eigs_at_pair(p, kind.focus)
         out.append(Equilibrium(State(-x2, 0.0), eigs, kind, EqLabel.E1))
         out.append(Equilibrium(State(x2, 0.0), eigs, kind, EqLabel.E2))
     return out

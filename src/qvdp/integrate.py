@@ -5,7 +5,7 @@ Thin layer over scipy's embedded Runge-Kutta pairs (RK45 = Dormand-Prince
 Both use proportional-integral step control and supply the dense output the
 event machinery needs.  The layer adds:
 
-* a :class:`Trajectory` value carrying samples, tolerances and step stats;
+* a :class:`Trajectory` value carrying samples and step stats;
 * escape detection on the first two state components (x, y; further
   components of an augmented state are not monitored) -- for eps <= 0
   the oscillator genuinely blows up in finite time, which is a reportable
@@ -22,6 +22,7 @@ Integrator instances are single-use; all returned values are immutable.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -32,7 +33,6 @@ from scipy.optimize import brentq
 from .model import Params, forced_rhs_3d
 
 __all__ = [
-    "Tol",
     "Trajectory",
     "SectionEvent",
     "Direction",
@@ -70,29 +70,13 @@ class NonFinite(IntegrationError):
 
 
 class NoConvergence(IntegrationError):
-    """Crossing refinement failed to reach the section residual target."""
+    """An iteration gave up: crossing refinement missed the section residual
+    target, or a limit-cycle search spent its 60 returns without closing."""
 
 
 class Direction(enum.Enum):
     UP = 1      # section value passes through zero increasing
     DOWN = -1   # decreasing
-
-
-@dataclass(frozen=True)
-class Tol:
-    abs: float
-    rel: float
-
-    @classmethod
-    def coerce(cls, tol) -> "Tol":
-        if isinstance(tol, Tol):
-            t = tol
-        else:
-            a, r = tol
-            t = cls(float(a), float(r))
-        if not (TOL_FLOOR <= t.abs <= TOL_CEIL and TOL_FLOOR <= t.rel <= TOL_CEIL):
-            raise ValueError(f"tolerances must lie in [{TOL_FLOOR}, {TOL_CEIL}]")
-        return t
 
 
 @dataclass(frozen=True)
@@ -108,7 +92,6 @@ class Trajectory:
 
     t: np.ndarray
     states: np.ndarray
-    tol: Tol
     stats: dict
     escaped: bool = False
     stopped: bool = False
@@ -164,7 +147,7 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
     ----------
     field_fn : callable(t, state) -> dstate
     s0 : array-like initial state
-    t_span : (t0, t1)
+    t_span : (t0, t1), both finite
     tol : (abs, rel) pair, both within [1e-13, 1e-3]
     method : "RK45" (default) or "DOP853"
     dense : keep the interpolant for later evaluation / event refinement
@@ -179,12 +162,18 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
 
     Raises
     ------
+    ValueError
+        tolerance out of bounds, or non-finite ``t_span`` or initial state
     NonFinite
         state crossed ``escape_radius`` (partial trajectory attached)
     StepUnderflow
         step control failure without escape
     """
-    tol = Tol.coerce(tol)
+    atol, rtol = tol
+    if not (TOL_FLOOR <= atol <= TOL_CEIL and TOL_FLOOR <= rtol <= TOL_CEIL):
+        raise ValueError(f"tolerances must lie in [{TOL_FLOOR}, {TOL_CEIL}]")
+    if not all(map(math.isfinite, t_span)):
+        raise ValueError("t_span must be finite")
     y0 = np.asarray(s0, dtype=float)
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state must be finite")
@@ -194,7 +183,7 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
         raise NonFinite(
             "field is non-finite at the initial state",
             Trajectory(t=np.array([t_span[0]]), states=y0[None, :],
-                       tol=tol, stats={"nfev": 1}, escaped=True))
+                       stats={"nfev": 1}, escaped=True))
 
     def escape(t, y):
         return max(map(abs, y[:2])) - escape_radius
@@ -204,7 +193,7 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
 
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve_ivp(field_fn, t_span, y0, method=method,
-                        rtol=tol.rel, atol=tol.abs, dense_output=dense,
+                        rtol=rtol, atol=atol, dense_output=dense,
                         t_eval=t_eval, events=events)
 
     accepted = max(0, len(sol.t) - 1) if t_eval is None else None
@@ -216,7 +205,7 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
 
     escaped = len(sol.t_events[0]) > 0
     stopped = stop_event is not None and len(sol.t_events[1]) > 0
-    traj = Trajectory(t=sol.t, states=sol.y.T, tol=tol, stats=stats,
+    traj = Trajectory(t=sol.t, states=sol.y.T, stats=stats,
                       escaped=escaped, stopped=stopped,
                       _dense=sol.sol if dense else None)
     if escaped:
@@ -291,26 +280,24 @@ def detect_crossings(traj: Trajectory,
     return events
 
 
-def stroboscopic(p: Params, s0, n: int,
-                 tol=DEFAULT_TOL,
-                 per_period: int = 1) -> np.ndarray:
+def stroboscopic(p: Params, s0, n: int, per_period: int = 1) -> np.ndarray:
     """Forced-system states at t = k * T / per_period, k = 0..n*per_period.
 
-    T = 2*pi/omega is the forcing period.  The forced system is integrated
-    with DOP853 as its 3D autonomous extension (x, y, theta); samples are
-    taken on the exact grid ``arange(n*per_period + 1) * (T/per_period)``,
-    so every ``per_period``-th row is a stroboscopic sample.  Returns an
+    T = 2*pi/omega is the forcing period and n >= 1 the number of periods.
+    The forced system is integrated with DOP853 at ``DEFAULT_TOL`` as its
+    3D autonomous extension (x, y, theta); samples are taken on the exact
+    grid ``arange(n*per_period + 1) * (T/per_period)``, so every
+    ``per_period``-th row is a stroboscopic sample.  Returns an
     (n*per_period + 1) x 2 array of (x, y) samples.
     """
     if p.alpha == 0:
         raise ValueError("stroboscopic sampling requires alpha != 0")
-    tol = Tol.coerce(tol)
-    if tol.rel > 1e-10:
-        raise ValueError("stroboscopic sampling requires rel tol <= 1e-10")
+    if n < 1:
+        raise ValueError("stroboscopic sampling requires n >= 1")
     T = p.forcing_period
     x0, y0 = float(s0[0]), float(s0[1])
     rhs = forced_rhs_3d(p)
     t_eval = np.arange(n * per_period + 1) * (T / per_period)
     traj = integrate(rhs, np.array([x0, y0, 0.0]), (0.0, n * T),
-                     tol=tol, method="DOP853", dense=False, t_eval=t_eval)
+                     method="DOP853", dense=False, t_eval=t_eval)
     return traj.states[:, :2].copy()

@@ -9,7 +9,7 @@ the interfaces the tests pin down.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 __all__ = ["fmt", "dumps_json", "rows_to_csv", "PortraitSVG"]
 
@@ -112,17 +112,16 @@ class PortraitSVG:
         return " ".join(
             f"{px:.2f},{py:.2f}" for px, py in (self._px(x, y) for x, y in xy))
 
-    def polyline(self, xy, color: Optional[str] = None, width: float = 1.0):
-        if color is None:
-            color = self._COLORS[self._color_idx % len(self._COLORS)]
-            self._color_idx += 1
+    def polyline(self, xy):
+        color = self._COLORS[self._color_idx % len(self._COLORS)]
+        self._color_idx += 1
         self._body.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="{width}" '
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.0" '
             f'points="{self._points_attr(xy)}"/>')
 
-    def closed_curve(self, xy, color: str = "#000000", width: float = 2.0):
+    def closed_curve(self, xy):
         self._body.append(
-            f'<polygon fill="none" stroke="{color}" stroke-width="{width}" '
+            f'<polygon fill="none" stroke="#000000" stroke-width="2.0" '
             f'points="{self._points_attr(xy)}"/>')
 
     def marker(self, x: float, y: float, stable: bool, saddle: bool = False):
@@ -138,13 +137,12 @@ class PortraitSVG:
                 f'<circle cx="{px:.2f}" cy="{py:.2f}" r="5" fill="{fill}" '
                 f'stroke="#000000" stroke-width="1.5"/>')
 
-    def circle(self, x: float, y: float, world_radius: float,
-               color: str = "#555555"):
+    def circle(self, x: float, y: float, world_radius: float):
         px, py = self._px(x, y)
         r = world_radius * self._SIZE / (2.0 * self.half)
         self._body.append(
             f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{r:.2f}" fill="none" '
-            f'stroke="{color}" stroke-width="1" stroke-dasharray="4 3"/>')
+            f'stroke="#555555" stroke-width="1" stroke-dasharray="4 3"/>')
 
     def render(self) -> str:
         head = (f'<svg xmlns="http://www.w3.org/2000/svg" '

@@ -193,6 +193,15 @@ def test_cycle_prediction_existence():
             hopf_cycle_prediction(Params(mu=mu, beta=1.0, eps=2.0))
 
 
+@pytest.mark.parametrize("beta,eps", [(1.0, 0.5), (4.0, 1.0)])
+def test_cycle_prediction_raises_at_mu2(beta, eps):
+    # rounding leaves (mu2 - muc)^2 - 8 beta slightly negative here, but E2
+    # is a node at mu2 and has no small cycle
+    mu2 = critical_mus(Params(mu=0.0, beta=beta, eps=eps)).mu2
+    with pytest.raises(ValueError):
+        hopf_cycle_prediction(Params(mu=mu2, beta=beta, eps=eps))
+
+
 def test_normal_form_extracted_once(monkeypatch):
     # l1 and the cycle prediction read Re c1(mu_c) = -1/(2 beta) in closed
     # form; only g and c1 at mu itself need the FFT extraction

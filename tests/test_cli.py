@@ -7,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from qvdp.cli import main
+from qvdp.cli import build_parser, main
 from qvdp.detect import classify_forced, find_limit_cycle
 from qvdp.model import Params, State
 from qvdp.output import dumps_json, fmt, rows_to_csv
@@ -276,12 +276,44 @@ def test_format_only_on_portrait():
     ["portrait", "--seed", "1,0"],
     ["sweep", "--grid", "beta:0:1:2", "--grid", "mu:0:1:2"],
     ["melnikov", "--beta", "1", "--eps", "2"],
+    ["classify", "--beta", "1", "--eps", "2"],
 ])
 def test_forcing_flags_only_where_read(argv):
     for flag in ("--alpha", "--omega"):
         with pytest.raises(SystemExit) as exc:
             _run([*argv, flag, "0.3"])
         assert exc.value.code == 2
+
+
+_COMMON = {"--out", "--mu", "--beta", "--eps"}
+_FLAGS = {
+    "classify": _COMMON,
+    "portrait": _COMMON | {"--format", "--seed", "--t1", "--tol", "--disk"},
+    "sweep": _COMMON | {"--grid"},
+    "melnikov": _COMMON | {"--eps1"},
+    "forced": _COMMON | {"--alpha", "--omega", "--seed", "--n"},
+    "repro": {"--out", "--n"},
+}
+
+
+def test_flag_census():
+    # every flag is read by its subcommand; a new one must be listed here
+    sub = next(a for a in build_parser()._actions if a.choices)
+    seen = {name: {o for a in sp._actions for o in a.option_strings
+                   if o.startswith("--") and o != "--help"}
+            for name, sp in sub.choices.items()}
+    assert seen == _FLAGS
+    with pytest.raises(SystemExit) as exc:  # portraits start at t = 0
+        _run(["portrait", "--seed", "1,0", "--t0", "1"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("t1", ["nan", "inf"])
+def test_portrait_non_finite_end_time_exit_2(t1, capsys):
+    assert _run(["portrait", "--beta", "1", "--eps", "2", "--seed", "1,0",
+                 "--t1", t1]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # --- sweep ---------------------------------------------------------------------
@@ -385,6 +417,14 @@ def test_forced_requires_alpha():
                  "--alpha", "0", "--n", "10"]) == 2
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_forced_requires_a_period(n, capsys):
+    assert _run(["forced", "--mu", "-0.3", "--beta", "1", "--eps", "3",
+                 "--alpha", "-0.3", "--n", n]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_forced_has_no_tol_flag():
     # the strobe tolerance is fixed at the integrator default (1e-12, 1e-10)
     with pytest.raises(SystemExit) as exc:
@@ -420,3 +460,11 @@ def test_repro_bundle(tmp_path):
     for name in ("forced_irregular", "forced_quasiperiodic"):
         assert (outdir / f"{name}.json").exists()
         assert (outdir / f"{name}_ts.csv").exists()
+
+
+def test_repro_requires_a_period(tmp_path, capsys):
+    outdir = tmp_path / "repro"
+    assert _run(["repro", "--out", str(outdir), "--n", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not outdir.exists()

@@ -166,3 +166,19 @@ def test_classification_matches_eigenvalue_signs_when_nondegenerate():
             continue
         for e in find_equilibria(p):
             assert e.kind is _sign_pattern_kind(e.eigs)
+
+
+def test_pair_eigenvalues_follow_the_kind_at_band_edges():
+    # at mu1 and mu2 and one ulp either side, rounding of (mu - muc)^2 - 8 beta
+    # can give the wrong sign; the eigenvalues must still be complex exactly
+    # at a focus
+    rng = np.random.default_rng(29)
+    for _ in range(500):
+        beta, eps = rng.uniform(0.01, 5.0), rng.uniform(0.1, 5.0)
+        mus = critical_mus(Params(mu=0.0, beta=beta, eps=eps))
+        for edge in (mus.mu1, mus.mu2):
+            for mu in (math.nextafter(edge, -math.inf), edge,
+                       math.nextafter(edge, math.inf)):
+                e2 = find_equilibria(Params(mu=mu, beta=beta, eps=eps))[2]
+                focus = e2.kind in (K.STABLE_FOCUS, K.UNSTABLE_FOCUS)
+                assert (e2.eigs[0].imag != 0.0) is focus, (beta, eps, mu)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qvdp
-from qvdp.integrate import (Direction, NonFinite, Tol, detect_crossings,
+from qvdp.integrate import (Direction, NonFinite, detect_crossings,
                             integrate, stroboscopic)
 from qvdp.model import (Params, State, hamiltonian, hamiltonian_rhs,
                         unforced_rhs)
@@ -17,11 +17,18 @@ def _rotation_field(t, s):
 
 def test_tolerance_validation():
     with pytest.raises(ValueError):
-        Tol.coerce((1e-20, 1e-10))
+        integrate(_rotation_field, [1.0, 0.0], (0.0, 1.0), tol=(1e-20, 1e-10))
     with pytest.raises(ValueError):
-        Tol.coerce((1e-10, 1e-2))
-    t = Tol.coerce((1e-12, 1e-9))
-    assert t.abs == 1e-12 and t.rel == 1e-9
+        integrate(_rotation_field, [1.0, 0.0], (0.0, 1.0), tol=(1e-10, 1e-2))
+    traj = integrate(_rotation_field, [1.0, 0.0], (0.0, 1.0),
+                     tol=(1e-12, 1e-9))
+    assert traj.t1 == 1.0
+
+
+@pytest.mark.parametrize("t1", [math.nan, math.inf, -math.inf])
+def test_non_finite_end_time_rejected(t1):
+    with pytest.raises(ValueError):
+        integrate(_rotation_field, [1.0, 0.0], (0.0, t1))
 
 
 def test_trajectory_contract():
@@ -148,12 +155,16 @@ def test_nonfinite_escape_reported():
     assert partial.t1 < 600.0
 
 
-def test_stroboscopic_requires_forcing_and_tight_tol():
+def test_stroboscopic_requires_forcing():
     with pytest.raises(ValueError):
         stroboscopic(Params(mu=0.0, beta=1.0, eps=2.0), (0.0, 1.0), 10)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_stroboscopic_requires_a_period(n):
     p = Params(mu=-0.1, beta=1.0, eps=3.0, alpha=-0.3, omega=1.0)
     with pytest.raises(ValueError):
-        stroboscopic(p, (0.0, 1.2), 10, tol=(1e-10, 1e-8))
+        stroboscopic(p, (0.0, 1.2), n)
 
 
 def test_stroboscopic_fixed_point_of_forced_system():
