@@ -38,7 +38,6 @@ from math import factorial
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .equilibria import critical_mus, find_equilibria
 from .model import Params, State, field_unforced
@@ -329,6 +328,8 @@ def melnikov(mu: float, beta: float, eps: float, eps1: float = 1.0,
                  + 16.0 * beta ** 3 / (15.0 * eps * eps)
                  - 128.0 * beta ** 4 * eps1 * eps1 / (105.0 * eps ** 3))
         return MelnikovResult(value, MelnikovMethod.CLOSED_FORM, mu3)
+
+    from scipy.integrate import quad  # the only caller: load on first use
 
     cx = math.sqrt(2.0 * beta / eps)
     cy = math.sqrt(2.0) * beta / math.sqrt(eps)

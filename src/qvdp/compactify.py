@@ -169,7 +169,7 @@ def _probe_verdict(chart, p: Params, s0) -> str:
         return size(s) - grow * _PROBE_RADIUS
     leave.terminal = True
     leave.direction = 1
-    traj = integrate(lambda t, s: np.array(field(s[0], s[1], p)), s0,
+    traj = integrate(lambda t, s: np.array(field(*s.tolist(), p)), s0,
                      (0.0, _PROBE_TAU), tol=(1e-12, 1e-9), dense=False,
                      stop_event=leave)
     if traj.stopped:

@@ -184,9 +184,9 @@ def find_limit_cycle(p: Params, seed: State) -> Optional[LimitCycle]:
     escape_radius = escape_bound(p, _CYCLE_ESCAPE)
 
     def aug_field(t, s):
-        # (x, y) and the divergence integral along the orbit
-        dx, dy = rhs(t, s[:2])
-        return np.array([dx, dy, divergence(s[0], p)])
+        # (x, y) and the divergence integral along the orbit, on floats
+        dx, dy = rhs(t, s[:2]).tolist()
+        return np.array([dx, dy, divergence(float(s[0]), p)])
 
     def ret(x, y=0.0):
         try:

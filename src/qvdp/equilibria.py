@@ -92,11 +92,18 @@ class CriticalMus:
 
 
 def critical_mus(p: Params) -> CriticalMus:
-    """Return (mu1, muc, mu2) for the E1/E2 pair; requires beta>0, eps>0."""
+    """Return (mu1, muc, mu2) for the E1/E2 pair; requires beta>0, eps>0.
+
+    Raises ValueError where a value overflows the float range.
+    """
     if not (p.beta > 0 and p.eps > 0):
         raise ValueError("critical mus require beta > 0 and eps > 0")
-    muc = (p.beta ** 2 - p.eps * p.beta) / p.eps ** 2
+    eps2 = p.eps * p.eps
+    muc = (p.beta * p.beta - p.eps * p.beta) / eps2 if eps2 else math.inf
     half_width = 2.0 * math.sqrt(2.0 * p.beta)
+    if not (math.isfinite(muc - half_width) and math.isfinite(muc + half_width)):
+        raise ValueError(f"critical mus overflow the float range at "
+                         f"beta={p.beta:g}, eps={p.eps:g}")
     return CriticalMus(mu1=muc - half_width, muc=muc, mu2=muc + half_width)
 
 

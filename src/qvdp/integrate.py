@@ -1,34 +1,47 @@
 """Adaptive ODE integration with dense output and section-crossing events.
 
-Thin layer over scipy's embedded Runge-Kutta pairs (RK45 = Dormand-Prince
-5(4) with a free quartic interpolant, DOP853 for long high-accuracy runs).
-Both use proportional-integral step control and supply the dense output the
-event machinery needs.  The layer adds:
+One embedded Runge-Kutta stepper serves every integration in the package.
+It carries two Dormand-Prince pairs (Hairer, Norsett & Wanner, *Solving
+Ordinary Differential Equations I*, ch. II.4-6): RK45, the 5(4) pair with
+Shampine's free quartic interpolant, and DOP853, the 8(5,3) pair with its
+7th-order dense output for long high-accuracy runs.  Step control is the
+standard one -- the initial-step rule of HNW II.4, an RMS error norm
+against ``atol + rtol * |y|``, safety factor 0.9, step factors limited to
+[0.2, 10] and no growth right after a rejection -- so a run takes the same
+steps as scipy's ``solve_ivp`` with the same method and tolerances, up to
+rounding: sums run in another order, which can flip an accept/reject
+decision that sits on the bound.  The stage arithmetic runs on Python
+floats: the states here have two or three components, where array
+operations cost more than they compute.
 
-* a :class:`Trajectory` value carrying samples and step stats;
+On top of the stepper the module provides:
+
+* a :class:`Trajectory` value carrying samples, the per-step interpolant
+  and exact step counts;
 * escape detection on the first two state components (x, y; further
   components of an augmented state are not monitored) -- for eps <= 0
   the oscillator genuinely blows up in finite time, which is a reportable
   outcome (:class:`NonFinite`), not a crash;
+* a terminal event that ends a run at the first zero of a scalar function
+  of the state, located on the step's interpolant;
 * sign-change detection of arbitrary scalar sections on the dense output,
-  refined by root bracketing to |section| < 1e-10, and a terminal event
-  that ends a run at its first section crossing;
+  refined by root bracketing to |section| < 1e-10;
 * stroboscopic sampling of the forced system at exact fractions of the
   forcing period.
 
-Integrator instances are single-use; all returned values are immutable.
+All returned values are immutable.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from operator import mul
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .model import Params, forced_rhs_3d
 
@@ -70,13 +83,333 @@ class NonFinite(IntegrationError):
 
 
 class NoConvergence(IntegrationError):
-    """An iteration gave up: crossing refinement missed the section residual
-    target, or a limit-cycle search spent its 60 returns without closing."""
+    """An iteration gave up: root bracketing failed on a section or an
+    event, or a limit-cycle search spent its 60 returns without closing."""
 
 
 class Direction(enum.Enum):
     UP = 1      # section value passes through zero increasing
     DOWN = -1   # decreasing
+
+
+# --- Dormand-Prince pairs ----------------------------------------------------
+
+def _lower(rows: Sequence[dict]) -> tuple:
+    """Dense rows of a strictly lower-triangular matrix given sparsely."""
+    return tuple(tuple(r.get(j, 0.0) for j in range(i + 1))
+                 for i, r in enumerate(rows))
+
+
+@dataclass(frozen=True)
+class _Pair:
+    c: tuple           # nodes of stages 1.. (stage 0 sits at t)
+    a: tuple           # row i combines stages 0..i into stage i + 1
+    b: tuple           # weights of the propagated solution
+    error_order: int   # order q of the embedded error estimate
+    poly: tuple        # per interpolant row: weights over the stages
+    c_dense: tuple = ()    # extra stages of the interpolant (DOP853)
+    a_dense: tuple = ()
+
+
+_RK45 = _Pair(
+    c=(1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0),
+    a=((1 / 5,),
+       (3 / 40, 9 / 40),
+       (44 / 45, -56 / 15, 32 / 9),
+       (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+       (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)),
+    b=(35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    error_order=4,
+    # Shampine's quartic: rows q_0..q_3 (see _interp_coef) over 7 stages
+    poly=tuple(zip(
+        (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+         -12715105075 / 11282082432),
+        (0.0, 0.0, 0.0, 0.0),
+        (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+         87487479700 / 32700410799),
+        (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+         -10690763975 / 1880347072),
+        (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+         701980252875 / 199316789632),
+        (0.0, -282668133 / 205662961, 2019193451 / 616988883,
+         -1453857185 / 822651844),
+        (0.0, 40617522 / 29380423, -110615467 / 29380423,
+         69997945 / 29380423))),
+)
+# error weights over the six stages and the derivative at the new point
+_RK45_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200,
+           -22 / 525, 1 / 40)
+
+# DOP853 (Hairer's dop853.f): row i combines stages 0..i into stage i + 1;
+# row 11 holds the solution weights, rows 12-14 the interpolant's stages
+# 13-15
+_DOP_A = _lower([
+    {0: 5.26001519587677318785587544488e-2},
+    {0: 1.97250569845378994544595329183e-2,
+     1: 5.91751709536136983633785987549e-2},
+    {0: 2.95875854768068491816892993775e-2,
+     2: 8.87627564304205475450678981324e-2},
+    {0: 2.41365134159266685502369798665e-1,
+     2: -8.84549479328286085344864962717e-1,
+     3: 9.24834003261792003115737966543e-1},
+    {0: 3.7037037037037037037037037037e-2,
+     3: 1.70828608729473871279604482173e-1,
+     4: 1.25467687566822425016691814123e-1},
+    {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1,
+     4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2},
+    {0: 3.70920001185047927108779319836e-2,
+     3: 1.70383925712239993810214054705e-1,
+     4: 1.07262030446373284651809199168e-1,
+     5: -1.53194377486244017527936158236e-2,
+     6: 8.27378916381402288758473766002e-3},
+    {0: 6.24110958716075717114429577812e-1,
+     3: -3.36089262944694129406857109825,
+     4: -8.68219346841726006818189891453e-1,
+     5: 2.75920996994467083049415600797e1,
+     6: 2.01540675504778934086186788979e1,
+     7: -4.34898841810699588477366255144e1},
+    {0: 4.77662536438264365890433908527e-1,
+     3: -2.48811461997166764192642586468,
+     4: -5.90290826836842996371446475743e-1,
+     5: 2.12300514481811942347288949897e1,
+     6: 1.52792336328824235832596922938e1,
+     7: -3.32882109689848629194453265587e1,
+     8: -2.03312017085086261358222928593e-2},
+    {0: -9.3714243008598732571704021658e-1,
+     3: 5.18637242884406370830023853209,
+     4: 1.09143734899672957818500254654,
+     5: -8.14978701074692612513997267357,
+     6: -1.85200656599969598641566180701e1,
+     7: 2.27394870993505042818970056734e1,
+     8: 2.49360555267965238987089396762,
+     9: -3.0467644718982195003823669022},
+    {0: 2.27331014751653820792359768449,
+     3: -1.05344954667372501984066689879e1,
+     4: -2.00087205822486249909675718444,
+     5: -1.79589318631187989172765950534e1,
+     6: 2.79488845294199600508499808837e1,
+     7: -2.85899827713502369474065508674,
+     8: -8.87285693353062954433549289258,
+     9: 1.23605671757943030647266201528e1,
+     10: 6.43392746015763530355970484046e-1},
+    {0: 5.42937341165687622380535766363e-2,
+     5: 4.45031289275240888144113950566,
+     6: 1.89151789931450038304281599044,
+     7: -5.8012039600105847814672114227,
+     8: 3.1116436695781989440891606237e-1,
+     9: -1.52160949662516078556178806805e-1,
+     10: 2.01365400804030348374776537501e-1,
+     11: 4.47106157277725905176885569043e-2},
+    {0: 5.61675022830479523392909219681e-2,
+     6: 2.53500210216624811088794765333e-1,
+     7: -2.46239037470802489917441475441e-1,
+     8: -1.24191423263816360469010140626e-1,
+     9: 1.5329179827876569731206322685e-1,
+     10: 8.20105229563468988491666602057e-3,
+     11: 7.56789766054569976138603589584e-3,
+     12: -8.298e-3},
+    {0: 3.18346481635021405060768473261e-2,
+     5: 2.83009096723667755288322961402e-2,
+     6: 5.35419883074385676223797384372e-2,
+     7: -5.49237485713909884646569340306e-2,
+     10: -1.08347328697249322858509316994e-4,
+     11: 3.82571090835658412954920192323e-4,
+     12: -3.40465008687404560802977114492e-4,
+     13: 1.41312443674632500278074618366e-1},
+    {0: -4.28896301583791923408573538692e-1,
+     5: -4.69762141536116384314449447206,
+     6: 7.68342119606259904184240953878,
+     7: 4.06898981839711007970213554331,
+     8: 3.56727187455281109270669543021e-1,
+     12: -1.39902416515901462129418009734e-3,
+     13: 2.9475147891527723389556272149,
+     14: -9.15095847217987001081870187138},
+])
+# nodes of stages 1-15; stage 12, at 1.0, is the new point
+_DOP_C = (0.526001519587677318785587544488e-01,
+          0.789002279381515978178381316732e-01,
+          0.118350341907227396726757197510,
+          0.281649658092772603273242802490,
+          0.333333333333333333333333333333,
+          0.25,
+          0.307692307692307692307692307692,
+          0.651282051282051282051282051282,
+          0.6,
+          0.857142857142857142857142857142,
+          1.0,
+          1.0,
+          0.1,
+          0.2,
+          0.777777777777777777777777777778)
+_DOP_B = _DOP_A[11]
+_DOP853 = _Pair(
+    c=_DOP_C[:11], a=_DOP_A[:11], b=_DOP_B, error_order=7,
+    c_dense=_DOP_C[12:], a_dense=_DOP_A[12:],
+    # rows F_3..F_6 of the interpolant (see _interp_coef) over 16 stages
+    poly=tuple(
+        tuple(r.get(j, 0.0) for j in range(16)) for r in (
+            {0: -0.84289382761090128651353491142e+1,
+             5: 0.56671495351937776962531783590,
+             6: -0.30689499459498916912797304727e+1,
+             7: 0.23846676565120698287728149680e+1,
+             8: 0.21170345824450282767155149946e+1,
+             9: -0.87139158377797299206789907490,
+             10: 0.22404374302607882758541771650e+1,
+             11: 0.63157877876946881815570249290,
+             12: -0.88990336451333310820698117400e-1,
+             13: 0.18148505520854727256656404962e+2,
+             14: -0.91946323924783554000451984436e+1,
+             15: -0.44360363875948939664310572000e+1},
+            {0: 0.10427508642579134603413151009e+2,
+             5: 0.24228349177525818288430175319e+3,
+             6: 0.16520045171727028198505394887e+3,
+             7: -0.37454675472269020279518312152e+3,
+             8: -0.22113666853125306036270938578e+2,
+             9: 0.77334326684722638389603898808e+1,
+             10: -0.30674084731089398182061213626e+2,
+             11: -0.93321305264302278729567221706e+1,
+             12: 0.15697238121770843886131091075e+2,
+             13: -0.31139403219565177677282850411e+2,
+             14: -0.93529243588444783865713862664e+1,
+             15: 0.35816841486394083752465898540e+2},
+            {0: 0.19985053242002433820987653617e+2,
+             5: -0.38703730874935176555105901742e+3,
+             6: -0.18917813819516756882830838328e+3,
+             7: 0.52780815920542364900561016686e+3,
+             8: -0.11573902539959630126141871134e+2,
+             9: 0.68812326946963000169666922661e+1,
+             10: -0.10006050966910838403183860980e+1,
+             11: 0.77771377980534432092869265740,
+             12: -0.27782057523535084065932004339e+1,
+             13: -0.60196695231264120758267380846e+2,
+             14: 0.84320405506677161018159903784e+2,
+             15: 0.11992291136182789328035130030e+2},
+            {0: -0.25693933462703749003312586129e+2,
+             5: -0.15418974869023643374053993627e+3,
+             6: -0.23152937917604549567536039109e+3,
+             7: 0.35763911791061412378285349910e+3,
+             8: 0.93405324183624310003907691704e+2,
+             9: -0.37458323136451633156875139351e+2,
+             10: 0.10409964950896230045147246184e+3,
+             11: 0.29840293426660503123344363579e+2,
+             12: -0.43533456590011143754432175058e+2,
+             13: 0.96324553959188282948394950600e+2,
+             14: -0.39177261675615439165231486172e+2,
+             15: -0.14972683625798562581422125276e+3})),
+)
+# 5th- and 3rd-order error weights over the 12 stages and the new derivative
+_DOP_E5 = (0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+           -0.1225156446376204440720569753e+1,
+           -0.4957589496572501915214079952,
+           0.1664377182454986536961530415e+1,
+           -0.3503288487499736816886487290,
+           0.3341791187130174790297318841,
+           0.8192320648511571246570742613e-1,
+           -0.2235530786388629525884427845e-1, 0.0)
+_DOP_E3 = tuple(
+    w - {0: 0.244094488188976377952755905512,
+         8: 0.733846688281611857341361741547,
+         11: 0.220588235294117647058823529412e-1}.get(j, 0.0)
+    for j, w in enumerate(_DOP_B + (0.0,)))
+
+_PAIRS = {"RK45": _RK45, "DOP853": _DOP853}
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_EPS = math.ulp(1.0)  # machine epsilon
+
+
+class _Step(NamedTuple):
+    """One accepted step from (t, y) to (t_new, y_new), h = t_new - t."""
+    t: float
+    y: list
+    h: float
+    t_new: float
+    y_new: list
+    f_new: list
+    ks: list      # per component: the stage derivatives, f_new last
+
+
+def _rms(v) -> float:
+    return math.sqrt(sum(e * e for e in v)) / len(v) ** 0.5
+
+
+def _error_norm(pair: _Pair, ks, h: float, scale) -> float:
+    """Scaled local error of the step attempt whose stages are ``ks``."""
+    if pair is _RK45:
+        return _rms([sum(map(mul, _RK45_E, k)) * h / s
+                     for k, s in zip(ks, scale)])
+    # DOP853 blends its 5th- and 3rd-order estimates (HNW II.10)
+    e5 = [sum(map(mul, _DOP_E5, k)) / s for k, s in zip(ks, scale)]
+    e3 = [sum(map(mul, _DOP_E3, k)) / s for k, s in zip(ks, scale)]
+    n5, n3 = sum(e * e for e in e5), sum(e * e for e in e3)
+    if n5 == 0.0 and n3 == 0.0:
+        return 0.0
+    return abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * len(scale))
+
+
+def _interp_coef(pair: _Pair, fun, step: _Step) -> list:
+    """Interpolant coefficients of one accepted step, one row per power.
+
+    RK45: rows q_j with y(t + x h) = y + h x (q_0 + x (q_1 + x (q_2 + x q_3))).
+    DOP853: rows F_0..F_6 of the alternating form in :func:`_interp_eval`;
+    they take three more stages, appended to ``step.ks`` (three
+    evaluations of ``fun``), so call this at most once per step.
+    """
+    t, y, h, ks = step.t, step.y, step.h, step.ks
+    if pair is _RK45:
+        return [[sum(map(mul, col, k)) for k in ks] for col in pair.poly]
+    for c, row in zip(pair.c_dense, pair.a_dense):
+        ys = [yi + sum(map(mul, row, k)) * h for yi, k in zip(y, ks)]
+        for k, v in zip(ks, fun(t + c * h, ys)):
+            k.append(v)
+    dy = [b - a for a, b in zip(y, step.y_new)]
+    f_old = [k[0] for k in ks]
+    return [dy,
+            [h * fo - d for fo, d in zip(f_old, dy)],
+            [2 * d - h * (fn + fo)
+             for d, fn, fo in zip(dy, step.f_new, f_old)],
+            *([h * sum(map(mul, row, k)) for k in ks] for row in pair.poly)]
+
+
+def _interp_eval(pair: _Pair, x, h, y_old, coef):
+    """State at fraction ``x`` of a step from its interpolant coefficients.
+
+    ``coef[..., j, :]`` is row j; broadcasting evaluates one step at many
+    fractions or many steps at once, elementwise, so a sample does not
+    depend on the others evaluated with it.
+    """
+    if pair is _RK45:
+        q = [coef[..., j, :] for j in range(4)]
+        return y_old + h * (x * (q[0] + x * (q[1] + x * (q[2] + x * q[3]))))
+    # y_old + x (F_0 + (1 - x) (F_1 + x (F_2 + ... + (1 - x) (F_5 + x F_6))))
+    y = coef[..., 6, :] * x
+    for j in range(5, -1, -1):
+        y = (y + coef[..., j, :]) * (x if j % 2 == 0 else 1.0 - x)
+    return y + y_old
+
+
+class _Dense:
+    """Piecewise interpolant over the accepted steps of a run."""
+
+    def __init__(self, pair, direction, bounds, pieces):
+        # pieces[i]: row 0 holds step i's h (repeated), row 1 its start
+        # state, the rest its interpolant coefficients
+        self._pair = pair
+        self._key = direction * bounds   # ascending
+        self._t_old = bounds[:-1]
+        self._h = pieces[:, 0, 0]
+        self._y_old = pieces[:, 1, :]
+        self._coef = pieces[:, 2:, :]
+        self._direction = direction
+
+    def __call__(self, times: np.ndarray) -> np.ndarray:
+        # a time on a step boundary belongs to the step that ends there;
+        # times outside the run extrapolate the first or last step
+        seg = np.searchsorted(self._key, self._direction * times) - 1
+        np.clip(seg, 0, len(self._h) - 1, out=seg)
+        h = self._h[seg][:, None]
+        x = (times - self._t_old[seg])[:, None] / h
+        return _interp_eval(self._pair, x, h, self._y_old[seg],
+                            self._coef[seg])
 
 
 @dataclass(frozen=True)
@@ -85,9 +418,9 @@ class Trajectory:
 
     ``states`` has one row per sample; ``t`` is strictly increasing for
     forward integration (strictly decreasing spans are stored as produced).
-    ``stats`` records function evaluations, accepted steps, and an estimate
-    of rejected steps reconstructed from the evaluation count (the stepper
-    does not expose rejections directly).
+    ``stats`` counts right-hand-side evaluations (``nfev``), accepted steps
+    (``accepted_steps``) and rejected step attempts
+    (``rejected_steps_estimate``, an exact count despite its name).
     """
 
     t: np.ndarray
@@ -101,8 +434,7 @@ class Trajectory:
         """Evaluate the dense interpolant; rows are states."""
         if self._dense is None:
             raise ValueError("trajectory was built without dense output")
-        out = self._dense(np.atleast_1d(np.asarray(times, dtype=float)))
-        return out.T
+        return self._dense(np.atleast_1d(np.asarray(times, dtype=float)))
 
     @property
     def t1(self) -> float:
@@ -120,16 +452,82 @@ class SectionEvent:
     direction: Direction
 
 
-def _reject_estimate(method: str, nfev: int, accepted: int, dense: bool) -> int:
-    # RK45: 6 fresh evals per attempted step (FSAL) + 1 initial.
-    # DOP853: 12 per attempted step + 1 initial, +3 per accepted step for
-    # the dense interpolant.
-    if method == "RK45":
-        attempts = (nfev - 1) // 6
+def _brent(f: Callable[[float], float], a: float, b: float,
+           xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of ``f`` in the sign-change bracket [a, b] (Brent, 1973).
+
+    Inverse quadratic or secant steps where they shrink the bracket fast
+    enough, bisection otherwise; converged once the bracket half-width is
+    below (xtol + rtol |x|) / 2.  Raises :class:`NoConvergence` on a
+    bracket without a sign change, a NaN value or ``maxiter`` exhausted.
+    """
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise NoConvergence("root bracketing met a NaN value")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise NoConvergence("root bracket has no sign change")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:             # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # a vanishing denominator means no usable step: bisect
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den \
+                    else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise NoConvergence("root bracketing met a NaN value")
+    raise NoConvergence(f"root bracketing did not converge in {maxiter} "
+                        "iterations")
+
+
+def _initial_step(fun, t0, y0, f0, t1, direction, order, atol, rtol):
+    """First step size from the local behaviour at t0 (HNW II.4).
+
+    ``order`` is that of the error estimate.  Costs one evaluation.
+    """
+    span = abs(t1 - t0)
+    scale = [atol + abs(v) * rtol for v in y0]
+    d0 = _rms([v / s for v, s in zip(y0, scale)])
+    d1 = _rms([v / s for v, s in zip(f0, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    f1 = fun(t0 + h0 * direction,
+             [v + h0 * direction * f for v, f in zip(y0, f0)])
+    d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
     else:
-        extra = 3 * accepted if dense else 0
-        attempts = max(0, (nfev - 1 - extra)) // 12
-    return max(0, attempts - accepted)
+        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
+    return min(100 * h0, h1, span)
 
 
 def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
@@ -145,76 +543,216 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
 
     Parameters
     ----------
-    field_fn : callable(t, state) -> dstate
+    field_fn : callable(t, state) -> dstate, on 1-D float arrays
     s0 : array-like initial state
-    t_span : (t0, t1), both finite
+    t_span : (t0, t1), both finite and distinct
     tol : (abs, rel) pair, both within [1e-13, 1e-3]
     method : "RK45" (default) or "DOP853"
     dense : keep the interpolant for later evaluation / event refinement
-    t_eval : optional explicit sample times
+    t_eval : optional explicit sample times within ``t_span``, ordered
+        along it; samples come from the step interpolants, so the steps
+        taken do not depend on them
     escape_radius : bound on the max-norm of the first two components,
         (x, y), beyond which the run is declared escaped; further
         components (the forced system's phase, a divergence integral) are
         not monitored
     stop_event : optional terminal event ``g(t, state)`` in scipy's
-        convention (``terminal`` and ``direction`` attributes); the run
-        ends at its first zero with ``stopped`` set on the trajectory
+        convention (a ``direction`` attribute: +1 rising, -1 falling, 0 or
+        absent either way); the run ends at its first zero with
+        ``stopped`` set on the trajectory
 
     Raises
     ------
     ValueError
-        tolerance out of bounds, or non-finite ``t_span`` or initial state
+        tolerance out of bounds, unknown method, empty or non-finite
+        ``t_span``, or non-finite initial state
     NonFinite
         state crossed ``escape_radius`` (partial trajectory attached)
     StepUnderflow
         step control failure without escape
+    NoConvergence
+        an event root could not be bracketed on the step interpolant
     """
     atol, rtol = tol
     if not (TOL_FLOOR <= atol <= TOL_CEIL and TOL_FLOOR <= rtol <= TOL_CEIL):
         raise ValueError(f"tolerances must lie in [{TOL_FLOOR}, {TOL_CEIL}]")
-    if not all(map(math.isfinite, t_span)):
+    if method not in _PAIRS:
+        raise ValueError(f"unknown method {method!r} (use RK45 or DOP853)")
+    t0, t1 = map(float, t_span)
+    if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError("t_span must be finite")
+    if t0 == t1:
+        raise ValueError("t_span must not be empty")
     y0 = np.asarray(s0, dtype=float)
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state must be finite")
+    direction = 1.0 if t1 > t0 else -1.0
+    if t_eval is not None:
+        t_eval = np.asarray(t_eval, dtype=float)
+        if np.any(direction * np.diff(t_eval) < 0) or len(t_eval) and (
+                direction * (t_eval[0] - t0) < 0
+                or direction * (t_eval[-1] - t1) > 0):
+            raise ValueError("t_eval must lie within t_span, in its order")
+
+    nfev = 0
+
+    def fun(t, y):
+        nonlocal nfev
+        nfev += 1
+        return np.asarray(field_fn(t, np.array(y)), dtype=float).tolist()
+
+    # terminal events (g, direction); the escape check first, so that it
+    # wins a tie
+    events = [(lambda t, s: max(map(abs, s[:2])) - escape_radius, 1)]
+    if stop_event is not None:
+        events.append((lambda t, s: stop_event(t, np.asarray(s)),
+                       getattr(stop_event, "direction", 0)))
+
+    pair = _PAIRS[method]
+    y = y0.tolist()
+    # flat float buffers: the step ends and their states; with dense output
+    # the step ends and, per step, h, the start state and the coefficients
+    ts, ys = array("d", [t0]), array("d", y)
+    bounds, pieces = array("d", [t0]), array("d")
+    samples, n_samples = [], 0  # blocks of t_eval states
+    accepted = rejected = 0
+    escaped = stopped = False
     with np.errstate(over="ignore", invalid="ignore"):
-        f0 = np.asarray(field_fn(t_span[0], y0), dtype=float)
-    if not np.all(np.isfinite(f0)):
-        raise NonFinite(
-            "field is non-finite at the initial state",
-            Trajectory(t=np.array([t_span[0]]), states=y0[None, :],
-                       stats={"nfev": 1}, escaped=True))
+        f = fun(t0, y)
+        if not all(map(math.isfinite, f)):
+            raise NonFinite(
+                "field is non-finite at the initial state",
+                Trajectory(t=np.array([t0]), states=y0[None, :],
+                           stats={"nfev": 1, "accepted_steps": 0,
+                                  "rejected_steps_estimate": 0},
+                           escaped=True))
+        g = [ev(t0, y) for ev, _ in events]
+        t_last = t0
+        for step, n_rejected in _dormand_prince(fun, pair, t0, y, f, t1,
+                                                atol, rtol):
+            accepted += 1
+            rejected += n_rejected
+            t_end, y_end = step.t_new, step.y_new
+            coef = _interp_coef(pair, fun, step) if dense else None
+            g_new = [ev(t_end, y_end) for ev, _ in events]
+            hit = [i for i, ((_, d), a, b) in enumerate(zip(events, g, g_new))
+                   if (a <= 0 <= b and d >= 0) or (a >= 0 >= b and d <= 0)]
+            g = g_new
+            if hit:
+                coef = coef or _interp_coef(pair, fun, step)
+                y_arr, c_arr = np.array(step.y), np.array(coef)
 
-    def escape(t, y):
-        return max(map(abs, y[:2])) - escape_radius
-    escape.terminal = True
-    escape.direction = 1
-    events = [escape] if stop_event is None else [escape, stop_event]
+                def state(s):
+                    return _interp_eval(pair, (s - step.t) / step.h, step.h,
+                                        y_arr, c_arr)
+                roots = [_brent(lambda s: events[i][0](s, state(s)),
+                                step.t, t_end, 4 * _EPS, 4 * _EPS)
+                         for i in hit]
+                # the earliest root ends the run; a tie goes to the escape
+                first = min(range(len(hit)),
+                            key=lambda j: (direction * roots[j], j))
+                t_end = roots[first]
+                y_end = state(t_end).tolist()
+                escaped = hit[first] == 0
+                stopped = not escaped
+            if t_eval is not None:
+                stop = n_samples
+                while stop < len(t_eval) and \
+                        direction * (t_eval[stop] - t_end) <= 0:
+                    stop += 1
+                if stop > n_samples:
+                    coef = coef or _interp_coef(pair, fun, step)
+                    x = ((t_eval[n_samples:stop] - step.t) / step.h)[:, None]
+                    samples.append(_interp_eval(pair, x, step.h,
+                                                np.array(step.y),
+                                                np.array(coef)))
+                    n_samples = stop
+            if t_eval is None and t_end != t_last:
+                ts.append(t_end)  # a root at the step start adds no sample
+                ys.extend(y_end)
+            if dense:
+                bounds.append(t_end)
+                pieces.extend([step.h] * len(step.y))
+                pieces.extend(step.y)
+                for row in coef:
+                    pieces.extend(row)
+            t_last = t_end
+            if hit:
+                break
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(field_fn, t_span, y0, method=method,
-                        rtol=rtol, atol=atol, dense_output=dense,
-                        t_eval=t_eval, events=events)
-
-    accepted = max(0, len(sol.t) - 1) if t_eval is None else None
-    stats = {"nfev": sol.nfev}
-    if accepted is not None:
-        stats["accepted_steps"] = accepted
-        stats["rejected_steps_estimate"] = _reject_estimate(
-            method, sol.nfev, accepted, dense)
-
-    escaped = len(sol.t_events[0]) > 0
-    stopped = stop_event is not None and len(sol.t_events[1]) > 0
-    traj = Trajectory(t=sol.t, states=sol.y.T, stats=stats,
-                      escaped=escaped, stopped=stopped,
-                      _dense=sol.sol if dense else None)
+    stats = {"nfev": nfev, "accepted_steps": accepted,
+             "rejected_steps_estimate": rejected}
+    n = len(y0)
+    if t_eval is None:
+        t_out, states = np.array(ts), np.array(ys).reshape(-1, n)
+    else:
+        t_out = t_eval[:n_samples]
+        states = np.vstack(samples) if samples else np.empty((0, n))
+    interp = None
+    if dense:
+        interp = _Dense(pair, direction, np.array(bounds),
+                        np.array(pieces).reshape(len(bounds) - 1, -1, n))
+    traj = Trajectory(t=t_out, states=states, stats=stats, escaped=escaped,
+                      stopped=stopped, _dense=interp)
     if escaped:
         raise NonFinite(
-            f"state escaped |s| > {escape_radius:g} at t={sol.t_events[0][0]:.6g}",
-            traj)
-    if not sol.success:  # status -1, the only failing status solve_ivp sets
-        raise StepUnderflow(sol.message)
+            f"state escaped |s| > {escape_radius:g} at t={t_last:.6g}", traj)
     return traj
+
+
+def _dormand_prince(fun, pair: _Pair, t: float, y: list, f: list,
+                    t_bound: float, atol: float, rtol: float):
+    """Accepted steps of ``pair`` from (t, y), where y' = f, up to t_bound.
+
+    Yields each accepted :class:`_Step` with the number of attempts
+    rejected before it.  Raises :class:`StepUnderflow` once the step size
+    falls below ten float spacings of t.
+    """
+    direction = 1.0 if t_bound > t else -1.0
+    exponent = -1 / (pair.error_order + 1)
+    h_abs = _initial_step(fun, t, y, f, t_bound, direction, pair.error_order,
+                          atol, rtol)
+    while direction * (t - t_bound) < 0:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = 0
+        while True:
+            if h_abs < min_step:
+                raise StepUnderflow(
+                    f"step size fell below the float spacing at t={t:.6g}")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            y_new, f_new, ks = _stages(fun, pair, t, y, f, h)
+            scale = [atol + max(abs(a), abs(b)) * rtol
+                     for a, b in zip(y, y_new)]
+            err = _error_norm(pair, ks, h, scale)
+            if err < 1:
+                factor = _MAX_FACTOR if err == 0 else min(
+                    _MAX_FACTOR, _SAFETY * err ** exponent)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** exponent)
+            rejected += 1
+        yield _Step(t, y, h, t_new, y_new, f_new, ks), rejected
+        t, y, f = t_new, y_new, f_new
+
+
+def _stages(fun, pair: _Pair, t: float, y: list, f: list, h: float):
+    """One step attempt: the new state and derivative, and the stage
+    derivatives per component (the new derivative last)."""
+    ks = [[fi] for fi in f]
+    for c, row in zip(pair.c, pair.a):
+        ys = [yi + sum(map(mul, row, k)) * h for yi, k in zip(y, ks)]
+        for k, v in zip(ks, fun(t + c * h, ys)):
+            k.append(v)
+    y_new = [yi + h * sum(map(mul, pair.b, k)) for yi, k in zip(y, ks)]
+    f_new = fun(t + h, y_new)
+    for k, v in zip(ks, f_new):
+        k.append(v)
+    return y_new, f_new, ks
 
 
 _SUBSAMPLES = 4  # interior dense-output probes per accepted step
@@ -229,7 +767,7 @@ def detect_crossings(traj: Trajectory,
 
     The section is sampled at every accepted step plus interior points of
     the dense interpolant; each sign-change bracket is refined by Brent
-    root-finding on the interpolant until |section| < 1e-10.
+    root bracketing on the interpolant until |section| < 1e-10.
 
     ``direction`` filters for increasing (UP) or decreasing (DOWN)
     crossings; None keeps both.  Events are returned in strictly
@@ -267,11 +805,8 @@ def detect_crossings(traj: Trajectory,
         d = Direction.UP if ga < 0 else Direction.DOWN
         if direction is not None and d is not direction:
             continue
-        try:
-            t_root = brentq(gfun, tgrid[i], tgrid[i + 1],
-                            xtol=1e-14, rtol=8.9e-16, maxiter=100)
-        except (RuntimeError, ValueError) as exc:
-            raise NoConvergence(f"crossing refinement failed: {exc}") from exc
+        t_root = _brent(gfun, float(tgrid[i]), float(tgrid[i + 1]),
+                        xtol=1e-14, rtol=4 * _EPS)
         state = traj.at(t_root)[0]
         if abs(section(state)) > _RESIDUAL_TOL:
             raise NoConvergence(
@@ -286,9 +821,10 @@ def stroboscopic(p: Params, s0, n: int, per_period: int = 1) -> np.ndarray:
     T = 2*pi/omega is the forcing period and n >= 1 the number of periods.
     The forced system is integrated with DOP853 at ``DEFAULT_TOL`` as its
     3D autonomous extension (x, y, theta); samples are taken on the exact
-    grid ``arange(n*per_period + 1) * (T/per_period)``, so every
-    ``per_period``-th row is a stroboscopic sample.  Returns an
-    (n*per_period + 1) x 2 array of (x, y) samples.
+    grid ``arange(n*per_period + 1) * (T/per_period)`` from the step
+    interpolants, so the steps, and every ``per_period``-th row, do not
+    depend on ``per_period``.  Returns an (n*per_period + 1) x 2 array of
+    (x, y) samples.
     """
     if p.alpha == 0:
         raise ValueError("stroboscopic sampling requires alpha != 0")

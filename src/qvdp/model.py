@@ -144,7 +144,7 @@ def forced_rhs_3d(p: Params) -> Callable[[float, np.ndarray], np.ndarray]:
     mu, beta, eps, alpha, omega = p.mu, p.beta, p.eps, p.alpha, p.omega
 
     def rhs(t, s):
-        x, y, theta = s
+        x, y, theta = s.tolist()
         x2 = x * x
         dy = (mu + x2 - x2 * x2) * y + beta * x - eps * x2 * x \
             - alpha * x * math.cos(theta)
@@ -158,7 +158,7 @@ def hamiltonian_rhs(p: Params) -> Callable[[float, np.ndarray], np.ndarray]:
     beta, eps = p.beta, p.eps
 
     def rhs(t, s):
-        x, y = s
+        x, y = s.tolist()
         return np.array([y, beta * x - eps * x * x * x])
 
     return rhs

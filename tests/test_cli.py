@@ -101,6 +101,17 @@ def test_classify_invalid_params_exit_2(capsys):
     assert err.strip().count("\n") == 0 and "beta" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--beta", "1e200", "--eps", "1"],
+    ["sweep", "--grid", "beta:1e200:2e200:2", "--grid", "eps:1e200:2e200:2"],
+])
+def test_overflowing_closed_forms_exit_2(argv, capsys):
+    # beta^2 and eps^2 overflow: a one-line error, not a traceback
+    assert _run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_classify_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     _run(["classify", "--beta", "1.3", "--eps", "0.7", "--mu", "0.11",
@@ -312,6 +323,13 @@ def test_flag_census():
 def test_portrait_non_finite_end_time_exit_2(t1, capsys):
     assert _run(["portrait", "--beta", "1", "--eps", "2", "--seed", "1,0",
                  "--t1", t1]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_portrait_empty_time_span_exit_2(capsys):
+    assert _run(["portrait", "--beta", "1", "--eps", "2", "--seed", "1,0",
+                 "--t1", "0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 

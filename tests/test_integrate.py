@@ -1,14 +1,17 @@
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import qvdp
-from qvdp.integrate import (Direction, NonFinite, detect_crossings,
-                            integrate, stroboscopic)
-from qvdp.model import (Params, State, hamiltonian, hamiltonian_rhs,
-                        unforced_rhs)
+from qvdp.integrate import (DEFAULT_TOL, Direction, NonFinite,
+                            detect_crossings, integrate, stroboscopic)
+from qvdp.model import (Params, State, divergence, forced_rhs_3d,
+                        hamiltonian, hamiltonian_rhs, unforced_rhs)
 
 
 def _rotation_field(t, s):
@@ -140,6 +143,18 @@ def test_determinism_bitwise():
     assert np.array_equal(a.states, b.states)
 
 
+def test_stop_event_zero_at_the_start_stops_there():
+    # the event is zero at t0 and rises: the run stops at once, and the
+    # interpolant still answers at the start
+    def on_axis(t, s):
+        return s[1]
+    on_axis.direction = 1
+    traj = integrate(_rotation_field, [1.0, 0.0], (0.0, 1.0),
+                     stop_event=on_axis)
+    assert traj.stopped and list(traj.t) == [0.0]
+    assert np.array_equal(traj.at(0.0)[0], [1.0, 0.0])
+
+
 def test_nonfinite_escape_reported():
     # for eps < 0 orbits creep to infinity along the quartic-damping
     # nullcline (x ~ sqrt(2t), stiffer as x grows); crossing the escape
@@ -191,9 +206,110 @@ def test_stroboscopic_per_period_grid_holds_the_strobe():
     assert np.array_equal(fine[::4], stroboscopic(p, (0.0, 1.2), 5))
 
 
-def test_solve_ivp_only_in_integrate():
-    # every ODE solve goes through integrate() and its failure handling
-    pkg = pathlib.Path(qvdp.__file__).parent
-    users = sorted(f.name for f in pkg.glob("*.py")
-                   if "solve_ivp" in f.read_text())
-    assert users == ["integrate.py"]
+def test_cli_paths_load_no_scipy(tmp_path):
+    # scipy serves only the Melnikov quadrature and the forced closure
+    # KD-tree, each imported on first use: importing the CLI, classifying
+    # and drawing a portrait with its cycle search load none of it
+    code = "\n".join([
+        "import sys",
+        "import qvdp.cli",
+        "def scipy_modules():",
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "print(scipy_modules())",
+        "for argv in sys.argv[1:]:",
+        "    assert qvdp.cli.main(argv.split()) == 0",
+        "    print(scipy_modules())",
+    ])
+    params = "--beta 1 --eps 2 --mu -0.1"
+    runs = [f"classify {params} --out {tmp_path / 'c.json'}",
+            f"portrait {params} --seed 2,0 --t1 10 --format svg "
+            f"--out {tmp_path / 'p.csv'}"]
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(qvdp.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code, *runs], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split("\n")[:-1] == ["[]"] * 3
+    assert (tmp_path / "p.svg").exists()
+
+
+# --- scipy's solve_ivp as the reference of the stepper ------------------------
+
+def _solve_ivp(field_fn, s0, t_span, tol, escape_radius=1e4, stop_event=None,
+               **kw):
+    from scipy.integrate import solve_ivp
+
+    def escape(t, y):
+        return max(map(abs, y[:2])) - escape_radius
+    escape.terminal = True
+    escape.direction = 1
+    events = [escape] + ([stop_event] if stop_event else [])
+    return solve_ivp(field_fn, t_span, np.asarray(s0, dtype=float),
+                     atol=tol[0], rtol=tol[1], events=events, **kw)
+
+
+def _section_down(t, s):
+    # first downward crossing of {y = 0} on x > 0, as a return map takes it
+    if not s[0] > 0.0:
+        return 1.0
+    return s[1] if s[1] != 0.0 else -math.ulp(0.0)
+
+
+_section_down.terminal = True
+_section_down.direction = -1
+
+
+def _augmented(p):
+    rhs = unforced_rhs(p)
+
+    def field(t, s):
+        dx, dy = rhs(t, s[:2])
+        return np.array([dx, dy, divergence(s[0], p)])
+    return field
+
+
+@pytest.mark.parametrize("field_fn, s0, t1, tol, radius, stop", [
+    # the large cycle of the paper's reference set
+    (unforced_rhs(Params(mu=-0.1, beta=1.0, eps=2.0)), [2.0, 0.0], 200.0,
+     (1e-12, 1e-10), 1e4, None),
+    # the single cycle around the origin at beta = 0, coarser tolerances
+    (unforced_rhs(Params(mu=0.5, beta=0.0, eps=1.0)), [0.1, 0.0], 100.0,
+     (1e-9, 1e-7), 1e4, None),
+    # escape for eps < 0 (NonFinite)
+    (unforced_rhs(Params(mu=0.3, beta=1.0, eps=-1.0)), [2.0, 0.0], 600.0,
+     (1e-10, 1e-7), 3.0, None),
+    # one return of the augmented state, stopped on the section
+    (_augmented(Params(mu=-0.1, beta=1.0, eps=2.0)), [2.0, 0.0, 0.0], 1000.0,
+     (1e-12, 1e-10), 1e4, _section_down),
+])
+def test_rk45_takes_the_steps_of_solve_ivp(field_fn, s0, t1, tol, radius,
+                                           stop):
+    ref = _solve_ivp(field_fn, s0, (0.0, t1), tol, radius, stop,
+                     dense_output=True)
+    try:
+        traj = integrate(field_fn, s0, (0.0, t1), tol=tol,
+                         escape_radius=radius, stop_event=stop)
+    except NonFinite as exc:
+        traj = exc.trajectory
+    accepted = len(ref.t) - 1
+    assert traj.stats["accepted_steps"] == accepted
+    assert traj.stats["nfev"] == ref.nfev
+    # every RK45 attempt costs 6 evaluations after the first two
+    assert traj.stats["rejected_steps_estimate"] == \
+        (ref.nfev - 2) // 6 - accepted
+    assert traj.escaped == (len(ref.t_events[0]) > 0)
+    assert traj.stopped == (stop is not None and len(ref.t_events[1]) > 0)
+    assert abs(traj.t1 - ref.t[-1]) < 1e-12
+    assert np.max(np.abs(traj.final - ref.y[:, -1])) < 1e-12
+    grid = np.linspace(0.0, traj.t1, 997)
+    assert np.max(np.abs(traj.at(grid) - ref.sol(grid).T)) < 1e-12
+
+
+@pytest.mark.parametrize("mu", [-0.3, -0.1])
+def test_stroboscopic_matches_solve_ivp_dop853(mu):
+    # the paper's entrained (mu = -0.3) and quasi-periodic (-0.1) sets
+    p = Params(mu=mu, beta=1.0, eps=3.0, alpha=-0.3, omega=1.0)
+    n, T = 50, p.forcing_period
+    ref = _solve_ivp(forced_rhs_3d(p), [0.0, 1.2, 0.0], (0.0, n * T),
+                     DEFAULT_TOL, method="DOP853",
+                     t_eval=np.arange(n + 1) * T)
+    samples = stroboscopic(p, (0.0, 1.2), n)
+    assert np.max(np.abs(samples - ref.y[:2].T)) < 1e-10
