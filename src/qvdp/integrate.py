@@ -120,7 +120,7 @@ _RK45 = _Pair(
        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)),
     b=(35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
     error_order=4,
-    # Shampine's quartic: rows q_0..q_3 (see _interp_coef) over 7 stages
+    # Shampine's quartic: rows q_0..q_3 (see _rk45_coef) over 7 stages
     poly=tuple(zip(
         (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
          -12715105075 / 11282082432),
@@ -245,7 +245,7 @@ _DOP_B = _DOP_A[11]
 _DOP853 = _Pair(
     c=_DOP_C[:11], a=_DOP_A[:11], b=_DOP_B, error_order=7,
     c_dense=_DOP_C[12:], a_dense=_DOP_A[12:],
-    # rows F_3..F_6 of the interpolant (see _interp_coef) over 16 stages
+    # rows F_3..F_6 of the interpolant (see _dop853_coef) over 16 stages
     poly=tuple(
         tuple(r.get(j, 0.0) for j in range(16)) for r in (
             {0: -0.84289382761090128651353491142e+1,
@@ -346,28 +346,34 @@ def _error_norm(pair: _Pair, ks, h: float, scale) -> float:
     return abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * len(scale))
 
 
-def _interp_coef(pair: _Pair, fun, step: _Step) -> list:
-    """Interpolant coefficients of one accepted step, one row per power.
+def _rk45_coef(ks: np.ndarray) -> np.ndarray:
+    """RK45 interpolant rows q_0..q_3 from stage derivatives (..., n, 7).
 
-    RK45: rows q_j with y(t + x h) = y + h x (q_0 + x (q_1 + x (q_2 + x q_3))).
-    DOP853: rows F_0..F_6 of the alternating form in :func:`_interp_eval`;
-    they take three more stages, appended to ``step.ks`` (three
+    y(t + x h) = y + h x (q_0 + x (q_1 + x (q_2 + x q_3))).  Elementwise
+    sums, so the rows of one step come out the same alone or in a batch.
+    """
+    return np.stack([sum(ks[..., s] * w for s, w in enumerate(col))
+                     for col in _RK45.poly], axis=-2)
+
+
+def _dop853_coef(fun, step: _Step) -> np.ndarray:
+    """DOP853 interpolant rows F_0..F_6 (see :func:`_interp_eval`).
+
+    They take three more stages, appended to ``step.ks`` (three
     evaluations of ``fun``), so call this at most once per step.
     """
     t, y, h, ks = step.t, step.y, step.h, step.ks
-    if pair is _RK45:
-        return [[sum(map(mul, col, k)) for k in ks] for col in pair.poly]
-    for c, row in zip(pair.c_dense, pair.a_dense):
+    for c, row in zip(_DOP853.c_dense, _DOP853.a_dense):
         ys = [yi + sum(map(mul, row, k)) * h for yi, k in zip(y, ks)]
         for k, v in zip(ks, fun(t + c * h, ys)):
             k.append(v)
     dy = [b - a for a, b in zip(y, step.y_new)]
     f_old = [k[0] for k in ks]
-    return [dy,
-            [h * fo - d for fo, d in zip(f_old, dy)],
-            [2 * d - h * (fn + fo)
-             for d, fn, fo in zip(dy, step.f_new, f_old)],
-            *([h * sum(map(mul, row, k)) for k in ks] for row in pair.poly)]
+    return np.array([
+        dy,
+        [h * fo - d for fo, d in zip(f_old, dy)],
+        [2 * d - h * (fn + fo) for d, fn, fo in zip(dy, step.f_new, f_old)],
+        *([h * sum(map(mul, row, k)) for k in ks] for row in _DOP853.poly)])
 
 
 def _interp_eval(pair: _Pair, x, h, y_old, coef):
@@ -390,15 +396,13 @@ def _interp_eval(pair: _Pair, x, h, y_old, coef):
 class _Dense:
     """Piecewise interpolant over the accepted steps of a run."""
 
-    def __init__(self, pair, direction, bounds, pieces):
-        # pieces[i]: row 0 holds step i's h (repeated), row 1 its start
-        # state, the rest its interpolant coefficients
+    def __init__(self, pair, direction, bounds, h, y_old, coef):
         self._pair = pair
         self._key = direction * bounds   # ascending
         self._t_old = bounds[:-1]
-        self._h = pieces[:, 0, 0]
-        self._y_old = pieces[:, 1, :]
-        self._coef = pieces[:, 2:, :]
+        self._h = h
+        self._y_old = y_old
+        self._coef = coef
         self._direction = direction
 
     def __call__(self, times: np.ndarray) -> np.ndarray:
@@ -611,10 +615,12 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
     pair = _PAIRS[method]
     y = y0.tolist()
     # flat float buffers: the step ends and their states; with dense output
-    # the step ends and, per step, h, the start state and the coefficients
+    # the step ends and, per step, h, the start state and the stage
+    # derivatives (RK45) or the interpolant rows (DOP853)
     ts, ys = array("d", [t0]), array("d", y)
     bounds, pieces = array("d", [t0]), array("d")
     samples, n_samples = [], 0  # blocks of t_eval states
+    n = len(y)
     accepted = rejected = 0
     escaped = stopped = False
     with np.errstate(over="ignore", invalid="ignore"):
@@ -633,14 +639,20 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
             accepted += 1
             rejected += n_rejected
             t_end, y_end = step.t_new, step.y_new
-            coef = _interp_coef(pair, fun, step) if dense else None
+            coef = None  # the step's interpolant rows, formed on demand
+
+            def coefficients():
+                nonlocal coef
+                if coef is None:
+                    coef = (_rk45_coef(np.array(step.ks)) if pair is _RK45
+                            else _dop853_coef(fun, step))
+                return coef
             g_new = [ev(t_end, y_end) for ev, _ in events]
             hit = [i for i, ((_, d), a, b) in enumerate(zip(events, g, g_new))
                    if (a <= 0 <= b and d >= 0) or (a >= 0 >= b and d <= 0)]
             g = g_new
             if hit:
-                coef = coef or _interp_coef(pair, fun, step)
-                y_arr, c_arr = np.array(step.y), np.array(coef)
+                y_arr, c_arr = np.array(step.y), coefficients()
 
                 def state(s):
                     return _interp_eval(pair, (s - step.t) / step.h, step.h,
@@ -661,28 +673,30 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
                         direction * (t_eval[stop] - t_end) <= 0:
                     stop += 1
                 if stop > n_samples:
-                    coef = coef or _interp_coef(pair, fun, step)
                     x = ((t_eval[n_samples:stop] - step.t) / step.h)[:, None]
                     samples.append(_interp_eval(pair, x, step.h,
                                                 np.array(step.y),
-                                                np.array(coef)))
+                                                coefficients()))
                     n_samples = stop
             if t_eval is None and t_end != t_last:
                 ts.append(t_end)  # a root at the step start adds no sample
                 ys.extend(y_end)
             if dense:
+                # RK45 keeps its stages, whose rows form in one batch below
                 bounds.append(t_end)
-                pieces.extend([step.h] * len(step.y))
+                pieces.append(step.h)
                 pieces.extend(step.y)
-                for row in coef:
-                    pieces.extend(row)
+                if pair is _RK45:
+                    for k in step.ks:
+                        pieces.extend(k)
+                else:
+                    pieces.frombytes(coefficients().tobytes())
             t_last = t_end
             if hit:
                 break
 
     stats = {"nfev": nfev, "accepted_steps": accepted,
              "rejected_steps_estimate": rejected}
-    n = len(y0)
     if t_eval is None:
         t_out, states = np.array(ts), np.array(ys).reshape(-1, n)
     else:
@@ -690,8 +704,12 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
         states = np.vstack(samples) if samples else np.empty((0, n))
     interp = None
     if dense:
-        interp = _Dense(pair, direction, np.array(bounds),
-                        np.array(pieces).reshape(len(bounds) - 1, -1, n))
+        rows = np.array(pieces).reshape(len(bounds) - 1, -1)
+        rest = rows[:, 1 + n:]
+        coef = (_rk45_coef(rest.reshape(-1, n, 7)) if pair is _RK45
+                else rest.reshape(-1, 7, n))
+        interp = _Dense(pair, direction, np.array(bounds), rows[:, 0],
+                        rows[:, 1:1 + n], coef)
     traj = Trajectory(t=t_out, states=states, stats=stats, escaped=escaped,
                       stopped=stopped, _dense=interp)
     if escaped:

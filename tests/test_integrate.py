@@ -313,3 +313,16 @@ def test_stroboscopic_matches_solve_ivp_dop853(mu):
                      t_eval=np.arange(n + 1) * T)
     samples = stroboscopic(p, (0.0, 1.2), n)
     assert np.max(np.abs(samples - ref.y[:2].T)) < 1e-10
+
+
+def test_dop853_dense_output_matches_solve_ivp():
+    p = Params(mu=-0.1, beta=1.0, eps=3.0, alpha=-0.3, omega=1.0)
+    field_fn = forced_rhs_3d(p)
+    ref = _solve_ivp(field_fn, [0.0, 1.2, 0.0], (0.0, 30.0), DEFAULT_TOL,
+                     method="DOP853", dense_output=True)
+    traj = integrate(field_fn, [0.0, 1.2, 0.0], (0.0, 30.0),
+                     method="DOP853")
+    assert traj.stats["accepted_steps"] == len(ref.t) - 1
+    assert traj.stats["nfev"] == ref.nfev
+    grid = np.linspace(0.0, 30.0, 1001)
+    assert np.max(np.abs(traj.at(grid) - ref.sol(grid).T)) < 1e-12
