@@ -84,7 +84,8 @@ class NonFinite(IntegrationError):
 
 class NoConvergence(IntegrationError):
     """An iteration gave up: root bracketing failed on a section or an
-    event, or a limit-cycle search spent its 60 returns without closing."""
+    event, a refined crossing missed the section residual target, or a
+    limit-cycle search spent its 60 returns without closing."""
 
 
 class Direction(enum.Enum):
@@ -698,18 +699,19 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
     stats = {"nfev": nfev, "accepted_steps": accepted,
              "rejected_steps_estimate": rejected}
     if t_eval is None:
-        t_out, states = np.array(ts), np.array(ys).reshape(-1, n)
+        t_out, states = np.frombuffer(ts), np.frombuffer(ys).reshape(-1, n)
     else:
         t_out = t_eval[:n_samples]
         states = np.vstack(samples) if samples else np.empty((0, n))
     interp = None
     if dense:
-        rows = np.array(pieces).reshape(len(bounds) - 1, -1)
+        # views of the buffer; the RK45 stages are let go once formed
+        rows = np.frombuffer(pieces).reshape(len(bounds) - 1, -1)
         rest = rows[:, 1 + n:]
         coef = (_rk45_coef(rest.reshape(-1, n, 7)) if pair is _RK45
                 else rest.reshape(-1, 7, n))
-        interp = _Dense(pair, direction, np.array(bounds), rows[:, 0],
-                        rows[:, 1:1 + n], coef)
+        interp = _Dense(pair, direction, np.frombuffer(bounds),
+                        rows[:, 0].copy(), rows[:, 1:1 + n].copy(), coef)
     traj = Trajectory(t=t_out, states=states, stats=stats, escaped=escaped,
                       stopped=stopped, _dense=interp)
     if escaped:
