@@ -319,15 +319,22 @@ def melnikov(mu: float, beta: float, eps: float, eps1: float = 1.0,
     the explicit loop x = sqrt(2 beta/eps) sech t,
     y = -sqrt(2) beta/sqrt(eps) sech t tanh t, truncated to |t| <= 40.
     ``mu3`` is the root of M in mu at the given eps1.
+
+    Raises ValueError where ``mu3`` or the closed form leaves the float
+    range: a power overflows, or a power of eps underflows to zero.
     """
     if not (beta > 0 and eps > 0):
         raise ValueError("melnikov requires beta > 0 and eps > 0")
-    mu3 = _mu3(beta, eps, eps1)
-    if method is MelnikovMethod.CLOSED_FORM:
-        value = (4.0 * beta * beta * mu / (3.0 * eps)
-                 + 16.0 * beta ** 3 / (15.0 * eps * eps)
-                 - 128.0 * beta ** 4 * eps1 * eps1 / (105.0 * eps ** 3))
-        return MelnikovResult(value, MelnikovMethod.CLOSED_FORM, mu3)
+    try:
+        mu3 = _mu3(beta, eps, eps1)
+        if method is MelnikovMethod.CLOSED_FORM:
+            value = (4.0 * beta * beta * mu / (3.0 * eps)
+                     + 16.0 * beta ** 3 / (15.0 * eps * eps)
+                     - 128.0 * beta ** 4 * eps1 * eps1 / (105.0 * eps ** 3))
+            return MelnikovResult(value, MelnikovMethod.CLOSED_FORM, mu3)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"melnikov leaves the float range at "
+                         f"beta={beta:g}, eps={eps:g}") from exc
 
     from scipy.integrate import quad  # the only caller: load on first use
 

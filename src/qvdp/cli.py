@@ -14,6 +14,8 @@ repro      one-command rerun of the six reference unforced parameter sets
 
 Exit codes: 0 success, 2 usage/parameter error, 3 runtime numerical failure.
 Outputs are deterministic (17-significant-digit numbers, LF line endings).
+CSV rows are streamed as they are formed; an --out file appears only once
+complete, so a failing run leaves none (see qvdp.output.write_lines).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from . import bifurcation, detect, equilibria
 from .compactify import disk_project
 from .integrate import IntegrationError, NonFinite, integrate, stroboscopic
 from .model import Params, State, unforced_rhs
-from .output import PortraitSVG, dumps_json, rows_to_csv
+from .output import PortraitSVG, csv_lines, dumps_json, write_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -46,14 +48,6 @@ def _params_from(args) -> Params:
     # only forced has --alpha/--omega; elsewhere alpha = 0, omega = 1
     return Params(**{k: v for k, v in vars(args).items()
                      if k in ("mu", "beta", "eps", "alpha", "omega")})
-
-
-def _write(path, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
 
 
 def _critical_values(p: Params):
@@ -88,7 +82,7 @@ def cmd_classify(args) -> int:
     doc["certificates"] = list(region.certificates)
     doc["homoclinic_proximal"] = (
         crit is not None and doc["homoclinic_distance"] <= HOMOCLINIC_PROXIMITY)
-    _write(args.out, dumps_json(doc))
+    write_lines(args.out, [dumps_json(doc)])
     return EXIT_OK
 
 
@@ -105,7 +99,7 @@ def cmd_portrait(args) -> int:
     rhs = unforced_rhs(p)
     escape_radius = detect.escape_bound(p, _PORTRAIT_ESCAPE)
 
-    kept, rows = [], []
+    kept = []  # (seed id, trajectory)
     for sid, seed in enumerate(args.seed):
         err = None
         try:
@@ -124,13 +118,13 @@ def cmd_portrait(args) -> int:
             print(f"warning: seed {sid} escaped to infinity at "
                   f"t={traj.t1:.6g} (partial trajectory kept)",
                   file=sys.stderr)
-        kept.append(traj)
-        rows += [(sid, float(t), float(x), float(y))
-                 for t, (x, y) in zip(traj.t, traj.states)]
+        kept.append((sid, traj))
     if not kept:
         print("error: all seeds failed to integrate", file=sys.stderr)
         return EXIT_NUMERICAL
-    _write(args.out, rows_to_csv(("seed_id", "t", "x", "y"), rows))
+    rows = ((sid, float(t), float(x), float(y)) for sid, traj in kept
+            for t, (x, y) in zip(traj.t, traj.states))
+    write_lines(args.out, csv_lines(("seed_id", "t", "x", "y"), rows))
 
     if args.format == "svg":
         svg_path = (os.path.splitext(args.out)[0] + ".svg"
@@ -142,7 +136,7 @@ def cmd_portrait(args) -> int:
         def view(xy):
             return [disk_project(pt) for pt in xy] if args.disk else xy
 
-        for traj in kept:
+        for _, traj in kept:
             svg.polyline(view(traj.states[:, :2]))
         for e in equilibria.find_equilibria(p):
             x, y = disk_project(e.location) if args.disk else e.location
@@ -150,7 +144,7 @@ def cmd_portrait(args) -> int:
                        saddle=e.kind is equilibria.EquilibriumKind.SADDLE)
         for cyc in _detect_cycles_for_portrait(p, args.seed):
             svg.closed_curve(view(cyc.path))
-        _write(svg_path, svg.render())
+        write_lines(svg_path, [svg.render()])
     return EXIT_OK
 
 
@@ -195,10 +189,10 @@ def cmd_sweep(args) -> int:
         axes.append((name, np.linspace(lo, hi, count)))
     (ax1, vals1), (ax2, vals2) = axes
     # a repeated axis takes its second value, as the later key wins
-    rows = [_sweep_cell(**{**base, ax1: float(v1), ax2: float(v2)})
-            for v1 in vals1 for v2 in vals2]
-    _write(args.out, rows_to_csv(("beta", "mu", "eps", "region",
-                                  "mu1", "muc", "mu2", "mu3"), rows))
+    rows = (_sweep_cell(**{**base, ax1: float(v1), ax2: float(v2)})
+            for v1 in vals1 for v2 in vals2)
+    write_lines(args.out, csv_lines(("beta", "mu", "eps", "region",
+                                     "mu1", "muc", "mu2", "mu3"), rows))
     return EXIT_OK
 
 
@@ -213,7 +207,7 @@ def cmd_melnikov(args) -> int:
     rel = abs(closed.value - quadr.value) / scale
     doc = {"closed_form": closed.value, "quadrature": quadr.value,
            "mu3": closed.mu3, "relative_diff": rel}
-    _write(args.out, dumps_json(doc))
+    write_lines(args.out, [dumps_json(doc)])
     if rel >= 1e-6 and scale > 1e-12:
         print(f"error: closed form and quadrature disagree: rel={rel:.3e}",
               file=sys.stderr)
@@ -241,13 +235,13 @@ def cmd_forced(args) -> int:
     # contiguous like stroboscopic(n) output, so the verdict's sums agree
     strobe = series[::_TS_PER_PERIOD].copy()
     base, ext = os.path.splitext(args.out) if args.out else ("", "")
-    strobe_rows = [(k, float(k * T), float(x), float(y))
-                   for k, (x, y) in enumerate(strobe)]
-    _write(args.out, rows_to_csv(("k", "t", "x", "y"), strobe_rows))
-    ts_rows = [(float(t), float(x), float(y))
-               for t, (x, y) in zip(ts, series)]
+    strobe_rows = ((k, float(k * T), float(x), float(y))
+                   for k, (x, y) in enumerate(strobe))
+    write_lines(args.out, csv_lines(("k", "t", "x", "y"), strobe_rows))
+    ts_rows = ((float(t), float(x), float(y))
+               for t, (x, y) in zip(ts, series))
     ts_path = f"{base}_ts{ext}" if args.out else None
-    _write(ts_path, rows_to_csv(("t", "x", "y"), ts_rows))
+    write_lines(ts_path, csv_lines(("t", "x", "y"), ts_rows))
 
     report = detect.classify_forced(p, State(*seed), n, samples=strobe)
     doc = {
@@ -259,7 +253,7 @@ def cmd_forced(args) -> int:
         "evidence": report.evidence,
     }
     json_path = f"{base}.json" if args.out else None
-    _write(json_path, dumps_json(doc))
+    write_lines(json_path, [dumps_json(doc)])
     return EXIT_OK
 
 
@@ -306,7 +300,7 @@ def cmd_repro(args) -> int:
         manifest["forced"].append({"name": name, "params": kw,
                                    "file": os.path.basename(path),
                                    "exit_code": rc})
-    _write(os.path.join(outdir, "manifest.json"), dumps_json(manifest))
+    write_lines(os.path.join(outdir, "manifest.json"), [dumps_json(manifest)])
     print(f"wrote {outdir}/", file=sys.stderr)
     return EXIT_OK
 

@@ -177,7 +177,15 @@ def find_limit_cycle(p: Params, seed: State) -> Optional[LimitCycle]:
     equilibrium, or stops crossing the section; raises
     :class:`~qvdp.integrate.NoConvergence` if none of 60 returns from the
     section closes.
+
+    For eps <= 0 it returns None at once, without integrating: on the
+    section y' = g(x) = x (beta - eps x^2) > 0 for every x > 0 (beta >= 0,
+    and beta and eps are not both zero), so no orbit crosses it downward
+    and there is no return map to search.  The integration would only
+    crawl to the escape bound.
     """
+    if p.eps <= 0.0:
+        return None
     rhs = unforced_rhs(p)
     eqs = find_equilibria(p)
     section_eq_x = [0.0] + [e.location.x for e in eqs if e.location.x > 0]
@@ -345,6 +353,29 @@ def rotation_number(samples: np.ndarray, center) -> Optional[RotationEstimate]:
     return RotationEstimate(value=value, error=error, locked_q=locked_q)
 
 
+_NN_BLOCK = 64  # query rows per block of the nearest-neighbor distances
+
+
+def _nearest_neighbor_distances(pts: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each point to its nearest other point.
+
+    Brute force over blocks of rows, so the work arrays stay at
+    ``_NN_BLOCK x len(pts)``.  The distance is sqrt(dx*dx + dy*dy), taken
+    after the minimum (sqrt is monotone and correctly rounded), the same
+    value a KD-tree query returns.
+    """
+    x, y = pts[:, 0], pts[:, 1]
+    nn = np.empty(len(pts))
+    for lo in range(0, len(pts), _NN_BLOCK):
+        hi = min(lo + _NN_BLOCK, len(pts))
+        dx = x[lo:hi, None] - x
+        dy = y[lo:hi, None] - y
+        d2 = dx * dx + dy * dy
+        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # not itself
+        nn[lo:hi] = d2.min(axis=1)
+    return np.sqrt(nn)
+
+
 def _closure_diagnostics(tail: np.ndarray) -> dict:
     """Adjacency-gap statistics of a candidate invariant curve.
 
@@ -355,11 +386,9 @@ def _closure_diagnostics(tail: np.ndarray) -> dict:
     nearest-neighbor chord stays within a small factor of the median and
     tiny relative to the curve extent.
     """
-    from scipy.spatial import cKDTree
-
     center = tail.mean(axis=0)
     radii = np.hypot(tail[:, 0] - center[0], tail[:, 1] - center[1])
-    nn = cKDTree(tail).query(tail, k=2)[0][:, 1]
+    nn = _nearest_neighbor_distances(tail)
     extent = float(np.hypot(*(tail.max(axis=0) - tail.min(axis=0))))
     return {
         "center": (float(center[0]), float(center[1])),

@@ -4,14 +4,25 @@ Every number is written with 17 significant digits, which round-trips
 64-bit floats exactly, so identical inputs produce byte-identical files.
 The SVG writer is a fixed-viewport convenience rendering; CSV and JSON are
 the interfaces the tests pin down.
+
+CSV is streamed: :func:`csv_lines` renders one line per row as the rows
+arrive, and :func:`write_lines` sends each line on at once, so an artifact
+is never held whole in memory.  A file target is written under a temporary
+name next to it and renamed into place only once every line is out, so a
+run that fails midway leaves no file (and an existing one untouched).  On
+stdout the lines written before a failure stay written.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
-from typing import Iterable, Sequence
+import os
+import sys
+from typing import Iterable, Iterator, Optional, Sequence
 
-__all__ = ["fmt", "dumps_json", "rows_to_csv", "PortraitSVG"]
+__all__ = ["fmt", "dumps_json", "csv_lines", "rows_to_csv", "write_lines",
+           "PortraitSVG"]
 
 
 def fmt(x) -> str:
@@ -71,20 +82,57 @@ def dumps_json(obj) -> str:
     return "".join(pieces)
 
 
+def _csv_cell(cell) -> str:
+    if isinstance(cell, str):
+        return cell
+    if isinstance(cell, (int, float)):
+        return fmt(cell)
+    raise TypeError(f"unserializable CSV cell: {cell!r}")
+
+
+def csv_lines(header: Sequence[str],
+              rows: Iterable[Sequence]) -> Iterator[str]:
+    """The header, then one LF-terminated CSV line per row as rows arrive.
+
+    Numeric cells are rendered via :func:`fmt`, strings as they are.
+    """
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(map(_csv_cell, row)) + "\n"
+
+
 def rows_to_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """CSV text with LF terminators; numeric cells rendered via :func:`fmt`."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, str):
-                cells.append(cell)
-            elif isinstance(cell, (int, float)):
-                cells.append(fmt(cell))
-            else:
-                raise TypeError(f"unserializable CSV cell: {cell!r}")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return "".join(csv_lines(header, rows))
+
+
+def write_lines(path: Optional[str], lines: Iterable[str]) -> None:
+    """Write ``lines`` to ``path`` (stdout when None) as they are produced.
+
+    A file appears, or is replaced, only after the last line is written:
+    the lines go to a temporary file in the directory of the file ``path``
+    names (through symlinks), which is renamed onto it on success and
+    removed if producing or writing a line raises.  A path that exists but
+    is no regular file, such as /dev/null or a pipe, is written in place.
+    """
+    if path is None:
+        sys.stdout.writelines(lines)
+        return
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", newline="") as fh:
+            fh.writelines(lines)
+        return
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "x", newline="")
+    try:
+        with fh:
+            fh.writelines(lines)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 class PortraitSVG:

@@ -1,16 +1,23 @@
 import json
 import math
 import os
+import stat
+import subprocess
+import sys
+import threading
 import time
+import tracemalloc
 
 import jsonschema
 import numpy as np
 import pytest
 
+import qvdp
+from qvdp import cli
 from qvdp.cli import build_parser, main
 from qvdp.detect import classify_forced, find_limit_cycle
 from qvdp.model import Params, State
-from qvdp.output import dumps_json, fmt, rows_to_csv
+from qvdp.output import csv_lines, dumps_json, fmt, rows_to_csv
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "src", "qvdp",
                            "schemas", "cli.schema.json")
@@ -54,6 +61,105 @@ def test_rows_to_csv_lf_only():
     text = rows_to_csv(("a", "b"), [(1.0, 2.5), (3.0, "x")])
     assert "\r" not in text
     assert text == "a,b\n1,2.5\n3,x\n"
+
+
+# --- streamed CSV output --------------------------------------------------------
+
+_STREAMED = {
+    "sweep": ["sweep", "--eps", "1", "--grid", "beta:0:3:7",
+              "--grid", "mu:-1:1:5"],
+    "portrait": ["portrait", "--beta", "1", "--eps", "2", "--mu", "-0.1",
+                 "--seed", "2,0", "--seed", "0.8,0", "--t1", "5"],
+    "forced": ["forced", "--mu", "-0.3", "--beta", "1", "--eps", "3",
+               "--alpha", "-0.3", "--seed", "0,1.2", "--n", "12"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(_STREAMED))
+def test_streamed_csv_equals_rows_to_csv(cmd, tmp_path, monkeypatch, capsys):
+    # each CSV the CLI streams has the bytes rows_to_csv gives its rows
+    expected = []
+
+    def recording(header, rows):
+        rows = list(rows)
+        expected.append(rows_to_csv(header, rows))
+        return csv_lines(header, rows)
+
+    monkeypatch.setattr(cli, "csv_lines", recording)
+    out = tmp_path / "o.csv"
+    assert main(_STREAMED[cmd] + ["--out", str(out)]) == 0
+    written = [out] + ([tmp_path / "o_ts.csv"] if cmd == "forced" else [])
+    assert [f.read_text() for f in written] == expected
+    expected.clear()
+    assert main(_STREAMED[cmd]) == 0
+    assert capsys.readouterr().out.startswith("".join(expected))
+
+
+def _sweep_peak_bytes(tmp_path, n: int) -> int:
+    out = tmp_path / f"s{n}.csv"
+    tracemalloc.start()
+    try:
+        assert main(["sweep", "--eps", "1", "--grid", f"beta:0:3:{n}",
+                     "--grid", f"mu:-1:1:{n}", "--out", str(out)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_does_not_grow_with_the_grid(tmp_path):
+    # rows are streamed to the file: the traced peak of a 200 x 200 sweep
+    # (a 3.3 MB CSV) is that of a 20 x 20 one up to the axes and allocator
+    # noise (about 20 kB); built in memory it was 31 MB
+    _sweep_peak_bytes(tmp_path, 2)  # first-use allocations
+    small = _sweep_peak_bytes(tmp_path, 20)
+    large = _sweep_peak_bytes(tmp_path, 200)
+    assert large < 256 * 1024
+    assert large < small + 64 * 1024
+
+
+def test_failing_runs_leave_no_out_file(tmp_path, capsys):
+    # the sweep overflows at its first cell, after the header line; the
+    # portrait's only seed fails
+    sweep = tmp_path / "s.csv"
+    assert main(["sweep", "--grid", "beta:1e200:2e200:2",
+                 "--grid", "eps:1e200:2e200:2", "--out", str(sweep)]) == 2
+    portrait = tmp_path / "p.csv"
+    assert main(["portrait", "--beta", "1", "--eps", "2", "--mu", "0.2",
+                 "--seed", "1e200,0", "--format", "svg",
+                 "--out", str(portrait)]) == 3
+    assert list(tmp_path.iterdir()) == []
+    # an existing file is left as it was
+    sweep.write_text("kept\n")
+    assert main(["sweep", "--grid", "beta:1e200:2e200:2",
+                 "--grid", "eps:1e200:2e200:2", "--out", str(sweep)]) == 2
+    assert sweep.read_text() == "kept\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["s.csv"]
+
+
+def test_out_through_symlink_and_into_pipe(tmp_path):
+    # a symlinked --out is written through and stays a link; a pipe is
+    # written in place, not replaced by a file
+    argv = ["sweep", "--eps", "1", "--grid", "beta:0:3:4",
+            "--grid", "mu:-1:1:3"]
+    plain = tmp_path / "plain.csv"
+    assert main(argv + ["--out", str(plain)]) == 0
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    real.write_text("old\n")
+    link.symlink_to(real)
+    assert main(argv + ["--out", str(link)]) == 0
+    assert link.is_symlink() and real.read_bytes() == plain.read_bytes()
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    assert main(argv + ["--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive() and got == [plain.read_bytes()]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "link.csv", "pipe", "plain.csv", "real.csv"]
 
 
 # --- classify ------------------------------------------------------------------
@@ -145,6 +251,17 @@ def test_melnikov_cli_near_root(tmp_path):
 
 def test_melnikov_cli_rejects_bad_domain():
     assert _run(["melnikov", "--beta", "0", "--eps", "2", "--mu", "0"]) == 2
+
+
+@pytest.mark.parametrize("flags", [["--beta", "1e100", "--eps", "1"],
+                                   ["--beta", "1", "--eps", "1e-110"]])
+def test_melnikov_out_of_float_range_exit_2(flags, tmp_path, capsys):
+    # beta^4 overflows, eps^3 underflows to 0: one error line, no file
+    out = tmp_path / "m.json"
+    assert _run(["melnikov", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 # --- portrait ------------------------------------------------------------------
@@ -428,6 +545,24 @@ def test_forced_json_equals_library_verdict(tmp_path):
     assert doc["verdict"] == report.verdict.value
     assert doc["rotation_number"] == report.rotation_number
     assert doc["evidence"] == json.loads(json.dumps(report.evidence))
+
+
+def test_forced_run_loads_no_scipy(tmp_path):
+    # the closure test's neighbor distances are plain numpy: a forced run
+    # that reaches it imports no scipy module
+    out = tmp_path / "f.csv"
+    code = ("import sys, qvdp.cli\n"
+            "assert qvdp.cli.main(sys.argv[1:]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    argv = ["forced", "--mu", "-0.1", "--beta", "1", "--eps", "3",
+            "--alpha", "-0.3", "--seed", "0,1.2", "--n", "60",
+            "--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(qvdp.__file__)))
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
+    assert "closure" in json.loads((tmp_path / "f.json").read_text())["evidence"]
 
 
 def test_forced_requires_alpha():

@@ -205,6 +205,29 @@ def test_no_cycle_search_crawls_to_a_mu_scaled_bound():
     assert find_limit_cycle(p, State(2.0, 0.0)) is None
 
 
+@pytest.mark.parametrize("beta,eps", [(0.0, -1.0), (1.0, -1.0), (1.0, 0.0)])
+def test_no_return_map_search_for_nonpositive_eps(monkeypatch, beta, eps):
+    # y' = x (beta - eps x^2) > 0 on {y = 0, x > 0}: no orbit crosses the
+    # section downward, so the search returns None without integrating
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _to_section(*args)
+
+    monkeypatch.setattr(detect, "_to_section", counting)
+    p = Params(mu=0.1, beta=beta, eps=eps)
+    for k in range(8):  # the criterion-7 seed ring
+        ang = 2.0 * math.pi * k / 8
+        seed = State(2.2 * math.cos(ang), 2.2 * math.sin(ang))
+        assert find_limit_cycle(p, seed) is None
+    assert calls == []
+    # the counter sees the searches that do integrate
+    assert find_limit_cycle(Params(mu=-0.1, beta=1.0, eps=2.0),
+                            State(2.0, 0.0)) is not None
+    assert calls
+
+
 def test_escape_bound_scales_with_mu_only_for_positive_eps():
     assert escape_bound(Params(mu=6.0, beta=1.0, eps=1.0), 8.0) == 48.0
     assert escape_bound(Params(mu=0.5, beta=1.0, eps=1.0), 8.0) == 8.0
@@ -409,6 +432,25 @@ def test_forced_quasi_periodic_short_run():
     assert rep.verdict is Verdict.QUASI_PERIODIC
     assert rep.rotation_number is not None
     assert rep.evidence["closure"]["gap_ratio"] < 5.0
+
+
+def test_nearest_neighbor_distances_match_kdtree():
+    # the closure test's brute-force distances equal a KD-tree query bit
+    # for bit, with ties and a repeated point among the samples
+    from scipy.spatial import cKDTree
+
+    rng = np.random.default_rng(7)
+    pts = np.vstack([rng.standard_normal((300, 2)),
+                     np.mgrid[0:3, 0:3].reshape(2, -1).T * 0.5,
+                     [[0.25, -0.5], [0.25, -0.5]]])
+    expected = cKDTree(pts).query(pts, k=2)[0][:, 1]
+    got = detect._nearest_neighbor_distances(pts)
+    assert got.tobytes() == expected.tobytes()
+    tail = np.column_stack([np.cos(np.arange(1501) * 0.618),
+                            np.sin(np.arange(1501) * 0.618)])
+    expected = cKDTree(tail).query(tail, k=2)[0][:, 1]
+    assert detect._nearest_neighbor_distances(tail).tobytes() \
+        == expected.tobytes()
 
 
 def test_rotation_number_tracks_underlying_cycle_frequency():
