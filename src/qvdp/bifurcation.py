@@ -292,6 +292,10 @@ def torus_frequency_estimate(p: Params) -> float:
 # --- Melnikov / homoclinic -------------------------------------------------
 
 class MelnikovMethod(enum.Enum):
+    """QUADRATURE is the trapezoid rule, spacing 0.05 on |t| <= 40.  The
+    integrand is analytic in |Im t| < pi/2 and decays like exp(-2|t|), so
+    the rule converges geometrically in the spacing (Trefethen & Weideman,
+    SIAM Review 56, 2014): rounding, not the rule, limits the sum."""
     CLOSED_FORM = "closed_form"
     QUADRATURE = "quadrature"
 
@@ -299,7 +303,7 @@ class MelnikovMethod(enum.Enum):
 @dataclass(frozen=True)
 class MelnikovResult:
     value: float
-    method: MelnikovMethod
+    scale: float  # sum of the closed form's term magnitudes
     mu3: float
 
 
@@ -317,40 +321,38 @@ def melnikov(mu: float, beta: float, eps: float, eps1: float = 1.0,
 
     Quadrature evaluates int y(t)^2 (mu + x(t)^2 - eps1^2 x(t)^4) dt over
     the explicit loop x = sqrt(2 beta/eps) sech t,
-    y = -sqrt(2) beta/sqrt(eps) sech t tanh t, truncated to |t| <= 40.
-    ``mu3`` is the root of M in mu at the given eps1.
+    y = -sqrt(2) beta/sqrt(eps) sech t tanh t, by the trapezoid rule on the
+    nodes t = -40 + 0.05 k, k = 0..1600 (see :class:`MelnikovMethod`).
+    ``scale`` sums the magnitudes of the closed form's terms, which M
+    cancels near ``mu3``, the root of M in mu at the given eps1.
 
-    Raises ValueError where ``mu3`` or the closed form leaves the float
-    range: a power overflows, or a power of eps underflows to zero.
+    Raises ValueError where ``mu3`` or M leaves the float range: a power
+    overflows, a power of eps underflows to zero, or the sum is not finite.
     """
     if not (beta > 0 and eps > 0):
         raise ValueError("melnikov requires beta > 0 and eps > 0")
     try:
         mu3 = _mu3(beta, eps, eps1)
+        lin = 4.0 * beta * beta * mu / (3.0 * eps)
+        cub = 16.0 * beta ** 3 / (15.0 * eps * eps)
+        quart = 128.0 * beta ** 4 * eps1 * eps1 / (105.0 * eps ** 3)
         if method is MelnikovMethod.CLOSED_FORM:
-            value = (4.0 * beta * beta * mu / (3.0 * eps)
-                     + 16.0 * beta ** 3 / (15.0 * eps * eps)
-                     - 128.0 * beta ** 4 * eps1 * eps1 / (105.0 * eps ** 3))
-            return MelnikovResult(value, MelnikovMethod.CLOSED_FORM, mu3)
+            value = lin + cub - quart
+        else:
+            # h = 0.05; the end nodes, where the integrand is ~1e-34, take
+            # weight h rather than h/2, which changes nothing
+            t, h = np.linspace(-_QUAD_T, _QUAD_T, 1601, retstep=True)
+            with np.errstate(over="ignore", invalid="ignore"):
+                sech2 = 1.0 / np.cosh(t) ** 2
+                x2 = (2.0 * beta / eps) * sech2
+                y2 = (2.0 * beta * beta / eps) * sech2 * np.tanh(t) ** 2
+                value = h * float(np.sum(y2 * (mu + x2 - eps1 * eps1 * x2 * x2)))
+        if not math.isfinite(value):
+            raise OverflowError(value)
     except (OverflowError, ZeroDivisionError) as exc:
         raise ValueError(f"melnikov leaves the float range at "
                          f"beta={beta:g}, eps={eps:g}") from exc
-
-    from scipy.integrate import quad  # the only caller: load on first use
-
-    cx = math.sqrt(2.0 * beta / eps)
-    cy = math.sqrt(2.0) * beta / math.sqrt(eps)
-
-    def integrand(t):
-        sech = 1.0 / math.cosh(t)
-        tanh = math.tanh(t)
-        x2 = cx * cx * sech * sech
-        y2 = cy * cy * sech * sech * tanh * tanh
-        return y2 * (mu + x2 - eps1 * eps1 * x2 * x2)
-
-    value, _ = quad(integrand, -_QUAD_T, _QUAD_T,
-                    epsabs=1e-13, epsrel=1e-13, limit=200)
-    return MelnikovResult(value, MelnikovMethod.QUADRATURE, mu3)
+    return MelnikovResult(value, abs(lin) + cub + quart, mu3)
 
 
 def _mu3(beta: float, eps: float, eps1: float) -> float:

@@ -114,24 +114,29 @@ def write_lines(path: Optional[str], lines: Iterable[str]) -> None:
     names (through symlinks), which is renamed onto it on success and
     removed if producing or writing a line raises.  A path that exists but
     is no regular file, such as /dev/null or a pipe, is written in place.
+    A path that cannot be opened raises ValueError naming ``path``.
     """
     if path is None:
         sys.stdout.writelines(lines)
         return
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", newline="") as fh:
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    target = os.path.realpath(path)
+    name = path if in_place else f"{target}.{os.urandom(4).hex()}.tmp"
+    try:
+        fh = open(name, "w" if in_place else "x", newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+    if in_place:
+        with fh:
             fh.writelines(lines)
         return
-    target = os.path.realpath(path)
-    tmp = f"{target}.{os.urandom(4).hex()}.tmp"
-    fh = open(tmp, "x", newline="")
     try:
         with fh:
             fh.writelines(lines)
-        os.replace(tmp, target)
+        os.replace(name, target)
     except BaseException:
         with contextlib.suppress(OSError):
-            os.remove(tmp)
+            os.remove(name)
         raise
 
 

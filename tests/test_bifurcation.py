@@ -1,4 +1,5 @@
 import math
+import warnings
 from math import factorial
 
 import numpy as np
@@ -304,6 +305,17 @@ def test_melnikov_domain_errors():
         melnikov(0.0, 1.0, -1.0)
     with pytest.raises(ValueError):
         homoclinic_curve(1.0, 0.0)
+
+
+@pytest.mark.parametrize("mu,eps1", [(math.inf, 1.0), (math.nan, 1.0),
+                                     (0.1, math.inf)])
+def test_melnikov_non_finite_sums_raise(mu, eps1):
+    # both methods raise the same ValueError, and numpy warns about nothing
+    for method in MelnikovMethod:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="float range"):
+                melnikov(mu, 1.0, 2.0, eps1, method=method)
 
 
 def test_homoclinic_curve_values_and_melnikov_sign_change():

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import jsonschema
 import numpy as np
@@ -136,6 +137,18 @@ def test_failing_runs_leave_no_out_file(tmp_path, capsys):
     assert [f.name for f in tmp_path.iterdir()] == ["s.csv"]
 
 
+@pytest.mark.parametrize("name", ["nodir/x.json", "."])
+def test_unwritable_out_exit_2(name, tmp_path, monkeypatch, capsys):
+    # a missing directory, or a directory as the target: one error line
+    # that names the path given, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    assert main(["classify", "--beta", "1", "--eps", "2", "--out", name]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {name}: ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_out_through_symlink_and_into_pipe(tmp_path):
     # a symlinked --out is written through and stays a link; a pipe is
     # written in place, not replaced by a file
@@ -247,6 +260,28 @@ def test_melnikov_cli_near_root(tmp_path):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert abs(doc["closed_form"]) < 1e-7
+
+
+_MU3 = -0.17142857142857143  # homoclinic_curve(1, 2)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--beta", "1", "--eps", "2", "--mu", "-0.1714285714"],
+    ["--beta", "1", "--eps", "2", "--mu", repr(_MU3 - 1e-12)],
+    ["--beta", "1", "--eps", "2", "--mu", repr(_MU3 + 1e-12)],
+    ["--beta", "1.8584702170465293", "--eps", "1.0022572147386237",
+     "--mu", "1.4687153492759921"],
+])
+def test_melnikov_agrees_next_to_the_homoclinic_curve(flags, tmp_path, capsys):
+    # M cancels its terms near mu3, so the two values are compared relative
+    # to the terms: a rounding-level difference is agreement, however small
+    # M is; and the quadrature warns about nothing
+    out = tmp_path / "m.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(["melnikov", *flags, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["relative_diff"] < 1e-12
 
 
 def test_melnikov_cli_rejects_bad_domain():
@@ -451,6 +486,14 @@ def test_portrait_empty_time_span_exit_2(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_portrait_svg_needs_out(capsys):
+    # the SVG's path is derived from --out; stdout carries the CSV alone
+    assert _run(["portrait", "--beta", "1", "--eps", "2", "--mu", "-0.1",
+                 "--seed", "2,0", "--t1", "1", "--format", "svg"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 # --- sweep ---------------------------------------------------------------------
 
 def test_sweep_contract_and_speed(tmp_path):
@@ -547,21 +590,31 @@ def test_forced_json_equals_library_verdict(tmp_path):
     assert doc["evidence"] == json.loads(json.dumps(report.evidence))
 
 
-def test_forced_run_loads_no_scipy(tmp_path):
-    # the closure test's neighbor distances are plain numpy: a forced run
-    # that reaches it imports no scipy module
-    out = tmp_path / "f.csv"
-    code = ("import sys, qvdp.cli\n"
-            "assert qvdp.cli.main(sys.argv[1:]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    argv = ["forced", "--mu", "-0.1", "--beta", "1", "--eps", "3",
-            "--alpha", "-0.3", "--seed", "0,1.2", "--n", "60",
-            "--out", str(out)]
+def test_every_subcommand_loads_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: in one fresh interpreter every
+    # subcommand runs, the forced verdict up to its closure test and the
+    # portrait with its cycle search, and no scipy module is loaded
+    code = "\n".join([
+        "import sys, qvdp.cli",
+        "for argv in sys.argv[1:]:",
+        "    assert qvdp.cli.main(argv.split()) == 0, argv",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    params = "--beta 1 --eps 2 --mu -0.1"
+    runs = [f"classify {params} --out {tmp_path / 'c.json'}",
+            f"sweep --eps 2 --grid beta:0.5:1.5:3 --grid mu:-0.3:0.1:3 "
+            f"--out {tmp_path / 's.csv'}",
+            f"melnikov {params} --out {tmp_path / 'm.json'}",
+            f"portrait {params} --seed 2,0 --t1 10 --format svg "
+            f"--out {tmp_path / 'p.csv'}",
+            f"forced --mu -0.1 --beta 1 --eps 3 --alpha -0.3 --seed 0,1.2 "
+            f"--n 60 --out {tmp_path / 'f.csv'}"]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(qvdp.__file__)))
-    run = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+    run = subprocess.run([sys.executable, "-c", code, *runs], env=env,
                          capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n"
+    assert (tmp_path / "p.svg").exists()
     assert "closure" in json.loads((tmp_path / "f.json").read_text())["evidence"]
 
 
