@@ -198,11 +198,10 @@ def test_search_reports_the_cycle_the_orbit_reaches(beta, eps, frac, offset):
     assert (cyc.encloses if cyc is not None else frozenset()) == reached
 
 
-@pytest.mark.parametrize("beta,eps", [(0.0, -1.0), (1.0, -1.0), (1.0, 0.0)])
-def test_no_return_map_search_for_nonpositive_eps(monkeypatch, beta, eps):
-    # y' = x (beta - eps x^2) > 0 on {y = 0, x > 0}: no orbit crosses the
-    # section downward, so the search returns None without integrating,
-    # also at a mu that scales the escape bound where eps > 0
+def test_no_cycle_search_crawls_to_a_mu_scaled_bound(monkeypatch):
+    # eps < 0 admits no cycle; at a mu that would scale the escape bound
+    # where eps > 0, the search still returns None without integrating
+    # instead of crawling through the stiff damping out to 8 mu
     calls = []
 
     def counting(*args):
@@ -210,13 +209,27 @@ def test_no_return_map_search_for_nonpositive_eps(monkeypatch, beta, eps):
         return _to_section(*args)
 
     monkeypatch.setattr(detect, "_to_section", counting)
-    ring = [State(2.2 * math.cos(2.0 * math.pi * k / 8),
-                  2.2 * math.sin(2.0 * math.pi * k / 8))
-            for k in range(8)]  # the criterion-7 seed ring
-    for mu in (0.1, 4.0):
-        for seed in ring + [State(2.0, 0.0)]:
-            assert find_limit_cycle(Params(mu=mu, beta=beta, eps=eps),
-                                    seed) is None
+    p = Params(mu=4.0, beta=1.0, eps=-1.0)
+    assert find_limit_cycle(p, State(2.0, 0.0)) is None
+    assert calls == []
+
+
+@pytest.mark.parametrize("beta,eps", [(0.0, -1.0), (1.0, -1.0), (1.0, 0.0)])
+def test_no_return_map_search_for_nonpositive_eps(monkeypatch, beta, eps):
+    # y' = x (beta - eps x^2) > 0 on {y = 0, x > 0}: no orbit crosses the
+    # section downward, so the search returns None without integrating
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _to_section(*args)
+
+    monkeypatch.setattr(detect, "_to_section", counting)
+    p = Params(mu=0.1, beta=beta, eps=eps)
+    for k in range(8):  # the criterion-7 seed ring
+        ang = 2.0 * math.pi * k / 8
+        seed = State(2.2 * math.cos(ang), 2.2 * math.sin(ang))
+        assert find_limit_cycle(p, seed) is None
     assert calls == []
     # the counter sees the searches that do integrate
     assert find_limit_cycle(Params(mu=-0.1, beta=1.0, eps=2.0),

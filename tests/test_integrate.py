@@ -1,8 +1,13 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qvdp
 from qvdp.integrate import (DEFAULT_TOL, Direction, NonFinite,
                             detect_crossings, integrate, stroboscopic)
 from qvdp.model import (Params, State, divergence, forced_rhs_3d,
@@ -199,6 +204,35 @@ def test_stroboscopic_per_period_grid_holds_the_strobe():
     fine = stroboscopic(p, (0.0, 1.2), 5, per_period=4)
     assert fine.shape == (21, 2)
     assert np.array_equal(fine[::4], stroboscopic(p, (0.0, 1.2), 5))
+
+
+def test_cli_paths_load_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: importing the CLI, classifying,
+    # sweeping, checking the Melnikov function and drawing a portrait with
+    # its cycle search load no scipy module (the forced run is checked in
+    # test_cli)
+    code = "\n".join([
+        "import sys",
+        "import qvdp.cli",
+        "def scipy_modules():",
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "print(scipy_modules())",
+        "for argv in sys.argv[1:]:",
+        "    assert qvdp.cli.main(argv.split()) == 0, argv",
+        "    print(scipy_modules())",
+    ])
+    params = "--beta 1 --eps 2 --mu -0.1"
+    runs = [f"classify {params} --out {tmp_path / 'c.json'}",
+            f"sweep --eps 2 --grid beta:0.5:1.5:3 --grid mu:-0.3:0.1:3 "
+            f"--out {tmp_path / 's.csv'}",
+            f"melnikov {params} --out {tmp_path / 'm.json'}",
+            f"portrait {params} --seed 2,0 --t1 10 --format svg "
+            f"--out {tmp_path / 'p.csv'}"]
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(qvdp.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code, *runs], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split("\n")[:-1] == ["[]"] * (1 + len(runs))
+    assert (tmp_path / "p.svg").exists()
 
 
 # --- scipy's solve_ivp as the reference of the stepper ------------------------
