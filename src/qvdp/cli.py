@@ -101,7 +101,7 @@ def cmd_portrait(args) -> int:
     rhs = unforced_rhs(p)
     escape_radius = detect.escape_bound(p, _PORTRAIT_ESCAPE)
 
-    kept = []  # (seed id, trajectory)
+    kept = []  # (seed id, trajectory on its refined grid)
     for sid, seed in enumerate(args.seed):
         err = None
         try:
@@ -120,7 +120,7 @@ def cmd_portrait(args) -> int:
             print(f"warning: seed {sid} escaped to infinity at "
                   f"t={traj.t1:.6g} (partial trajectory kept)",
                   file=sys.stderr)
-        kept.append((sid, traj))
+        kept.append((sid, traj.refined()))
     if not kept:
         print("error: all seeds failed to integrate", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -1,14 +1,13 @@
 """Adaptive ODE integration with dense output and section-crossing events.
 
-One embedded Runge-Kutta stepper serves every integration in the package.
-It carries two Dormand-Prince pairs (Hairer, Norsett & Wanner, *Solving
-Ordinary Differential Equations I*, ch. II.4-6): RK45, the 5(4) pair with
-Shampine's free quartic interpolant, and DOP853, the 8(5,3) pair with its
-7th-order dense output for long high-accuracy runs.  Step control is the
-standard one -- the initial-step rule of HNW II.4, an RMS error norm
-against ``atol + rtol * |y|``, safety factor 0.9, step factors limited to
-[0.2, 10] and no growth right after a rejection -- so a run takes the same
-steps as scipy's ``solve_ivp`` with the same method and tolerances, up to
+One embedded Runge-Kutta stepper serves every integration in the package:
+DOP853, the Dormand-Prince 8(5,3) pair with its 7th-order dense output
+(Hairer, Norsett & Wanner, *Solving Ordinary Differential Equations I*,
+ch. II.5-6, and Hairer's dop853.f).  Step control is the standard one --
+the initial-step rule of HNW II.4, an RMS error norm against
+``atol + rtol * |y|``, safety factor 0.9, step factors limited to [0.2, 10]
+and no growth right after a rejection -- so a run takes the same steps as
+scipy's ``solve_ivp(method="DOP853")`` with the same tolerances, up to
 rounding: sums run in another order, which can flip an accept/reject
 decision that sits on the bound.  The stage arithmetic runs on Python
 floats: the states here have two or three components, where array
@@ -17,7 +16,8 @@ operations cost more than they compute.
 On top of the stepper the module provides:
 
 * a :class:`Trajectory` value carrying samples, the per-step interpolant
-  and exact step counts;
+  and exact step counts, and a finer grid of interpolant points per step
+  (:meth:`Trajectory.refined`);
 * escape detection on the first two state components (x, y; further
   components of an augmented state are not monitored) -- for eps <= 0
   the oscillator genuinely blows up in finite time, which is a reportable
@@ -37,7 +37,7 @@ from __future__ import annotations
 import enum
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -93,53 +93,13 @@ class Direction(enum.Enum):
     DOWN = -1   # decreasing
 
 
-# --- Dormand-Prince pairs ----------------------------------------------------
+# --- DOP853 -----------------------------------------------------------------
 
 def _lower(rows: Sequence[dict]) -> tuple:
     """Dense rows of a strictly lower-triangular matrix given sparsely."""
     return tuple(tuple(r.get(j, 0.0) for j in range(i + 1))
                  for i, r in enumerate(rows))
 
-
-@dataclass(frozen=True)
-class _Pair:
-    c: tuple           # nodes of stages 1.. (stage 0 sits at t)
-    a: tuple           # row i combines stages 0..i into stage i + 1
-    b: tuple           # weights of the propagated solution
-    error_order: int   # order q of the embedded error estimate
-    poly: tuple        # per interpolant row: weights over the stages
-    c_dense: tuple = ()    # extra stages of the interpolant (DOP853)
-    a_dense: tuple = ()
-
-
-_RK45 = _Pair(
-    c=(1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0),
-    a=((1 / 5,),
-       (3 / 40, 9 / 40),
-       (44 / 45, -56 / 15, 32 / 9),
-       (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-       (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)),
-    b=(35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-    error_order=4,
-    # Shampine's quartic: rows q_0..q_3 (see _rk45_coef) over 7 stages
-    poly=tuple(zip(
-        (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
-         -12715105075 / 11282082432),
-        (0.0, 0.0, 0.0, 0.0),
-        (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-         87487479700 / 32700410799),
-        (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
-         -10690763975 / 1880347072),
-        (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-         701980252875 / 199316789632),
-        (0.0, -282668133 / 205662961, 2019193451 / 616988883,
-         -1453857185 / 822651844),
-        (0.0, 40617522 / 29380423, -110615467 / 29380423,
-         69997945 / 29380423))),
-)
-# error weights over the six stages and the derivative at the new point
-_RK45_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200,
-           -22 / 525, 1 / 40)
 
 # DOP853 (Hairer's dop853.f): row i combines stages 0..i into stage i + 1;
 # row 11 holds the solution weights, rows 12-14 the interpolant's stages
@@ -243,61 +203,57 @@ _DOP_C = (0.526001519587677318785587544488e-01,
           0.2,
           0.777777777777777777777777777778)
 _DOP_B = _DOP_A[11]
-_DOP853 = _Pair(
-    c=_DOP_C[:11], a=_DOP_A[:11], b=_DOP_B, error_order=7,
-    c_dense=_DOP_C[12:], a_dense=_DOP_A[12:],
-    # rows F_3..F_6 of the interpolant (see _dop853_coef) over 16 stages
-    poly=tuple(
-        tuple(r.get(j, 0.0) for j in range(16)) for r in (
-            {0: -0.84289382761090128651353491142e+1,
-             5: 0.56671495351937776962531783590,
-             6: -0.30689499459498916912797304727e+1,
-             7: 0.23846676565120698287728149680e+1,
-             8: 0.21170345824450282767155149946e+1,
-             9: -0.87139158377797299206789907490,
-             10: 0.22404374302607882758541771650e+1,
-             11: 0.63157877876946881815570249290,
-             12: -0.88990336451333310820698117400e-1,
-             13: 0.18148505520854727256656404962e+2,
-             14: -0.91946323924783554000451984436e+1,
-             15: -0.44360363875948939664310572000e+1},
-            {0: 0.10427508642579134603413151009e+2,
-             5: 0.24228349177525818288430175319e+3,
-             6: 0.16520045171727028198505394887e+3,
-             7: -0.37454675472269020279518312152e+3,
-             8: -0.22113666853125306036270938578e+2,
-             9: 0.77334326684722638389603898808e+1,
-             10: -0.30674084731089398182061213626e+2,
-             11: -0.93321305264302278729567221706e+1,
-             12: 0.15697238121770843886131091075e+2,
-             13: -0.31139403219565177677282850411e+2,
-             14: -0.93529243588444783865713862664e+1,
-             15: 0.35816841486394083752465898540e+2},
-            {0: 0.19985053242002433820987653617e+2,
-             5: -0.38703730874935176555105901742e+3,
-             6: -0.18917813819516756882830838328e+3,
-             7: 0.52780815920542364900561016686e+3,
-             8: -0.11573902539959630126141871134e+2,
-             9: 0.68812326946963000169666922661e+1,
-             10: -0.10006050966910838403183860980e+1,
-             11: 0.77771377980534432092869265740,
-             12: -0.27782057523535084065932004339e+1,
-             13: -0.60196695231264120758267380846e+2,
-             14: 0.84320405506677161018159903784e+2,
-             15: 0.11992291136182789328035130030e+2},
-            {0: -0.25693933462703749003312586129e+2,
-             5: -0.15418974869023643374053993627e+3,
-             6: -0.23152937917604549567536039109e+3,
-             7: 0.35763911791061412378285349910e+3,
-             8: 0.93405324183624310003907691704e+2,
-             9: -0.37458323136451633156875139351e+2,
-             10: 0.10409964950896230045147246184e+3,
-             11: 0.29840293426660503123344363579e+2,
-             12: -0.43533456590011143754432175058e+2,
-             13: 0.96324553959188282948394950600e+2,
-             14: -0.39177261675615439165231486172e+2,
-             15: -0.14972683625798562581422125276e+3})),
-)
+# rows F_3..F_6 of the interpolant (see _dop853_coef) over 16 stages
+_DOP_POLY = tuple(
+    tuple(r.get(j, 0.0) for j in range(16)) for r in (
+        {0: -0.84289382761090128651353491142e+1,
+         5: 0.56671495351937776962531783590,
+         6: -0.30689499459498916912797304727e+1,
+         7: 0.23846676565120698287728149680e+1,
+         8: 0.21170345824450282767155149946e+1,
+         9: -0.87139158377797299206789907490,
+         10: 0.22404374302607882758541771650e+1,
+         11: 0.63157877876946881815570249290,
+         12: -0.88990336451333310820698117400e-1,
+         13: 0.18148505520854727256656404962e+2,
+         14: -0.91946323924783554000451984436e+1,
+         15: -0.44360363875948939664310572000e+1},
+        {0: 0.10427508642579134603413151009e+2,
+         5: 0.24228349177525818288430175319e+3,
+         6: 0.16520045171727028198505394887e+3,
+         7: -0.37454675472269020279518312152e+3,
+         8: -0.22113666853125306036270938578e+2,
+         9: 0.77334326684722638389603898808e+1,
+         10: -0.30674084731089398182061213626e+2,
+         11: -0.93321305264302278729567221706e+1,
+         12: 0.15697238121770843886131091075e+2,
+         13: -0.31139403219565177677282850411e+2,
+         14: -0.93529243588444783865713862664e+1,
+         15: 0.35816841486394083752465898540e+2},
+        {0: 0.19985053242002433820987653617e+2,
+         5: -0.38703730874935176555105901742e+3,
+         6: -0.18917813819516756882830838328e+3,
+         7: 0.52780815920542364900561016686e+3,
+         8: -0.11573902539959630126141871134e+2,
+         9: 0.68812326946963000169666922661e+1,
+         10: -0.10006050966910838403183860980e+1,
+         11: 0.77771377980534432092869265740,
+         12: -0.27782057523535084065932004339e+1,
+         13: -0.60196695231264120758267380846e+2,
+         14: 0.84320405506677161018159903784e+2,
+         15: 0.11992291136182789328035130030e+2},
+        {0: -0.25693933462703749003312586129e+2,
+         5: -0.15418974869023643374053993627e+3,
+         6: -0.23152937917604549567536039109e+3,
+         7: 0.35763911791061412378285349910e+3,
+         8: 0.93405324183624310003907691704e+2,
+         9: -0.37458323136451633156875139351e+2,
+         10: 0.10409964950896230045147246184e+3,
+         11: 0.29840293426660503123344363579e+2,
+         12: -0.43533456590011143754432175058e+2,
+         13: 0.96324553959188282948394950600e+2,
+         14: -0.39177261675615439165231486172e+2,
+         15: -0.14972683625798562581422125276e+3}))
 # 5th- and 3rd-order error weights over the 12 stages and the new derivative
 _DOP_E5 = (0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
            -0.1225156446376204440720569753e+1,
@@ -313,9 +269,10 @@ _DOP_E3 = tuple(
          11: 0.220588235294117647058823529412e-1}.get(j, 0.0)
     for j, w in enumerate(_DOP_B + (0.0,)))
 
-_PAIRS = {"RK45": _RK45, "DOP853": _DOP853}
+_ERROR_ORDER = 7  # order of the embedded error estimate
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EPS = math.ulp(1.0)  # machine epsilon
+_SUBSAMPLES = 4  # interior interpolant points per step of Trajectory.refined
 
 
 class _Step(NamedTuple):
@@ -333,12 +290,11 @@ def _rms(v) -> float:
     return math.sqrt(sum(e * e for e in v)) / len(v) ** 0.5
 
 
-def _error_norm(pair: _Pair, ks, h: float, scale) -> float:
-    """Scaled local error of the step attempt whose stages are ``ks``."""
-    if pair is _RK45:
-        return _rms([sum(map(mul, _RK45_E, k)) * h / s
-                     for k, s in zip(ks, scale)])
-    # DOP853 blends its 5th- and 3rd-order estimates (HNW II.10)
+def _error_norm(ks, h: float, scale) -> float:
+    """Scaled local error of the step attempt whose stages are ``ks``.
+
+    DOP853 blends its 5th- and 3rd-order estimates (HNW II.10).
+    """
     e5 = [sum(map(mul, _DOP_E5, k)) / s for k, s in zip(ks, scale)]
     e3 = [sum(map(mul, _DOP_E3, k)) / s for k, s in zip(ks, scale)]
     n5, n3 = sum(e * e for e in e5), sum(e * e for e in e3)
@@ -347,24 +303,14 @@ def _error_norm(pair: _Pair, ks, h: float, scale) -> float:
     return abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * len(scale))
 
 
-def _rk45_coef(ks: np.ndarray) -> np.ndarray:
-    """RK45 interpolant rows q_0..q_3 from stage derivatives (..., n, 7).
-
-    y(t + x h) = y + h x (q_0 + x (q_1 + x (q_2 + x q_3))).  Elementwise
-    sums, so the rows of one step come out the same alone or in a batch.
-    """
-    return np.stack([sum(ks[..., s] * w for s, w in enumerate(col))
-                     for col in _RK45.poly], axis=-2)
-
-
 def _dop853_coef(fun, step: _Step) -> np.ndarray:
-    """DOP853 interpolant rows F_0..F_6 (see :func:`_interp_eval`).
+    """Interpolant rows F_0..F_6 of one step (see :func:`_interp_eval`).
 
     They take three more stages, appended to ``step.ks`` (three
     evaluations of ``fun``), so call this at most once per step.
     """
     t, y, h, ks = step.t, step.y, step.h, step.ks
-    for c, row in zip(_DOP853.c_dense, _DOP853.a_dense):
+    for c, row in zip(_DOP_C[12:], _DOP_A[12:]):
         ys = [yi + sum(map(mul, row, k)) * h for yi, k in zip(y, ks)]
         for k, v in zip(ks, fun(t + c * h, ys)):
             k.append(v)
@@ -374,19 +320,16 @@ def _dop853_coef(fun, step: _Step) -> np.ndarray:
         dy,
         [h * fo - d for fo, d in zip(f_old, dy)],
         [2 * d - h * (fn + fo) for d, fn, fo in zip(dy, step.f_new, f_old)],
-        *([h * sum(map(mul, row, k)) for k in ks] for row in _DOP853.poly)])
+        *([h * sum(map(mul, row, k)) for k in ks] for row in _DOP_POLY)])
 
 
-def _interp_eval(pair: _Pair, x, h, y_old, coef):
-    """State at fraction ``x`` of a step from its interpolant coefficients.
+def _interp_eval(x, y_old, coef):
+    """State at fraction ``x`` of a step from its interpolant rows.
 
     ``coef[..., j, :]`` is row j; broadcasting evaluates one step at many
     fractions or many steps at once, elementwise, so a sample does not
     depend on the others evaluated with it.
     """
-    if pair is _RK45:
-        q = [coef[..., j, :] for j in range(4)]
-        return y_old + h * (x * (q[0] + x * (q[1] + x * (q[2] + x * q[3]))))
     # y_old + x (F_0 + (1 - x) (F_1 + x (F_2 + ... + (1 - x) (F_5 + x F_6))))
     y = coef[..., 6, :] * x
     for j in range(5, -1, -1):
@@ -397,8 +340,7 @@ def _interp_eval(pair: _Pair, x, h, y_old, coef):
 class _Dense:
     """Piecewise interpolant over the accepted steps of a run."""
 
-    def __init__(self, pair, direction, bounds, h, y_old, coef):
-        self._pair = pair
+    def __init__(self, direction, bounds, h, y_old, coef):
         self._key = direction * bounds   # ascending
         self._t_old = bounds[:-1]
         self._h = h
@@ -411,10 +353,8 @@ class _Dense:
         # times outside the run extrapolate the first or last step
         seg = np.searchsorted(self._key, self._direction * times) - 1
         np.clip(seg, 0, len(self._h) - 1, out=seg)
-        h = self._h[seg][:, None]
-        x = (times - self._t_old[seg])[:, None] / h
-        return _interp_eval(self._pair, x, h, self._y_old[seg],
-                            self._coef[seg])
+        x = (times - self._t_old[seg])[:, None] / self._h[seg][:, None]
+        return _interp_eval(x, self._y_old[seg], self._coef[seg])
 
 
 @dataclass(frozen=True)
@@ -440,6 +380,17 @@ class Trajectory:
         if self._dense is None:
             raise ValueError("trajectory was built without dense output")
         return self._dense(np.atleast_1d(np.asarray(times, dtype=float)))
+
+    def refined(self) -> "Trajectory":
+        """The run on a finer grid: the dense interpolant at the samples
+        and at ``_SUBSAMPLES`` evenly spaced interior times between each
+        two, in the trajectory's time order.  Without ``t_eval`` the
+        samples are the step ends, so the grid follows the step sizes."""
+        t = self.t
+        frac = np.arange(_SUBSAMPLES + 1) / (_SUBSAMPLES + 1)
+        grid = np.append((t[:-1, None] + frac * np.diff(t)[:, None]).ravel(),
+                         t[-1:])
+        return replace(self, t=grid, states=self.at(grid))
 
     @property
     def t1(self) -> float:
@@ -514,10 +465,10 @@ def _brent(f: Callable[[float], float], a: float, b: float,
                         "iterations")
 
 
-def _initial_step(fun, t0, y0, f0, t1, direction, order, atol, rtol):
+def _initial_step(fun, t0, y0, f0, t1, direction, atol, rtol):
     """First step size from the local behaviour at t0 (HNW II.4).
 
-    ``order`` is that of the error estimate.  Costs one evaluation.
+    Costs one evaluation.
     """
     span = abs(t1 - t0)
     scale = [atol + abs(v) * rtol for v in y0]
@@ -531,7 +482,7 @@ def _initial_step(fun, t0, y0, f0, t1, direction, order, atol, rtol):
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
+        h1 = (0.01 / max(d1, d2)) ** (1 / (_ERROR_ORDER + 1))
     return min(100 * h0, h1, span)
 
 
@@ -539,7 +490,6 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
               s0,
               t_span: tuple[float, float],
               tol=DEFAULT_TOL,
-              method: str = "RK45",
               dense: bool = True,
               t_eval: Optional[Sequence[float]] = None,
               escape_radius: float = 1e4,
@@ -552,7 +502,6 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
     s0 : array-like initial state
     t_span : (t0, t1), both finite and distinct
     tol : (abs, rel) pair, both within [1e-13, 1e-3]
-    method : "RK45" (default) or "DOP853"
     dense : keep the interpolant for later evaluation / event refinement
     t_eval : optional explicit sample times within ``t_span``, ordered
         along it; samples come from the step interpolants, so the steps
@@ -569,8 +518,8 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
     Raises
     ------
     ValueError
-        tolerance out of bounds, unknown method, empty or non-finite
-        ``t_span``, or non-finite initial state
+        tolerance out of bounds, empty or non-finite ``t_span``, or
+        non-finite initial state
     NonFinite
         state crossed ``escape_radius`` (partial trajectory attached)
     StepUnderflow
@@ -581,8 +530,6 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
     atol, rtol = tol
     if not (TOL_FLOOR <= atol <= TOL_CEIL and TOL_FLOOR <= rtol <= TOL_CEIL):
         raise ValueError(f"tolerances must lie in [{TOL_FLOOR}, {TOL_CEIL}]")
-    if method not in _PAIRS:
-        raise ValueError(f"unknown method {method!r} (use RK45 or DOP853)")
     t0, t1 = map(float, t_span)
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError("t_span must be finite")
@@ -613,11 +560,10 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
         events.append((lambda t, s: stop_event(t, np.asarray(s)),
                        getattr(stop_event, "direction", 0)))
 
-    pair = _PAIRS[method]
     y = y0.tolist()
     # flat float buffers: the step ends and their states; with dense output
-    # the step ends and, per step, h, the start state and the stage
-    # derivatives (RK45) or the interpolant rows (DOP853)
+    # the step ends and, per step, h, the start state and the interpolant
+    # rows
     ts, ys = array("d", [t0]), array("d", y)
     bounds, pieces = array("d", [t0]), array("d")
     samples, n_samples = [], 0  # blocks of t_eval states
@@ -635,8 +581,8 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
                            escaped=True))
         g = [ev(t0, y) for ev, _ in events]
         t_last = t0
-        for step, n_rejected in _dormand_prince(fun, pair, t0, y, f, t1,
-                                                atol, rtol):
+        for step, n_rejected in _dormand_prince(fun, t0, y, f, t1, atol,
+                                                rtol):
             accepted += 1
             rejected += n_rejected
             t_end, y_end = step.t_new, step.y_new
@@ -645,8 +591,7 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
             def coefficients():
                 nonlocal coef
                 if coef is None:
-                    coef = (_rk45_coef(np.array(step.ks)) if pair is _RK45
-                            else _dop853_coef(fun, step))
+                    coef = _dop853_coef(fun, step)
                 return coef
             g_new = [ev(t_end, y_end) for ev, _ in events]
             hit = [i for i, ((_, d), a, b) in enumerate(zip(events, g, g_new))
@@ -656,8 +601,7 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
                 y_arr, c_arr = np.array(step.y), coefficients()
 
                 def state(s):
-                    return _interp_eval(pair, (s - step.t) / step.h, step.h,
-                                        y_arr, c_arr)
+                    return _interp_eval((s - step.t) / step.h, y_arr, c_arr)
                 roots = [_brent(lambda s: events[i][0](s, state(s)),
                                 step.t, t_end, 4 * _EPS, 4 * _EPS)
                          for i in hit]
@@ -675,23 +619,17 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
                     stop += 1
                 if stop > n_samples:
                     x = ((t_eval[n_samples:stop] - step.t) / step.h)[:, None]
-                    samples.append(_interp_eval(pair, x, step.h,
-                                                np.array(step.y),
+                    samples.append(_interp_eval(x, np.array(step.y),
                                                 coefficients()))
                     n_samples = stop
             if t_eval is None and t_end != t_last:
                 ts.append(t_end)  # a root at the step start adds no sample
                 ys.extend(y_end)
             if dense:
-                # RK45 keeps its stages, whose rows form in one batch below
                 bounds.append(t_end)
                 pieces.append(step.h)
                 pieces.extend(step.y)
-                if pair is _RK45:
-                    for k in step.ks:
-                        pieces.extend(k)
-                else:
-                    pieces.frombytes(coefficients().tobytes())
+                pieces.frombytes(coefficients().tobytes())
             t_last = t_end
             if hit:
                 break
@@ -705,13 +643,10 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
         states = np.vstack(samples) if samples else np.empty((0, n))
     interp = None
     if dense:
-        # views of the buffer; the RK45 stages are let go once formed
         rows = np.frombuffer(pieces).reshape(len(bounds) - 1, -1)
-        rest = rows[:, 1 + n:]
-        coef = (_rk45_coef(rest.reshape(-1, n, 7)) if pair is _RK45
-                else rest.reshape(-1, 7, n))
-        interp = _Dense(pair, direction, np.frombuffer(bounds),
-                        rows[:, 0].copy(), rows[:, 1:1 + n].copy(), coef)
+        interp = _Dense(direction, np.frombuffer(bounds), rows[:, 0].copy(),
+                        rows[:, 1:1 + n].copy(),
+                        rows[:, 1 + n:].reshape(-1, 7, n))  # a view
     traj = Trajectory(t=t_out, states=states, stats=stats, escaped=escaped,
                       stopped=stopped, _dense=interp)
     if escaped:
@@ -720,18 +655,17 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
     return traj
 
 
-def _dormand_prince(fun, pair: _Pair, t: float, y: list, f: list,
-                    t_bound: float, atol: float, rtol: float):
-    """Accepted steps of ``pair`` from (t, y), where y' = f, up to t_bound.
+def _dormand_prince(fun, t: float, y: list, f: list, t_bound: float,
+                    atol: float, rtol: float):
+    """Accepted DOP853 steps from (t, y), where y' = f, up to t_bound.
 
     Yields each accepted :class:`_Step` with the number of attempts
     rejected before it.  Raises :class:`StepUnderflow` once the step size
     falls below ten float spacings of t.
     """
     direction = 1.0 if t_bound > t else -1.0
-    exponent = -1 / (pair.error_order + 1)
-    h_abs = _initial_step(fun, t, y, f, t_bound, direction, pair.error_order,
-                          atol, rtol)
+    exponent = -1 / (_ERROR_ORDER + 1)
+    h_abs = _initial_step(fun, t, y, f, t_bound, direction, atol, rtol)
     while direction * (t - t_bound) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -745,10 +679,10 @@ def _dormand_prince(fun, pair: _Pair, t: float, y: list, f: list,
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            y_new, f_new, ks = _stages(fun, pair, t, y, f, h)
+            y_new, f_new, ks = _stages(fun, t, y, f, h)
             scale = [atol + max(abs(a), abs(b)) * rtol
                      for a, b in zip(y, y_new)]
-            err = _error_norm(pair, ks, h, scale)
+            err = _error_norm(ks, h, scale)
             if err < 1:
                 factor = _MAX_FACTOR if err == 0 else min(
                     _MAX_FACTOR, _SAFETY * err ** exponent)
@@ -760,22 +694,21 @@ def _dormand_prince(fun, pair: _Pair, t: float, y: list, f: list,
         t, y, f = t_new, y_new, f_new
 
 
-def _stages(fun, pair: _Pair, t: float, y: list, f: list, h: float):
+def _stages(fun, t: float, y: list, f: list, h: float):
     """One step attempt: the new state and derivative, and the stage
     derivatives per component (the new derivative last)."""
     ks = [[fi] for fi in f]
-    for c, row in zip(pair.c, pair.a):
+    for c, row in zip(_DOP_C[:11], _DOP_A[:11]):
         ys = [yi + sum(map(mul, row, k)) * h for yi, k in zip(y, ks)]
         for k, v in zip(ks, fun(t + c * h, ys)):
             k.append(v)
-    y_new = [yi + h * sum(map(mul, pair.b, k)) for yi, k in zip(y, ks)]
+    y_new = [yi + h * sum(map(mul, _DOP_B, k)) for yi, k in zip(y, ks)]
     f_new = fun(t + h, y_new)
     for k, v in zip(ks, f_new):
         k.append(v)
     return y_new, f_new, ks
 
 
-_SUBSAMPLES = 4  # interior dense-output probes per accepted step
 _RESIDUAL_TOL = 1e-10  # |section| at a refined crossing
 
 
@@ -785,26 +718,21 @@ def detect_crossings(traj: Trajectory,
                      ) -> list[SectionEvent]:
     """All crossings of ``section(state) == 0`` along a trajectory.
 
-    The section is sampled at every accepted step plus interior points of
-    the dense interpolant; each sign-change bracket is refined by Brent
-    root bracketing on the interpolant until |section| < 1e-10.
+    The section is sampled on :meth:`Trajectory.refined`; each sign-change
+    bracket is refined by Brent root bracketing on the interpolant until
+    |section| < 1e-10.
 
     ``direction`` filters for increasing (UP) or decreasing (DOWN)
     crossings; None keeps both.  Events are returned in strictly
     increasing time order.
     """
-    if traj._dense is None:
-        raise ValueError("crossing detection requires dense output")
-    ts = traj.t
-    if len(ts) < 2:
+    fine = traj.refined()  # a ValueError without dense output
+    if len(fine.t) < 2:
         return []
-    # refined time grid: step endpoints + interior probes
-    fine = [ts]
-    for k in range(1, _SUBSAMPLES + 1):
-        frac = k / (_SUBSAMPLES + 1)
-        fine.append(ts[:-1] + frac * np.diff(ts))
-    tgrid = np.sort(np.concatenate(fine))
-    g = np.array([section(s) for s in traj.at(tgrid)])
+    tgrid, states = fine.t, fine.states
+    if tgrid[0] > tgrid[-1]:  # a backward run: scan in increasing time
+        tgrid, states = tgrid[::-1], states[::-1]
+    g = np.array([section(s) for s in states])
 
     def gfun(t):
         return section(traj.at(t)[0])
@@ -817,8 +745,7 @@ def detect_crossings(traj: Trajectory,
                 continue  # starts on the section / grazing: not a crossing
             d = Direction.UP if g[i - 1] < 0 else Direction.DOWN
             if direction is None or d is direction:
-                events.append(SectionEvent(float(tgrid[i]),
-                                           traj.at(tgrid[i])[0], d))
+                events.append(SectionEvent(float(tgrid[i]), states[i], d))
             continue
         if ga * gb >= 0.0:
             continue
@@ -839,8 +766,8 @@ def stroboscopic(p: Params, s0, n: int, per_period: int = 1) -> np.ndarray:
     """Forced-system states at t = k * T / per_period, k = 0..n*per_period.
 
     T = 2*pi/omega is the forcing period and n >= 1 the number of periods.
-    The forced system is integrated with DOP853 at ``DEFAULT_TOL`` as its
-    3D autonomous extension (x, y, theta); samples are taken on the exact
+    The forced system is integrated at ``DEFAULT_TOL`` as its 3D
+    autonomous extension (x, y, theta); samples are taken on the exact
     grid ``arange(n*per_period + 1) * (T/per_period)`` from the step
     interpolants, so the steps, and every ``per_period``-th row, do not
     depend on ``per_period``.  Returns an (n*per_period + 1) x 2 array of
@@ -855,5 +782,5 @@ def stroboscopic(p: Params, s0, n: int, per_period: int = 1) -> np.ndarray:
     rhs = forced_rhs_3d(p)
     t_eval = np.arange(n * per_period + 1) * (T / per_period)
     traj = integrate(rhs, np.array([x0, y0, 0.0]), (0.0, n * T),
-                     method="DOP853", dense=False, t_eval=t_eval)
+                     dense=False, t_eval=t_eval)
     return traj.states[:, :2].copy()

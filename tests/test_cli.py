@@ -16,9 +16,10 @@ import pytest
 import qvdp
 from qvdp import cli
 from qvdp.cli import build_parser, main
-from qvdp.detect import classify_forced, find_limit_cycle
-from qvdp.model import Params, State
-from qvdp.output import csv_lines, dumps_json, fmt, rows_to_csv
+from qvdp.detect import classify_forced, escape_bound, find_limit_cycle
+from qvdp.integrate import integrate
+from qvdp.model import Params, State, unforced_rhs
+from qvdp.output import PortraitSVG, csv_lines, dumps_json, fmt, rows_to_csv
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "src", "qvdp",
                            "schemas", "cli.schema.json")
@@ -411,6 +412,34 @@ def test_portrait_svg_draws_the_search_orbit(tmp_path):
     cyc = find_limit_cycle(Params(mu=-0.1, beta=1.0, eps=2.0), State(2.0, 0.0))
     polygons = _polygons((tmp_path / "p.svg").read_text())
     assert [len(pts) for pts in polygons] == [len(cyc.path)]
+
+
+def _polylines(svg: str) -> list[list[str]]:
+    return [chunk.split('points="')[1].split('"')[0].split()
+            for chunk in svg.split("<polyline")[1:]]
+
+
+@pytest.mark.parametrize("seed, t1", [((2.0, 0.0), 10.0), ((0.8, 0.0), -10.0)])
+def test_portrait_rows_are_the_refined_grid(seed, t1, tmp_path):
+    # rows and polyline are the step ends plus the interior interpolant
+    # points of Trajectory.refined, in the run's time order
+    out = tmp_path / "p.csv"
+    assert _run(["portrait", "--beta", "1", "--eps", "2", "--mu", "-0.1",
+                 f"--seed={seed[0]},{seed[1]}", "--t1", str(t1),
+                 "--format", "svg", "--out", str(out)]) == 0
+    p = Params(mu=-0.1, beta=1.0, eps=2.0)
+    fine = integrate(unforced_rhs(p), np.array(seed), (0.0, t1),
+                     tol=(1e-12, 1e-10),
+                     escape_radius=escape_bound(p, cli._PORTRAIT_ESCAPE)
+                     ).refined()
+    rows = np.array([[float(v) for v in line.split(",")[1:]]
+                     for line in out.read_text().split("\n")[1:] if line])
+    assert np.array_equal(rows, np.column_stack([fine.t, fine.states]))
+    assert np.all(np.sign(t1) * np.diff(rows[:, 0]) > 0)
+    ref = PortraitSVG(half_width=3.0)
+    ref.polyline(fine.states)
+    assert _polylines((tmp_path / "p.svg").read_text()) == \
+        _polylines(ref.render())
 
 
 def test_portrait_keeps_large_cycle_past_fixed_bound(tmp_path, capsys):
