@@ -12,29 +12,65 @@ bifurcation  pitchfork/Hopf/homoclinic curves, normal form, Melnikov,
              region classifier with non-existence certificates
 compactify   Poincare-disk charts and the equilibria at infinity
 integrate    adaptive Runge-Kutta integration, section events, stroboscopic map
+errors       the IntegrationError family, re-exported by integrate
 detect       limit-cycle detection, separatrix shooting, forced-attractor verdicts
 cli          command-line interface (`qvdp ...`)
+
+The names below are exported from the package and resolve on first use
+(PEP 562): ``import qvdp`` loads no submodule, so the closed forms do not
+pay for numpy and the integrator.  Each access looks the name up in its
+submodule afresh; nothing resolved is stored on the package.
 """
 
-from .model import Params, State
-from .equilibria import (EqLabel, Equilibrium, EquilibriumKind, CriticalMus,
-                         critical_mus, find_equilibria)
-from .bifurcation import (Certificate, CertificateKind, CyclePrediction,
-                          HopfData, MelnikovMethod, MelnikovResult,
-                          PitchforkKind, PitchforkReduction, Region,
-                          RegionLabel, classify_region, homoclinic_curve,
-                          hopf_curve, hopf_cycle_prediction, hopf_normal_form,
-                          melnikov, nonexistence_certificate,
-                          pitchfork_reduction, torus_frequency_estimate)
-from .compactify import (InfinityEquilibrium, InfinityLabel, disk_project,
-                         field_chart_u, field_chart_v, infinity_equilibria,
-                         probe_infinity_kind)
-from .integrate import (Direction, NonFinite, NoConvergence, SectionEvent,
-                        StepUnderflow, Trajectory, detect_crossings,
-                        integrate, stroboscopic)
-from .detect import (AttractorReport, LimitCycle, ManifoldEscape,
-                     RotationEstimate, SeparatrixSplit, Verdict,
-                     classify_forced, find_limit_cycle, rotation_number,
-                     separatrix_split, winding_number)
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
+
+_EXPORTS = {name: module for module, names in (
+    ("model", "Params State"),
+    ("equilibria", "EqLabel Equilibrium EquilibriumKind CriticalMus "
+                   "critical_mus find_equilibria"),
+    ("bifurcation", "Certificate CertificateKind CyclePrediction HopfData "
+                    "MelnikovMethod MelnikovResult PitchforkKind "
+                    "PitchforkReduction Region RegionLabel classify_region "
+                    "homoclinic_curve hopf_curve hopf_cycle_prediction "
+                    "hopf_normal_form melnikov nonexistence_certificate "
+                    "pitchfork_reduction torus_frequency_estimate"),
+    ("compactify", "InfinityEquilibrium InfinityLabel disk_project "
+                   "field_chart_u field_chart_v infinity_equilibria "
+                   "probe_infinity_kind"),
+    ("errors", "NonFinite NoConvergence StepUnderflow"),
+    ("integrate", "Direction SectionEvent Trajectory detect_crossings "
+                  "integrate stroboscopic"),
+    ("detect", "AttractorReport LimitCycle ManifoldEscape RotationEstimate "
+               "SeparatrixSplit Verdict classify_forced find_limit_cycle "
+               "rotation_number separatrix_split winding_number"),
+) for name in names.split()}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))
+
+
+class _Package(types.ModuleType):
+    # importing a submodule binds it on the package; the submodule
+    # ``integrate`` would then hide the exported function of that name
+    def __setattr__(self, name, value):
+        if not (name in _EXPORTS and isinstance(value, types.ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -37,8 +37,6 @@ from dataclasses import dataclass, field
 from math import factorial
 from typing import Optional
 
-import numpy as np
-
 from .equilibria import critical_mus, find_equilibria
 from .model import Params, State, field_unforced
 
@@ -154,6 +152,8 @@ def _diagonalized_nonlinearity(p: Params, lam: complex):
     The field formula is evaluated directly at complex arguments, so no
     transcription of shifted Taylor coefficients enters here.
     """
+    import numpy as np
+
     beta = p.beta
     x2 = math.sqrt(beta / p.eps)
     sigma = 2.0 * lam.real
@@ -189,6 +189,8 @@ def _taylor_coeffs(n1, radius: float) -> dict:
     r^(k+l) separates the two total degrees per mode.  Exact for polynomial
     n1 up to rounding.
     """
+    import numpy as np
+
     theta = 2.0 * np.pi * np.arange(_FFT_N) / _FFT_N
     rings = np.exp(1j * theta)
     modes = {}
@@ -211,6 +213,8 @@ def _g_coeffs(p: Params, lam: complex) -> dict:
 
 
 def _c1_from_g(g: dict, lam: complex) -> complex:
+    import numpy as np
+
     lamb = lam.conjugate()
     return (g[(2, 1)] / 2.0
             + g[(0, 2)] * np.conj(g[(0, 2)]) / (2.0 * (2.0 * lam - lamb))
@@ -322,7 +326,8 @@ def melnikov(mu: float, beta: float, eps: float, eps1: float = 1.0,
     Quadrature evaluates int y(t)^2 (mu + x(t)^2 - eps1^2 x(t)^4) dt over
     the explicit loop x = sqrt(2 beta/eps) sech t,
     y = -sqrt(2) beta/sqrt(eps) sech t tanh t, by the trapezoid rule on the
-    nodes t = -40 + 0.05 k, k = 0..1600 (see :class:`MelnikovMethod`).
+    nodes t = -40 + 0.05 k, k = 0..1600, summed by ``math.fsum`` (see
+    :class:`MelnikovMethod`).
     ``scale`` sums the magnitudes of the closed form's terms, which M
     cancels near ``mu3``, the root of M in mu at the given eps1.
 
@@ -341,15 +346,19 @@ def melnikov(mu: float, beta: float, eps: float, eps1: float = 1.0,
         else:
             # h = 0.05; the end nodes, where the integrand is ~1e-34, take
             # weight h rather than h/2, which changes nothing
-            t, h = np.linspace(-_QUAD_T, _QUAD_T, 1601, retstep=True)
-            with np.errstate(over="ignore", invalid="ignore"):
-                sech2 = 1.0 / np.cosh(t) ** 2
-                x2 = (2.0 * beta / eps) * sech2
-                y2 = (2.0 * beta * beta / eps) * sech2 * np.tanh(t) ** 2
-                value = h * float(np.sum(y2 * (mu + x2 - eps1 * eps1 * x2 * x2)))
+            h = 2.0 * _QUAD_T / 1600
+            a, b, e2 = 2.0 * beta / eps, 2.0 * beta * beta / eps, eps1 * eps1
+            terms = []
+            for t in [-_QUAD_T + k * h for k in range(1600)] + [_QUAD_T]:
+                c, th = math.cosh(t), math.tanh(t)
+                sech2 = 1.0 / (c * c)
+                x2 = a * sech2
+                terms.append(b * sech2 * (th * th) * (mu + x2 - e2 * x2 * x2))
+            value = h * math.fsum(terms)
         if not math.isfinite(value):
             raise OverflowError(value)
-    except (OverflowError, ZeroDivisionError) as exc:
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        # fsum raises ValueError on a sum of inf and -inf
         raise ValueError(f"melnikov leaves the float range at "
                          f"beta={beta:g}, eps={eps:g}") from exc
     return MelnikovResult(value, abs(lin) + cub + quart, mu3)

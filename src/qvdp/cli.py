@@ -13,6 +13,10 @@ forced     stroboscopic samples, full time series and attractor verdict; the
 repro      one-command rerun of the six reference unforced parameter sets
            and the two forced ones
 
+Only portrait, forced and repro integrate: they import numpy, integrate and
+detect (portrait also compactify) when they run, so classify, sweep and
+melnikov start and finish without them.
+
 Exit codes: 0 success, 2 usage/parameter error, 3 runtime numerical failure.
 Outputs are deterministic (17-significant-digit numbers, LF line endings).
 CSV rows are streamed as they are formed; an --out file appears only once
@@ -26,11 +30,8 @@ import dataclasses
 import os
 import sys
 
-import numpy as np
-
-from . import bifurcation, detect, equilibria
-from .compactify import disk_project
-from .integrate import IntegrationError, NonFinite, integrate, stroboscopic
+from . import bifurcation, equilibria
+from .errors import IntegrationError, NonFinite
 from .model import Params, State, unforced_rhs
 from .output import PortraitSVG, csv_lines, dumps_json, write_lines
 
@@ -93,6 +94,12 @@ _PORTRAIT_ESCAPE = 10.0  # detect.escape_bound base of the portraits
 
 
 def cmd_portrait(args) -> int:
+    import numpy as np
+
+    from . import detect
+    from .compactify import disk_project
+    from .integrate import integrate
+
     p = _params_from(args)
     if not args.seed:
         raise ValueError("portrait requires at least one --seed x,y")
@@ -150,10 +157,12 @@ def cmd_portrait(args) -> int:
 
 
 def _detect_cycles_for_portrait(p: Params, seeds) -> list:
+    from .detect import find_limit_cycle
+
     found = []
     for seed in seeds:
         try:
-            cyc = detect.find_limit_cycle(p, State(*seed))
+            cyc = find_limit_cycle(p, State(*seed))
         except IntegrationError:
             continue
         if cyc is not None and all(
@@ -175,6 +184,13 @@ def _sweep_cell(mu: float, beta: float, eps: float) -> list:
     return [beta, mu, eps, region, *(_critical_values(p) or ["nan"] * 4)]
 
 
+def _axis(lo: float, hi: float, n: int) -> list:
+    """``np.linspace(lo, hi, n)`` for n >= 2 as floats, bit for bit unless
+    a nonzero span divides to a zero step (bounds a few subnormals apart)."""
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n - 1)] + [hi]
+
+
 def cmd_sweep(args) -> int:
     if len(args.grid) != 2:
         raise ValueError("sweep requires exactly two --grid AXIS:MIN:MAX:N specs")
@@ -183,10 +199,10 @@ def cmd_sweep(args) -> int:
     for name, lo, hi, count in args.grid:
         if name not in base:
             raise ValueError(f"unknown sweep axis {name!r} (use mu, beta or eps)")
-        axes.append((name, np.linspace(lo, hi, count)))
+        axes.append((name, _axis(lo, hi, count)))
     (ax1, vals1), (ax2, vals2) = axes
     # a repeated axis takes its second value, as the later key wins
-    rows = (_sweep_cell(**{**base, ax1: float(v1), ax2: float(v2)})
+    rows = (_sweep_cell(**{**base, ax1: v1, ax2: v2})
             for v1 in vals1 for v2 in vals2)
     write_lines(args.out, csv_lines(("beta", "mu", "eps", "region",
                                      "mu1", "muc", "mu2", "mu3"), rows))
@@ -215,6 +231,11 @@ def cmd_melnikov(args) -> int:
 # --- forced ------------------------------------------------------------------
 
 def cmd_forced(args) -> int:
+    import numpy as np
+
+    from . import detect
+    from .integrate import stroboscopic
+
     p = _params_from(args)
     if p.alpha == 0:
         raise ValueError("forced analysis requires alpha != 0")

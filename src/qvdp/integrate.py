@@ -43,6 +43,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .errors import IntegrationError, NoConvergence, NonFinite, StepUnderflow
 from .model import Params, forced_rhs_3d
 
 __all__ = [
@@ -60,32 +61,6 @@ __all__ = [
 
 DEFAULT_TOL = (1e-12, 1e-10)  # (abs, rel)
 TOL_FLOOR, TOL_CEIL = 1e-13, 1e-3
-
-
-class IntegrationError(RuntimeError):
-    pass
-
-
-class StepUnderflow(IntegrationError):
-    """Step control drove the step size below machine resolution."""
-
-
-class NonFinite(IntegrationError):
-    """The state left the finite domain (escape to infinity).
-
-    The partial trajectory up to the escape event is attached as
-    ``.trajectory``.
-    """
-
-    def __init__(self, msg: str, trajectory: "Trajectory"):
-        super().__init__(msg)
-        self.trajectory = trajectory
-
-
-class NoConvergence(IntegrationError):
-    """An iteration gave up: root bracketing failed on a section or an
-    event, a refined crossing missed the section residual target, or a
-    limit-cycle search spent its 60 returns without closing."""
 
 
 class Direction(enum.Enum):

@@ -11,16 +11,20 @@ pairs.  The Hamiltonian of the eps1 = 0 scaling limit is provided
 alongside the raw fields.
 
 All functions here are pure and operate on 64-bit floats; parameter
-validation happens once, at :class:`Params` construction.
+validation happens once, at :class:`Params` construction.  Only the
+functions that return arrays import numpy (an RHS factory once per call,
+never per evaluation), so the closed forms built on :class:`Params` and
+the scalar fields load none.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Params",
@@ -87,6 +91,8 @@ def field_unforced(s: State, p: Params) -> State:
 
 def jacobian(s: State, p: Params) -> np.ndarray:
     """Jacobian matrix of the unforced field at state ``s`` (2x2 array)."""
+    import numpy as np
+
     x, y = s
     x2 = x * x
     return np.array([
@@ -124,6 +130,8 @@ def hamiltonian(s: State, p: Params) -> float:
 
 def unforced_rhs(p: Params) -> Callable[[float, np.ndarray], np.ndarray]:
     """Closure f(t, [x, y]) -> [x', y'] for the autonomous system."""
+    import numpy as np
+
     mu, beta, eps = p.mu, p.beta, p.eps
 
     def rhs(t, s):
@@ -141,6 +149,8 @@ def forced_rhs_3d(p: Params) -> Callable[[float, np.ndarray], np.ndarray]:
     returned field is time-independent, which keeps section/event machinery
     uniform across the forced and unforced cases.
     """
+    import numpy as np
+
     mu, beta, eps, alpha, omega = p.mu, p.beta, p.eps, p.alpha, p.omega
 
     def rhs(t, s):
@@ -155,6 +165,8 @@ def forced_rhs_3d(p: Params) -> Callable[[float, np.ndarray], np.ndarray]:
 
 def hamiltonian_rhs(p: Params) -> Callable[[float, np.ndarray], np.ndarray]:
     """Closure f(t, [x, y]) for the conservative limit x' = y, y' = beta x - eps x^3."""
+    import numpy as np
+
     beta, eps = p.beta, p.eps
 
     def rhs(t, s):

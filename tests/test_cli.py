@@ -586,6 +586,26 @@ def test_sweep_malformed_grid_spec():
     assert exc.value.code == 2
 
 
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("spec", ["beta:0:3:7", "mu:-1:1:2", "mu:0.3:0.3:5",
+                                  "mu:1.2:-0.8:161", "eps:-2:2.5:301",
+                                  "beta:0.05:3:50", "mu:-0.3:0.1:3"])
+def test_sweep_axis_is_linspace_bit_for_bit(spec):
+    _, lo, hi, n = cli._grid_spec(spec)
+    assert _bits(cli._axis(lo, hi, n)) == _bits(np.linspace(lo, hi, n))
+
+
+def test_sweep_axis_is_linspace_on_random_specs():
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        lo, hi = rng.uniform(-1, 1, 2) * 10.0 ** rng.integers(-8, 9, 2)
+        n = int(rng.integers(2, 400))
+        assert _bits(cli._axis(lo, hi, n)) == _bits(np.linspace(lo, hi, n))
+
+
 # --- forced --------------------------------------------------------------------
 
 def test_forced_outputs_and_schema(tmp_path):
@@ -635,6 +655,39 @@ def test_forced_run_loads_no_scipy(tmp_path):
                          capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n"
     assert "closure" in json.loads((tmp_path / "f.json").read_text())["evidence"]
+
+
+def test_closed_form_paths_load_no_numpy(tmp_path):
+    # classify, sweep and melnikov never load numpy or the integrating
+    # modules; portrait and forced load them on first use
+    code = "\n".join([
+        "import sys",
+        "import qvdp",
+        "import qvdp.cli",
+        "def heavy():",
+        "    return sorted(m for m in sys.modules",
+        "                  if m.split('.')[0] == 'numpy' or m in",
+        "                  ('qvdp.integrate', 'qvdp.detect', 'qvdp.compactify'))",
+        "print(heavy())",
+        "for argv in sys.argv[1:]:",
+        "    print(qvdp.cli.main(argv.split()), heavy() == [])",
+    ])
+    params = "--beta 1 --eps 2 --mu -0.1"
+    runs = [f"classify {params} --out {tmp_path / 'c.json'}",
+            f"sweep --eps 2 --grid beta:0:1.5:4 --grid mu:-0.3:0.1:3 "
+            f"--out {tmp_path / 's.csv'}",
+            f"melnikov {params} --out {tmp_path / 'm.json'}",
+            f"portrait {params} --seed 2,0 --t1 10 --format svg "
+            f"--out {tmp_path / 'p.csv'}",
+            f"forced --mu -0.1 --beta 1 --eps 3 --alpha -0.3 --seed 0,1.2 "
+            f"--n 20 --out {tmp_path / 'f.csv'}"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(qvdp.__file__)))
+    out = subprocess.run([sys.executable, "-c", code, *runs], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split("\n")[:-1] == ["[]", "0 True", "0 True", "0 True",
+                                    "0 False", "0 False"]
+    assert (tmp_path / "p.svg").exists() and (tmp_path / "f.json").exists()
 
 
 def test_forced_requires_alpha():

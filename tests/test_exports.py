@@ -33,3 +33,72 @@ def test_numpy_is_the_only_runtime_dependency():
     names = [d.split(">")[0].split("=")[0].strip()
              for d in pyproject["project"]["dependencies"]]
     assert names == ["numpy"]
+
+
+# every name the package bound when it imported its submodules eagerly, by
+# the submodule that defined it then
+_PACKAGE_NAMES = {
+    "model": "Params State",
+    "equilibria": "EqLabel Equilibrium EquilibriumKind CriticalMus "
+                  "critical_mus find_equilibria",
+    "bifurcation": "Certificate CertificateKind CyclePrediction HopfData "
+                   "MelnikovMethod MelnikovResult PitchforkKind "
+                   "PitchforkReduction Region RegionLabel classify_region "
+                   "homoclinic_curve hopf_curve hopf_normal_form "
+                   "hopf_cycle_prediction melnikov nonexistence_certificate "
+                   "pitchfork_reduction torus_frequency_estimate",
+    "compactify": "InfinityEquilibrium InfinityLabel disk_project "
+                  "field_chart_u field_chart_v infinity_equilibria "
+                  "probe_infinity_kind",
+    "integrate": "Direction NonFinite NoConvergence SectionEvent "
+                 "StepUnderflow Trajectory detect_crossings integrate "
+                 "stroboscopic",
+    "detect": "AttractorReport LimitCycle ManifoldEscape RotationEstimate "
+              "SeparatrixSplit Verdict classify_forced find_limit_cycle "
+              "rotation_number separatrix_split winding_number",
+}
+
+
+def _package_names():
+    for module, names in _PACKAGE_NAMES.items():
+        mod = importlib.import_module(f"qvdp.{module}")
+        for name in names.split():
+            yield name, mod
+
+
+def test_package_names_resolve_to_their_submodule_objects():
+    for name, mod in _package_names():
+        ns = {}
+        exec(f"from qvdp import {name}", ns)
+        assert ns[name] is getattr(mod, name), name
+        assert getattr(qvdp, name) is getattr(mod, name), name
+        assert name in mod.__all__, name
+        assert name in dir(qvdp), name
+
+
+def test_star_import_gives_the_package_names():
+    ns = {}
+    exec("from qvdp import *", ns)
+    del ns["__builtins__"]
+    assert ns == {name: getattr(mod, name) for name, mod in _package_names()}
+
+
+def test_package_names_are_looked_up_on_each_access(monkeypatch):
+    # nothing resolved is stored on the package: a function rebound in its
+    # submodule (as a tracer does) shows through, and so does its restoration
+    from qvdp import detect
+    original = detect.find_limit_cycle
+    assert qvdp.find_limit_cycle is original
+    assert "find_limit_cycle" not in vars(qvdp)
+    monkeypatch.setattr(detect, "find_limit_cycle", len)
+    assert qvdp.find_limit_cycle is len
+    monkeypatch.undo()
+    assert qvdp.find_limit_cycle is original
+    # the submodule of the same name does not hide the function
+    integrate = importlib.import_module("qvdp.integrate")
+    assert qvdp.integrate is integrate.integrate
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        qvdp.nope
