@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -94,8 +95,6 @@ _PORTRAIT_ESCAPE = 10.0  # detect.escape_bound base of the portraits
 
 
 def cmd_portrait(args) -> int:
-    import numpy as np
-
     from . import detect
     from .compactify import disk_project
     from .integrate import integrate
@@ -112,7 +111,7 @@ def cmd_portrait(args) -> int:
     for sid, seed in enumerate(args.seed):
         err = None
         try:
-            traj = integrate(rhs, np.array(seed), (0.0, args.t1),
+            traj = integrate(rhs, seed, (0.0, args.t1),
                              tol=(args.tol * 1e-2, args.tol),
                              escape_radius=escape_radius)
         except NonFinite as exc:
@@ -332,10 +331,10 @@ def _seed_pair(text: str):
 def _grid_spec(text: str):
     try:
         name, lo, hi, count = text.split(":")
-        count = int(count)
-        if count < 2:
+        lo, hi, count = float(lo), float(hi), int(count)
+        if count < 2 or not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError
-        return (name, float(lo), float(hi), count)
+        return (name, lo, hi, count)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"grid must be 'AXIS:MIN:MAX:N' with N >= 2, got {text!r}") from exc

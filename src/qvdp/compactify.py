@@ -167,9 +167,8 @@ def _probe_verdict(chart, p: Params, s0) -> str:
 
     def leave(t, s):
         return size(s) - grow * _PROBE_RADIUS
-    leave.terminal = True
     leave.direction = 1
-    traj = integrate(lambda t, s: np.array(field(*s.tolist(), p)), s0,
+    traj = integrate(lambda t, s: field(*s, p), s0,
                      (0.0, _PROBE_TAU), tol=(1e-12, 1e-9), dense=False,
                      stop_event=leave)
     if traj.stopped:
@@ -220,7 +219,7 @@ def probe_infinity_kind(p: Params, label: InfinityLabel) -> ProbeReport:
                 verdicts.append("approach")  # invariant axis: u' = -u + O(u^2 z^4)
                 continue
             b = math.copysign(radius, b)
-        verdicts.append(_probe_verdict(chart, p, np.array([a, b])))
+        verdicts.append(_probe_verdict(chart, p, (a, b)))
 
     decided = [v for v in verdicts if v != "undecided"]
     if decided and all(v == "approach" for v in decided):

@@ -155,7 +155,6 @@ def _to_section(field_fn, s0, direction, accept, t_max, escape_radius):
             return -sign
         # a state exactly on the section counts as past it
         return s[1] if s[1] != 0.0 else sign * math.ulp(0.0)
-    crossing.terminal = True
     crossing.direction = sign
 
     traj = integrate(field_fn, s0, (0.0, t_max),
@@ -192,9 +191,8 @@ def find_limit_cycle(p: Params, seed: State) -> Optional[LimitCycle]:
     escape_radius = escape_bound(p, _CYCLE_ESCAPE)
 
     def aug_field(t, s):
-        # (x, y) and the divergence integral along the orbit, on floats
-        dx, dy = rhs(t, s[:2]).tolist()
-        return np.array([dx, dy, divergence(float(s[0]), p)])
+        # (x, y) and the divergence integral along the orbit
+        return (*rhs(t, s[:2]), divergence(s[0], p))
 
     def ret(x, y=0.0):
         try:
@@ -305,7 +303,7 @@ def separatrix_split(p: Params) -> SeparatrixSplit:
     rhs = unforced_rhs(p)
 
     def rhs_back(t, s):
-        return -rhs(t, s)
+        return [-v for v in rhs(t, s)]
 
     vu, vs = _saddle_eigvectors(p)
     x_unstable = _shoot_to_section(rhs, _LAUNCH_OFFSET * vu, Direction.DOWN)

@@ -461,7 +461,7 @@ def _initial_step(fun, t0, y0, f0, t1, direction, atol, rtol):
     return min(100 * h0, h1, span)
 
 
-def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
+def integrate(field_fn: Callable[[float, list], Sequence[float]],
               s0,
               t_span: tuple[float, float],
               tol=DEFAULT_TOL,
@@ -473,8 +473,9 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
 
     Parameters
     ----------
-    field_fn : callable(t, state) -> dstate, on 1-D float arrays
-    s0 : array-like initial state
+    field_fn : callable(t, state) -> dstate; ``state`` is a list of
+        floats, ``dstate`` any sequence of floats
+    s0 : initial state, a sequence of numbers
     t_span : (t0, t1), both finite and distinct
     tol : (abs, rel) pair, both within [1e-13, 1e-3]
     dense : keep the interpolant for later evaluation / event refinement
@@ -485,9 +486,10 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
         (x, y), beyond which the run is declared escaped; further
         components (the forced system's phase, a divergence integral) are
         not monitored
-    stop_event : optional terminal event ``g(t, state)`` in scipy's
-        convention (a ``direction`` attribute: +1 rising, -1 falling, 0 or
-        absent either way); the run ends at its first zero with
+    stop_event : optional event ``g(t, state)`` on the same state lists,
+        terminal whatever its ``terminal`` attribute; a ``direction``
+        attribute selects zeros as in scipy (+1 rising, -1 falling, 0 or
+        absent either way).  The run ends at its first zero with
         ``stopped`` set on the trajectory
 
     Raises
@@ -526,14 +528,13 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
     def fun(t, y):
         nonlocal nfev
         nfev += 1
-        return np.asarray(field_fn(t, np.array(y)), dtype=float).tolist()
+        return field_fn(t, y)
 
     # terminal events (g, direction); the escape check first, so that it
     # wins a tie
     events = [(lambda t, s: max(map(abs, s[:2])) - escape_radius, 1)]
     if stop_event is not None:
-        events.append((lambda t, s: stop_event(t, np.asarray(s)),
-                       getattr(stop_event, "direction", 0)))
+        events.append((stop_event, getattr(stop_event, "direction", 0)))
 
     y = y0.tolist()
     # flat float buffers: the step ends and their states; with dense output
@@ -576,7 +577,8 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
                 y_arr, c_arr = np.array(step.y), coefficients()
 
                 def state(s):
-                    return _interp_eval((s - step.t) / step.h, y_arr, c_arr)
+                    return _interp_eval((s - step.t) / step.h, y_arr,
+                                        c_arr).tolist()
                 roots = [_brent(lambda s: events[i][0](s, state(s)),
                                 step.t, t_end, 4 * _EPS, 4 * _EPS)
                          for i in hit]
@@ -584,7 +586,7 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
                 first = min(range(len(hit)),
                             key=lambda j: (direction * roots[j], j))
                 t_end = roots[first]
-                y_end = state(t_end).tolist()
+                y_end = state(t_end)
                 escaped = hit[first] == 0
                 stopped = not escaped
             if t_eval is not None:
@@ -756,6 +758,6 @@ def stroboscopic(p: Params, s0, n: int, per_period: int = 1) -> np.ndarray:
     x0, y0 = float(s0[0]), float(s0[1])
     rhs = forced_rhs_3d(p)
     t_eval = np.arange(n * per_period + 1) * (T / per_period)
-    traj = integrate(rhs, np.array([x0, y0, 0.0]), (0.0, n * T),
+    traj = integrate(rhs, (x0, y0, 0.0), (0.0, n * T),
                      dense=False, t_eval=t_eval)
     return traj.states[:, :2].copy()

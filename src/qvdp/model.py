@@ -11,10 +11,9 @@ pairs.  The Hamiltonian of the eps1 = 0 scaling limit is provided
 alongside the raw fields.
 
 All functions here are pure and operate on 64-bit floats; parameter
-validation happens once, at :class:`Params` construction.  Only the
-functions that return arrays import numpy (an RHS factory once per call,
-never per evaluation), so the closed forms built on :class:`Params` and
-the scalar fields load none.
+validation happens once, at :class:`Params` construction.  The RHS
+factories build fields on plain floats, the integrator's state format;
+only :func:`jacobian`, which returns an array, imports numpy.
 """
 
 from __future__ import annotations
@@ -126,51 +125,45 @@ def hamiltonian(s: State, p: Params) -> float:
     return 0.5 * y * y - 0.5 * p.beta * x2 + 0.25 * p.eps * x2 * x2
 
 
-# --- RHS factories for the integrator (array in, array out) ---
+# --- RHS factories for the integrator (floats in, tuple out) ---
 
-def unforced_rhs(p: Params) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Closure f(t, [x, y]) -> [x', y'] for the autonomous system."""
-    import numpy as np
-
+def unforced_rhs(p: Params) -> Callable[[float, list], tuple]:
+    """Closure f(t, (x, y)) -> (x', y') for the autonomous system."""
     mu, beta, eps = p.mu, p.beta, p.eps
 
     def rhs(t, s):
-        x, y = s.tolist()  # float arithmetic: same IEEE results, less overhead
+        x, y = s
         x2 = x * x
-        return np.array([y, (mu + x2 - x2 * x2) * y + beta * x - eps * x2 * x])
+        return (y, (mu + x2 - x2 * x2) * y + beta * x - eps * x2 * x)
 
     return rhs
 
 
-def forced_rhs_3d(p: Params) -> Callable[[float, np.ndarray], np.ndarray]:
+def forced_rhs_3d(p: Params) -> Callable[[float, list], tuple]:
     """Closure for the forced system as a 3D autonomous extension.
 
-    State is [x, y, theta] with theta = omega*t the forcing phase; the
+    State is (x, y, theta) with theta = omega*t the forcing phase; the
     returned field is time-independent, which keeps section/event machinery
     uniform across the forced and unforced cases.
     """
-    import numpy as np
-
     mu, beta, eps, alpha, omega = p.mu, p.beta, p.eps, p.alpha, p.omega
 
     def rhs(t, s):
-        x, y, theta = s.tolist()
+        x, y, theta = s
         x2 = x * x
         dy = (mu + x2 - x2 * x2) * y + beta * x - eps * x2 * x \
             - alpha * x * math.cos(theta)
-        return np.array([y, dy, omega])
+        return (y, dy, omega)
 
     return rhs
 
 
-def hamiltonian_rhs(p: Params) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Closure f(t, [x, y]) for the conservative limit x' = y, y' = beta x - eps x^3."""
-    import numpy as np
-
+def hamiltonian_rhs(p: Params) -> Callable[[float, list], tuple]:
+    """Closure f(t, (x, y)) for the conservative limit x' = y, y' = beta x - eps x^3."""
     beta, eps = p.beta, p.eps
 
     def rhs(t, s):
-        x, y = s.tolist()
-        return np.array([y, beta * x - eps * x * x * x])
+        x, y = s
+        return (y, beta * x - eps * x * x * x)
 
     return rhs

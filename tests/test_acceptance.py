@@ -47,7 +47,7 @@ def _probe_ratio(p, eq, offset, T, tol=(1e-8, 1e-5), backward=False):
     because outward crawls stiffen rapidly with |x|.
     """
     rhs = unforced_rhs(p)
-    field = (lambda t, s: -rhs(t, s)) if backward else rhs
+    field = (lambda t, s: [-v for v in rhs(t, s)]) if backward else rhs
     s0 = np.array([eq.location.x + offset[0], eq.location.y + offset[1]])
     try:
         traj = integrate(field, s0, (0.0, T), tol=tol, escape_radius=6.0)
@@ -121,7 +121,7 @@ def _degenerate_origin_sim_ok(p, kind) -> bool:
         rhs = unforced_rhs(p)
 
         def back(t, s):
-            return -rhs(t, s)
+            return [-v for v in rhs(t, s)]
 
         f_safe, f_grow = (rhs, back) if p.mu < 0 else (back, rhs)
         T_y = min(3.0 / abs(p.mu), 40.0)

@@ -586,6 +586,23 @@ def test_sweep_malformed_grid_spec():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("spec", ["mu:-inf:inf:3", "mu:0:nan:3",
+                                  "mu:inf:1:3"])
+def test_sweep_non_finite_grid_bound_is_a_usage_error(spec, tmp_path,
+                                                      capsys):
+    # rejected while parsing, before the CSV header is written
+    out = tmp_path / "s.csv"
+    for extra in ([], ["--out", str(out)]):
+        with pytest.raises(SystemExit) as exc:
+            _run(["sweep", "--eps", "2", "--grid", spec,
+                  "--grid", "beta:0:1:2", *extra])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "AXIS:MIN:MAX:N" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _bits(values):
     return [float(v).hex() for v in values]
 
@@ -659,15 +676,21 @@ def test_forced_run_loads_no_scipy(tmp_path):
 
 def test_closed_form_paths_load_no_numpy(tmp_path):
     # classify, sweep and melnikov never load numpy or the integrating
-    # modules; portrait and forced load them on first use
+    # modules, nor do the RHS closures; portrait and forced load them on
+    # first use
     code = "\n".join([
         "import sys",
         "import qvdp",
         "import qvdp.cli",
+        "from qvdp.model import Params, forced_rhs_3d, unforced_rhs",
         "def heavy():",
         "    return sorted(m for m in sys.modules",
         "                  if m.split('.')[0] == 'numpy' or m in",
         "                  ('qvdp.integrate', 'qvdp.detect', 'qvdp.compactify'))",
+        "print(heavy())",
+        "p = Params(mu=-0.1, beta=1.0, eps=3.0, alpha=-0.3, omega=1.0)",
+        "unforced_rhs(p)(0.0, [1.0, 0.5])",
+        "forced_rhs_3d(p)(0.0, [1.0, 0.5, 0.0])",
         "print(heavy())",
         "for argv in sys.argv[1:]:",
         "    print(qvdp.cli.main(argv.split()), heavy() == [])",
@@ -685,8 +708,8 @@ def test_closed_form_paths_load_no_numpy(tmp_path):
         os.path.dirname(qvdp.__file__)))
     out = subprocess.run([sys.executable, "-c", code, *runs], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.split("\n")[:-1] == ["[]", "0 True", "0 True", "0 True",
-                                    "0 False", "0 False"]
+    assert out.split("\n")[:-1] == ["[]", "[]", "0 True", "0 True",
+                                    "0 True", "0 False", "0 False"]
     assert (tmp_path / "p.svg").exists() and (tmp_path / "f.json").exists()
 
 

@@ -373,7 +373,7 @@ def test_separatrix_split_mirror_symmetry():
     rhs = unforced_rhs(p)
 
     def rhs_back(t, s):
-        return -rhs(t, s)
+        return [-v for v in rhs(t, s)]
 
     def negative_x(s):
         return s[0] < 0.0

@@ -157,6 +157,43 @@ def test_stop_event_zero_at_the_start_stops_there():
     assert np.array_equal(traj.at(0.0)[0], [1.0, 0.0])
 
 
+def _recorded_rotation_run(wrap):
+    """A stopped rotation run whose field returns ``wrap(tuple)``, and
+    the states its field and event calls got."""
+    seen = []
+
+    def field(t, s):
+        seen.append(s)
+        return wrap((-s[1], s[0]))
+
+    def below_half(t, s):
+        seen.append(s)
+        return s[1] + 0.5
+    below_half.direction = -1
+
+    traj = integrate(field, [1.0, 0.0], (0.0, 10.0), stop_event=below_half)
+    return traj, seen
+
+
+def test_fields_and_events_get_lists_of_floats():
+    # every field and event call gets the state as a list of floats, and a
+    # field may return any sequence: a tuple and an array give the same run
+    a, seen_a = _recorded_rotation_run(tuple)
+    b, seen_b = _recorded_rotation_run(np.array)
+    assert a.stopped and abs(a.t1 - 7.0 * math.pi / 6.0) < 1e-9
+    # more calls than evaluations: the event was also located by bracketing
+    assert len(seen_a) > a.stats["nfev"] + a.stats["accepted_steps"]
+    assert all(type(s) is list and all(type(v) is float for v in s)
+               for s in seen_a)
+    # an array field's components reach the stage states as numpy float
+    # scalars, a float subclass
+    assert all(type(s) is list and all(isinstance(v, float) for v in s)
+               for s in seen_b)
+    assert np.array_equal(a.t, b.t)
+    assert np.array_equal(a.states, b.states)
+    assert a.stats == b.stats
+
+
 def test_nonfinite_escape_reported():
     # for eps < 0 orbits creep to infinity along the quartic-damping
     # nullcline (x ~ sqrt(2t), stiffer as x grows); crossing the escape

@@ -55,14 +55,14 @@ def test_rhs_closures_match_field_bit_for_bit():
             x, y = rng.uniform(-3.0, 3.0, size=2)
             theta, t = rng.uniform(-10.0, 10.0, size=2)
             f = field_unforced(State(x, y), p)
-            assert unforced(t, np.array([x, y])).tolist() == [f.x, f.y]
-            assert forced(t, np.array([x, y, theta])).tolist() == [
+            assert list(unforced(t, [x, y])) == [f.x, f.y]
+            assert list(forced(t, [x, y, theta])) == [
                 f.x, f.y - p.alpha * x * math.cos(theta), p.omega]
 
 
 def test_forced_rhs_values_and_reduction():
     p = Params(mu=0.0, beta=1.0, eps=3.0, alpha=-0.3, omega=1.0)
-    assert forced_rhs_3d(p)(0.0, np.array([1.0, 0.0, 0.0])).tolist() == [
+    assert list(forced_rhs_3d(p)(0.0, [1.0, 0.0, 0.0])) == [
         0.0, -1.7, 1.0]
     p0 = Params(mu=0.4, beta=0.5, eps=1.5, alpha=0.0, omega=2.0)
     rng = np.random.default_rng(7)
@@ -70,7 +70,7 @@ def test_forced_rhs_values_and_reduction():
         s = rng.uniform(-2, 2, size=2)
         theta = rng.uniform(0, 20)
         f = forced_rhs_3d(p0)(0.0, np.array([*s, theta]))
-        assert f[:2].tolist() == list(field_unforced(State(*s), p0))
+        assert list(f[:2]) == list(field_unforced(State(*s), p0))
 
 
 def test_forced_rhs_periodicity():
