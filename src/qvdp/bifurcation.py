@@ -12,13 +12,12 @@ For eps > 0 the unforced oscillator undergoes, in the (beta, mu) plane:
   zero of the Melnikov integral along the explicit sech/tanh saddle loop
   of the conservative limit.
 
-The Hopf coefficients g_kl are *computed from the vector field*, by
-evaluating the complex-diagonalized system on circles |z| = r and reading
-the Taylor coefficients off FFT modes.  Hand-transcribed closed forms for
-these coefficients are error-prone; the identity Re c1(mu_c) = -1/(2 beta) and an
-independent polynomial-composition oracle in the test suite pin the
-computation down instead.  Quantities that need only that identity (the
-first Lyapunov coefficient and the cycle prediction) read it in closed form.
+The Hopf coefficients g_kl are closed forms: the shifted field's quadratic
+and cubic Taylor coefficients at E2, substituted into the complex
+eigenbasis.  The identity Re c1(mu_c) = -1/(2 beta) and an independent
+polynomial-composition oracle in the test suite pin them down.
+Quantities that need only that identity (the first Lyapunov coefficient
+and the cycle prediction) read it directly.
 
 Region classification follows the global phase-portrait regimes: saddle-only
 escape (eps <= 0), the single Poincare-Bendixson cycle (eps > 0, beta = 0,
@@ -38,7 +37,7 @@ from math import factorial
 from typing import Optional
 
 from .equilibria import critical_mus, find_equilibria
-from .model import Params, State, field_unforced
+from .model import Params
 
 __all__ = [
     "PitchforkKind",
@@ -120,11 +119,11 @@ class HopfData:
     z^k zbar^l / (k! l!) in the complex-diagonalized equation
     z' = lambda z + sum g_kl z^k zbar^l / (k! l!).  ``c1`` is the cubic
     resonant coefficient after removing the non-resonant terms; ``g`` and
-    ``c1`` are read off the vector field by FFT at the given mu.  The other
-    fields are closed forms: ``lambda_mu`` the E2 eigenvalue, ``l1`` the
-    first Lyapunov coefficient Re c1(mu_c) / omega0 = -1/(2 beta omega0),
-    ``ddelta_dmu`` = 1/2, ``muc`` the Hopf value and ``omega0`` =
-    sqrt(2 beta) the frequency there.
+    ``c1`` are closed forms of the shifted field at the given mu.  The
+    other fields are closed forms too: ``lambda_mu`` the E2 eigenvalue,
+    ``l1`` the first Lyapunov coefficient Re c1(mu_c) / omega0 =
+    -1/(2 beta omega0), ``ddelta_dmu`` = 1/2, ``muc`` the Hopf value and
+    ``omega0`` = sqrt(2 beta) the frequency there.
     """
 
     lambda_mu: complex
@@ -143,82 +142,39 @@ def _eig_pair(p: Params) -> complex:
     return e2.eigs[0]
 
 
-def _diagonalized_nonlinearity(p: Params, lam: complex):
-    """Callable z -> N1(z, conj z): first component of the shifted field in
-    the complex eigenbasis, linear part removed.
-
-    The coordinate change is x = x2 + u with x2 = sqrt(beta/eps) and
-    (u, y)^T = T (z, zbar)^T, T = [[conj(lam)/(2 beta), lam/(2 beta)], [1, 1]].
-    The field formula is evaluated directly at complex arguments, so no
-    transcription of shifted Taylor coefficients enters here.
-    """
-    import numpy as np
-
-    beta = p.beta
-    x2 = math.sqrt(beta / p.eps)
-    sigma = 2.0 * lam.real
-    lamb = lam.conjugate()
-    pref = lam / (lam - lamb)
-
-    def n1(z):
-        zb = np.conj(z)
-        u = (lamb * z + lam * zb) / (2.0 * beta)
-        y = z + zb
-        ydot = field_unforced(State(x2 + u, y), p).y
-        return pref * (ydot - (-2.0 * beta * u + sigma * y))
-
-    return n1
-
-
-# (k, l) -> (FFT mode k-l, degrees k+l of the two monomials sharing the mode
-# up to the field's total degree 5)
-_MODE_TABLE = {
-    (2, 0): (2, (2, 4)), (1, 1): (0, (2, 4)), (0, 2): (-2, (2, 4)),
-    (3, 0): (3, (3, 5)), (2, 1): (1, (3, 5)), (1, 2): (-1, (3, 5)),
-    (0, 3): (-3, (3, 5)),
-}
-_FFT_N = 64
-
-
-def _taylor_coeffs(n1, radius: float) -> dict:
-    """Raw monomial coefficients n_kl of z^k zbar^l, 2 <= k+l <= 3.
-
-    Samples n1 on circles |z| = radius and 2*radius; the monomial
-    z^k zbar^l restricted to |z| = r contributes r^(k+l) e^(i(k-l)theta),
-    so an FFT over theta isolates modes m = k - l and a 2x2 Vandermonde in
-    r^(k+l) separates the two total degrees per mode.  Exact for polynomial
-    n1 up to rounding.
-    """
-    import numpy as np
-
-    theta = 2.0 * np.pi * np.arange(_FFT_N) / _FFT_N
-    rings = np.exp(1j * theta)
-    modes = {}
-    for r in (radius, 2.0 * radius):
-        modes[r] = np.fft.fft(n1(r * rings)) / _FFT_N
-    out = {}
-    r1, r2 = radius, 2.0 * radius
-    for (k, l), (m, (d1, d2)) in _MODE_TABLE.items():
-        A = np.array([[r1 ** d1, r1 ** d2], [r2 ** d1, r2 ** d2]])
-        b = np.array([modes[r1][m % _FFT_N], modes[r2][m % _FFT_N]])
-        out[(k, l)] = complex(np.linalg.solve(A, b)[0])
-    return out
-
-
 def _g_coeffs(p: Params, lam: complex) -> dict:
-    # sample radius keeps |u| <= ~0.1 regardless of the eigenbasis scaling
-    radius = 0.1 * min(1.0, p.beta / abs(lam))
-    n = _taylor_coeffs(_diagonalized_nonlinearity(p, lam), radius)
-    return {kl: factorial(kl[0]) * factorial(kl[1]) * v for kl, v in n.items()}
+    """Normal-form coefficients g_kl, 2 <= k+l <= 3, in closed form.
+
+    At x = x2 + u, x2 = sqrt(beta/eps), the nonlinear part of y' to cubic
+    order is a u y + b u^2 + c u^2 y + d u^3 with the coefficients below.
+    The eigenbasis substitution u = s z + conj(s) zbar, s = conj(lam)/(2 beta),
+    y = z + zbar (Kuznetsov, Elements of Applied Bifurcation Theory, 3rd ed.,
+    sec. 3.5) makes g_kl = k! l! lam/(lam - conj lam) times the coefficient
+    of z^k zbar^l.
+    """
+    x2 = math.sqrt(p.beta / p.eps)
+    a, b = 2.0 * x2 - 4.0 * x2 ** 3, -3.0 * p.eps * x2
+    c, d = 1.0 - 6.0 * x2 * x2, -p.eps
+    s = lam.conjugate() / (2.0 * p.beta)
+    sb = s.conjugate()
+    ss = s * sb
+    n = {(2, 0): a * s + b * s * s,
+         (1, 1): a * (s + sb) + 2.0 * b * ss,
+         (0, 2): a * sb + b * sb * sb,
+         (3, 0): c * s * s + d * s ** 3,
+         (2, 1): c * (s * s + 2.0 * ss) + 3.0 * d * s * ss,
+         (1, 2): c * (2.0 * ss + sb * sb) + 3.0 * d * sb * ss,
+         (0, 3): c * sb * sb + d * sb ** 3}
+    pref = lam / (lam - lam.conjugate())
+    return {(k, l): factorial(k) * factorial(l) * pref * v
+            for (k, l), v in n.items()}
 
 
 def _c1_from_g(g: dict, lam: complex) -> complex:
-    import numpy as np
-
     lamb = lam.conjugate()
     return (g[(2, 1)] / 2.0
-            + g[(0, 2)] * np.conj(g[(0, 2)]) / (2.0 * (2.0 * lam - lamb))
-            + g[(1, 1)] * np.conj(g[(1, 1)]) / lam
+            + g[(0, 2)] * g[(0, 2)].conjugate() / (2.0 * (2.0 * lam - lamb))
+            + g[(1, 1)] * g[(1, 1)].conjugate() / lam
             + g[(1, 1)] * g[(2, 0)] * (2.0 * lam + lamb) / (2.0 * lam * lamb))
 
 
@@ -226,8 +182,8 @@ def hopf_normal_form(p: Params) -> HopfData:
     """Normal-form data at E2 for the given parameters.
 
     Requires beta > 0, eps > 0, and mu within (mu1, mu2) so the
-    linearization is a focus.  ``g`` and ``c1`` come from one FFT
-    extraction at the given mu; ``l1`` is the closed form at the critical
+    linearization is a focus.  ``g`` and ``c1`` are the closed forms of
+    the shifted field at the given mu; ``l1`` is taken at the critical
     value mu_c, where Re c1 = -1/(2 beta).
     """
     if not (p.beta > 0 and p.eps > 0):

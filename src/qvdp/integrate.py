@@ -518,6 +518,8 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
     direction = 1.0 if t1 > t0 else -1.0
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
+        if not np.all(np.isfinite(t_eval)):
+            raise ValueError("t_eval must be finite")
         if np.any(direction * np.diff(t_eval) < 0) or len(t_eval) and (
                 direction * (t_eval[0] - t0) < 0
                 or direction * (t_eval[-1] - t1) > 0):
@@ -742,9 +744,10 @@ def detect_crossings(traj: Trajectory,
 def stroboscopic(p: Params, s0, n: int, per_period: int = 1) -> np.ndarray:
     """Forced-system states at t = k * T / per_period, k = 0..n*per_period.
 
-    T = 2*pi/omega is the forcing period and n >= 1 the number of periods.
-    The forced system is integrated at ``DEFAULT_TOL`` as its 3D
-    autonomous extension (x, y, theta); samples are taken on the exact
+    T = 2*pi/omega is the forcing period, n >= 1 the number of periods
+    and the integer per_period >= 1 the samples per period.  The forced
+    system is integrated at ``DEFAULT_TOL`` as its 3D autonomous
+    extension (x, y, theta); samples are taken on the exact
     grid ``arange(n*per_period + 1) * (T/per_period)`` from the step
     interpolants, so the steps, and every ``per_period``-th row, do not
     depend on ``per_period``.  Returns an (n*per_period + 1) x 2 array of
@@ -754,6 +757,8 @@ def stroboscopic(p: Params, s0, n: int, per_period: int = 1) -> np.ndarray:
         raise ValueError("stroboscopic sampling requires alpha != 0")
     if n < 1:
         raise ValueError("stroboscopic sampling requires n >= 1")
+    if not (per_period >= 1 and float(per_period).is_integer()):
+        raise ValueError("per_period must be a positive integer")
     T = p.forcing_period
     x0, y0 = float(s0[0]), float(s0[1])
     rhs = forced_rhs_3d(p)

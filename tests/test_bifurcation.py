@@ -170,6 +170,7 @@ def _oracle_g(beta: float, eps: float, mu: float) -> dict:
 @pytest.mark.parametrize("beta,eps,mu_off", [
     (1.0, 2.0, 0.0), (1.0, 2.0, 0.05), (0.5, 1.0, -0.1),
     (2.0, 0.7, 0.2), (0.25, 3.0, 0.0),
+    (5.0, 0.05, 0.0), (0.01, 3.0, 0.0),  # beta/eps = 100 and 1/300
 ])
 def test_g_coefficients_against_composition_oracle(beta, eps, mu_off):
     mu = hopf_curve(beta, eps) + mu_off
@@ -177,7 +178,9 @@ def test_g_coefficients_against_composition_oracle(beta, eps, mu_off):
     oracle = _oracle_g(beta, eps, mu)
     assert set(h.g) == set(oracle)
     for kl in oracle:
-        assert abs(h.g[kl] - oracle[kl]) < 1e-8, kl
+        err = abs(h.g[kl] - oracle[kl])
+        assert err < 1e-8, kl
+        assert err <= 1e-12 * max(1.0, abs(oracle[kl])), kl
 
 
 def test_cycle_prediction_existence():
@@ -204,16 +207,16 @@ def test_cycle_prediction_raises_at_mu2(beta, eps):
 
 
 def test_normal_form_extracted_once(monkeypatch):
-    # l1 and the cycle prediction read Re c1(mu_c) = -1/(2 beta) in closed
-    # form; only g and c1 at mu itself need the FFT extraction
+    # l1 and the cycle prediction read Re c1(mu_c) = -1/(2 beta) directly;
+    # only g and c1 at mu itself need the coefficients
     calls = []
-    extract = bifurcation._taylor_coeffs
+    coeffs = bifurcation._g_coeffs
 
-    def counted(n1, radius):
-        calls.append(radius)
-        return extract(n1, radius)
+    def counted(p, lam):
+        calls.append(lam)
+        return coeffs(p, lam)
 
-    monkeypatch.setattr(bifurcation, "_taylor_coeffs", counted)
+    monkeypatch.setattr(bifurcation, "_g_coeffs", counted)
     p = Params(mu=-0.2, beta=1.0, eps=2.0)
     hopf_cycle_prediction(p)
     assert len(calls) == 0

@@ -676,8 +676,8 @@ def test_forced_run_loads_no_scipy(tmp_path):
 
 def test_closed_form_paths_load_no_numpy(tmp_path):
     # classify, sweep and melnikov never load numpy or the integrating
-    # modules, nor do the RHS closures; portrait and forced load them on
-    # first use
+    # modules, nor do the RHS closures or the Hopf normal form; portrait
+    # and forced load them on first use
     code = "\n".join([
         "import sys",
         "import qvdp",
@@ -691,6 +691,12 @@ def test_closed_form_paths_load_no_numpy(tmp_path):
         "p = Params(mu=-0.1, beta=1.0, eps=3.0, alpha=-0.3, omega=1.0)",
         "unforced_rhs(p)(0.0, [1.0, 0.5])",
         "forced_rhs_3d(p)(0.0, [1.0, 0.5, 0.0])",
+        "print(heavy())",
+        "from qvdp.bifurcation import (hopf_cycle_prediction,",
+        "    hopf_normal_form, torus_frequency_estimate)",
+        "q = Params(mu=-0.2, beta=1.0, eps=2.0)",
+        "hopf_normal_form(q), hopf_cycle_prediction(q)",
+        "torus_frequency_estimate(q)",
         "print(heavy())",
         "for argv in sys.argv[1:]:",
         "    print(qvdp.cli.main(argv.split()), heavy() == [])",
@@ -708,7 +714,7 @@ def test_closed_form_paths_load_no_numpy(tmp_path):
         os.path.dirname(qvdp.__file__)))
     out = subprocess.run([sys.executable, "-c", code, *runs], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.split("\n")[:-1] == ["[]", "[]", "0 True", "0 True",
+    assert out.split("\n")[:-1] == ["[]", "[]", "[]", "0 True", "0 True",
                                     "0 True", "0 False", "0 False"]
     assert (tmp_path / "p.svg").exists() and (tmp_path / "f.json").exists()
 

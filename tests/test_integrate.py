@@ -34,6 +34,16 @@ def test_non_finite_end_time_rejected(t1):
         integrate(_rotation_field, [1.0, 0.0], (0.0, t1))
 
 
+@pytest.mark.parametrize("t_eval", [[1.0, math.nan, 2.0], [math.nan],
+                                    [1.0, math.inf], [-math.inf, 1.0]])
+def test_non_finite_t_eval_rejected(t_eval):
+    # a NaN sample time used to pass the ordering check and silently drop
+    # every later sample
+    p = Params(mu=-0.1, beta=1.0, eps=2.0)
+    with pytest.raises(ValueError, match="t_eval must be finite"):
+        integrate(unforced_rhs(p), [2.0, 0.0], (0.0, 5.0), t_eval=t_eval)
+
+
 def test_trajectory_contract():
     traj = integrate(_rotation_field, [1.0, 0.0], (0.0, 10.0))
     assert np.all(np.diff(traj.t) > 0)
@@ -219,6 +229,13 @@ def test_stroboscopic_requires_a_period(n):
     p = Params(mu=-0.1, beta=1.0, eps=3.0, alpha=-0.3, omega=1.0)
     with pytest.raises(ValueError):
         stroboscopic(p, (0.0, 1.2), n)
+
+
+@pytest.mark.parametrize("per_period", [0, -1, 2.5, math.nan, math.inf])
+def test_stroboscopic_requires_a_positive_integer_per_period(per_period):
+    p = Params(mu=-0.1, beta=1.0, eps=3.0, alpha=-0.3, omega=1.0)
+    with pytest.raises(ValueError, match="per_period must be a positive"):
+        stroboscopic(p, (0.0, 1.2), 2, per_period=per_period)
 
 
 def test_stroboscopic_fixed_point_of_forced_system():
