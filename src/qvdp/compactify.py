@@ -31,8 +31,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .equilibria import EquilibriumKind
 from .integrate import integrate
 from .model import Params, State
@@ -169,8 +167,8 @@ def _probe_verdict(chart, p: Params, s0) -> str:
         return size(s) - grow * _PROBE_RADIUS
     leave.direction = 1
     traj = integrate(lambda t, s: field(*s, p), s0,
-                     (0.0, _PROBE_TAU), tol=(1e-12, 1e-9), dense=False,
-                     stop_event=leave)
+                     (0.0, _PROBE_TAU), tol=(1e-12, 1e-9),
+                     t_eval=(0.0, _PROBE_TAU), stop_event=leave)
     if traj.stopped:
         return "leave"
     if size(traj.final) <= shrink * _PROBE_RADIUS:
@@ -192,16 +190,17 @@ def probe_infinity_kind(p: Params, label: InfinityLabel) -> ProbeReport:
     """Numerically infer the kind of an equator equilibrium from probe orbits.
 
     Sixteen probes ring the equilibrium at radius 0.35 in its chart (U for
-    the B pair, V for the C pair) and run for up to tau = 400.  One rule
-    gives every verdict: a probe leaves once its size grows past the leave
-    threshold, approaches if it ends at or below the approach threshold,
-    and is undecided otherwise.  At B the size is the center coordinate
-    |z| with thresholds 1.15 and 0.85 times the start (the hyperbolic u
-    direction is uniformly contracting, so radius alone cannot separate the
-    degenerate saddle from the node); at C it is the chart radius with
-    thresholds 1.6 and 0.5.  One rule gives the kind from the decided
-    verdicts: all approach is a stable node, all leave an unstable node,
-    anything else a saddle.
+    the B pair, V for the C pair) and run for up to tau = 400, sampled at
+    tau = 0 and 400 alone (``t_eval``, so no interpolant is kept).  One
+    rule gives every verdict: a probe leaves once its size grows past the
+    leave threshold, approaches if it ends at or below the approach
+    threshold, and is undecided otherwise.  At B the size is the center
+    coordinate |z| with thresholds 1.15 and 0.85 times the start (the
+    hyperbolic u direction is uniformly contracting, so radius alone cannot
+    separate the degenerate saddle from the node); at C it is the chart
+    radius with thresholds 1.6 and 0.5.  One rule gives the kind from the
+    decided verdicts: all approach is a stable node, all leave an unstable
+    node, anything else a saddle.
 
     At B the z coordinate of each probe is padded to +-0.35 so its slow
     drift is observable within tau = 400, keeping the angular sign
@@ -212,7 +211,8 @@ def probe_infinity_kind(p: Params, label: InfinityLabel) -> ProbeReport:
     chart = _B_PROBE if at_b else _C_PROBE
     radius = _PROBE_RADIUS
     verdicts: list[str] = []
-    for th in 2.0 * np.pi * np.arange(_N_PROBES) / _N_PROBES:
+    for k in range(_N_PROBES):
+        th = 2.0 * math.pi * k / _N_PROBES
         a, b = radius * math.cos(th), radius * math.sin(th)
         if at_b:
             if abs(b) < 1e-12:

@@ -141,11 +141,12 @@ def _to_section(field_fn, s0, direction, accept, t_max, escape_radius):
     """One integration from ``s0`` to the first accepted crossing of {y = 0}.
 
     Returns the trajectory, whose final state lies on the section, or None
-    when no accepted crossing in ``direction`` occurs within ``t_max``;
-    raises :class:`~qvdp.integrate.NonFinite` on escape.  A start exactly on
-    the section is not a crossing.  Off the accepted half the event is held
-    on the near side of the section, so leaving the half is never taken for
-    a crossing; the orbit has to enter the half from the near side, as it
+    when no accepted crossing in ``direction`` (along the run; t_max < 0
+    runs backward) occurs within ``t_max``; raises
+    :class:`~qvdp.integrate.NonFinite` on escape.  A start exactly on the
+    section is not a crossing.  Off the accepted half the event is held on
+    the near side of the section, so leaving the half is never taken for a
+    crossing; the orbit has to enter the half from the near side, as it
     does for every flow with x' = y or x' = -y and the directions used here.
     """
     sign = direction.value
@@ -277,10 +278,10 @@ def _saddle_eigvectors(p: Params):
     return vu / np.linalg.norm(vu), vs / np.linalg.norm(vs)
 
 
-def _shoot_to_section(rhs, s0, direction, accept=_positive_x) -> float:
+def _shoot_to_section(rhs, s0, direction, accept=_positive_x,
+                      horizon=_SHOOT_HORIZON) -> float:
     try:
-        traj = _to_section(rhs, s0, direction, accept, _SHOOT_HORIZON,
-                           _SHOOT_BOX)
+        traj = _to_section(rhs, s0, direction, accept, horizon, _SHOOT_BOX)
     except NonFinite as exc:
         raise ManifoldEscape(
             f"separatrix branch left |x|,|y| <= {_SHOOT_BOX}") from exc
@@ -294,20 +295,18 @@ def separatrix_split(p: Params) -> SeparatrixSplit:
 
     The unstable manifold (x > 0 branch) is integrated forward from a 1e-8
     offset along the unstable eigenvector; the stable manifold backward
-    from the stable eigenvector.  ``distance = x_unstable - x_stable``
+    from the stable eigenvector, over the negative time span (0, -400).
+    ``distance = x_unstable - x_stable``
     changes sign across the homoclinic connection; its zero tracks the
     Melnikov root to first order in the perturbation.
     """
     if not (p.beta > 0 and p.eps > 0):
         raise ValueError("separatrix shooting requires a saddle: beta, eps > 0")
     rhs = unforced_rhs(p)
-
-    def rhs_back(t, s):
-        return [-v for v in rhs(t, s)]
-
     vu, vs = _saddle_eigvectors(p)
     x_unstable = _shoot_to_section(rhs, _LAUNCH_OFFSET * vu, Direction.DOWN)
-    x_stable = _shoot_to_section(rhs_back, _LAUNCH_OFFSET * vs, Direction.UP)
+    x_stable = _shoot_to_section(rhs, _LAUNCH_OFFSET * vs, Direction.UP,
+                                 horizon=-_SHOOT_HORIZON)
     return SeparatrixSplit(mu=p.mu, distance=x_unstable - x_stable)
 
 

@@ -15,9 +15,9 @@ operations cost more than they compute.
 
 On top of the stepper the module provides:
 
-* a :class:`Trajectory` value carrying samples, the per-step interpolant
-  and exact step counts, and a finer grid of interpolant points per step
-  (:meth:`Trajectory.refined`);
+* a :class:`Trajectory` value carrying samples, exact step counts and,
+  unless sampled at ``t_eval``, the interpolant on its step ends with a
+  finer grid of its points per step (:meth:`Trajectory.refined`);
 * escape detection on the first two state components (x, y; further
   components of an augmented state are not monitored) -- for eps <= 0
   the oscillator genuinely blows up in finite time, which is a reportable
@@ -313,14 +313,15 @@ def _interp_eval(x, y_old, coef):
 
 
 class _Dense:
-    """Piecewise interpolant over the accepted steps of a run."""
+    """Piecewise interpolant on a run's step ends: step i starts at t[i]
+    in states[i]; a run stopped at a step's start keeps that step last."""
 
-    def __init__(self, direction, bounds, h, y_old, coef):
-        self._key = direction * bounds   # ascending
-        self._t_old = bounds[:-1]
+    def __init__(self, direction, t, states, h, rows):
+        self._key = direction * t   # ascending
+        self._t = t
+        self._states = states
         self._h = h
-        self._y_old = y_old
-        self._coef = coef
+        self._rows = rows
         self._direction = direction
 
     def __call__(self, times: np.ndarray) -> np.ndarray:
@@ -328,8 +329,8 @@ class _Dense:
         # times outside the run extrapolate the first or last step
         seg = np.searchsorted(self._key, self._direction * times) - 1
         np.clip(seg, 0, len(self._h) - 1, out=seg)
-        x = (times - self._t_old[seg])[:, None] / self._h[seg][:, None]
-        return _interp_eval(x, self._y_old[seg], self._coef[seg])
+        x = (times - self._t[seg])[:, None] / self._h[seg][:, None]
+        return _interp_eval(x, self._states[seg], self._rows[seg])
 
 
 @dataclass(frozen=True)
@@ -338,6 +339,8 @@ class Trajectory:
 
     ``states`` has one row per sample; ``t`` is strictly increasing for
     forward integration (strictly decreasing spans are stored as produced).
+    Without ``t_eval`` the samples are the step ends and :meth:`at`
+    evaluates the run's interpolant; a ``t_eval`` run keeps none.
     ``stats`` counts right-hand-side evaluations (``nfev``), accepted steps
     (``accepted_steps``) and rejected step attempts
     (``rejected_steps_estimate``, an exact count despite its name).
@@ -353,7 +356,7 @@ class Trajectory:
     def at(self, times) -> np.ndarray:
         """Evaluate the dense interpolant; rows are states."""
         if self._dense is None:
-            raise ValueError("trajectory was built without dense output")
+            raise ValueError("a run sampled at t_eval keeps no interpolant")
         return self._dense(np.atleast_1d(np.asarray(times, dtype=float)))
 
     def refined(self) -> "Trajectory":
@@ -465,11 +468,14 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
               s0,
               t_span: tuple[float, float],
               tol=DEFAULT_TOL,
-              dense: bool = True,
               t_eval: Optional[Sequence[float]] = None,
               escape_radius: float = 1e4,
               stop_event: Optional[Callable] = None) -> Trajectory:
     """Integrate ``field_fn`` from ``s0`` over ``t_span``.
+
+    Without ``t_eval`` the trajectory holds the start and the step ends
+    and keeps the interpolant; with it, the samples alone.  A span with
+    t1 < t0 runs backward.
 
     Parameters
     ----------
@@ -478,7 +484,6 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
     s0 : initial state, a sequence of numbers
     t_span : (t0, t1), both finite and distinct
     tol : (abs, rel) pair, both within [1e-13, 1e-3]
-    dense : keep the interpolant for later evaluation / event refinement
     t_eval : optional explicit sample times within ``t_span``, ordered
         along it; samples come from the step interpolants, so the steps
         taken do not depend on them
@@ -539,11 +544,9 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
         events.append((stop_event, getattr(stop_event, "direction", 0)))
 
     y = y0.tolist()
-    # flat float buffers: the step ends and their states; with dense output
-    # the step ends and, per step, h, the start state and the interpolant
-    # rows
+    # flat float buffers: the step ends, their states, each step's h and rows
     ts, ys = array("d", [t0]), array("d", y)
-    bounds, pieces = array("d", [t0]), array("d")
+    hs, rows = array("d"), array("d")
     samples, n_samples = [], 0  # blocks of t_eval states
     n = len(y)
     accepted = rejected = 0
@@ -564,23 +567,20 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
             accepted += 1
             rejected += n_rejected
             t_end, y_end = step.t_new, step.y_new
-            coef = None  # the step's interpolant rows, formed on demand
-
-            def coefficients():
-                nonlocal coef
-                if coef is None:
-                    coef = _dop853_coef(fun, step)
-                return coef
             g_new = [ev(t_end, y_end) for ev, _ in events]
             hit = [i for i, ((_, d), a, b) in enumerate(zip(events, g, g_new))
                    if (a <= 0 <= b and d >= 0) or (a >= 0 >= b and d <= 0)]
             g = g_new
+            due = t_eval is not None and n_samples < len(t_eval) and \
+                direction * (t_eval[n_samples] - t_end) <= 0
+            if t_eval is None or hit or due:
+                coef = _dop853_coef(fun, step)
             if hit:
-                y_arr, c_arr = np.array(step.y), coefficients()
+                y_arr = np.array(step.y)
 
                 def state(s):
                     return _interp_eval((s - step.t) / step.h, y_arr,
-                                        c_arr).tolist()
+                                        coef).tolist()
                 roots = [_brent(lambda s: events[i][0](s, state(s)),
                                 step.t, t_end, 4 * _EPS, 4 * _EPS)
                          for i in hit]
@@ -591,24 +591,21 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
                 y_end = state(t_end)
                 escaped = hit[first] == 0
                 stopped = not escaped
-            if t_eval is not None:
+            if t_eval is None:
+                if t_end != t_last:  # a root at the step start adds no knot
+                    ts.append(t_end)
+                    ys.extend(y_end)
+                hs.append(step.h)
+                rows.frombytes(coef.tobytes())
+            else:
                 stop = n_samples
                 while stop < len(t_eval) and \
                         direction * (t_eval[stop] - t_end) <= 0:
                     stop += 1
                 if stop > n_samples:
                     x = ((t_eval[n_samples:stop] - step.t) / step.h)[:, None]
-                    samples.append(_interp_eval(x, np.array(step.y),
-                                                coefficients()))
+                    samples.append(_interp_eval(x, np.array(step.y), coef))
                     n_samples = stop
-            if t_eval is None and t_end != t_last:
-                ts.append(t_end)  # a root at the step start adds no sample
-                ys.extend(y_end)
-            if dense:
-                bounds.append(t_end)
-                pieces.append(step.h)
-                pieces.extend(step.y)
-                pieces.frombytes(coefficients().tobytes())
             t_last = t_end
             if hit:
                 break
@@ -617,15 +614,12 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
              "rejected_steps_estimate": rejected}
     if t_eval is None:
         t_out, states = np.frombuffer(ts), np.frombuffer(ys).reshape(-1, n)
+        interp = _Dense(direction, t_out, states, np.frombuffer(hs),
+                        np.frombuffer(rows).reshape(-1, 7, n))
     else:
         t_out = t_eval[:n_samples]
         states = np.vstack(samples) if samples else np.empty((0, n))
-    interp = None
-    if dense:
-        rows = np.frombuffer(pieces).reshape(len(bounds) - 1, -1)
-        interp = _Dense(direction, np.frombuffer(bounds), rows[:, 0].copy(),
-                        rows[:, 1:1 + n].copy(),
-                        rows[:, 1 + n:].reshape(-1, 7, n))  # a view
+        interp = None
     traj = Trajectory(t=t_out, states=states, stats=stats, escaped=escaped,
                       stopped=stopped, _dense=interp)
     if escaped:
@@ -705,7 +699,7 @@ def detect_crossings(traj: Trajectory,
     crossings; None keeps both.  Events are returned in strictly
     increasing time order.
     """
-    fine = traj.refined()  # a ValueError without dense output
+    fine = traj.refined()  # a ValueError for a run sampled at t_eval
     if len(fine.t) < 2:
         return []
     tgrid, states = fine.t, fine.states
@@ -744,25 +738,26 @@ def detect_crossings(traj: Trajectory,
 def stroboscopic(p: Params, s0, n: int, per_period: int = 1) -> np.ndarray:
     """Forced-system states at t = k * T / per_period, k = 0..n*per_period.
 
-    T = 2*pi/omega is the forcing period, n >= 1 the number of periods
-    and the integer per_period >= 1 the samples per period.  The forced
-    system is integrated at ``DEFAULT_TOL`` as its 3D autonomous
-    extension (x, y, theta); samples are taken on the exact
-    grid ``arange(n*per_period + 1) * (T/per_period)`` from the step
-    interpolants, so the steps, and every ``per_period``-th row, do not
-    depend on ``per_period``.  Returns an (n*per_period + 1) x 2 array of
-    (x, y) samples.
+    T = 2*pi/omega is the forcing period, the integer n >= 1 the number of
+    periods and the integer per_period >= 1 the samples per period.  The
+    forced system is integrated at ``DEFAULT_TOL`` as its 3D autonomous
+    extension (x, y, theta), in one ``t_eval`` run (no interpolant kept)
+    on the exact grid ``arange(n*per_period + 1) * (T/per_period)``.  The
+    samples come from the step interpolants, so the steps, and every
+    ``per_period``-th row, do not depend on ``per_period``.  Returns an
+    (n*per_period + 1) x 2 array of (x, y) samples.
     """
     if p.alpha == 0:
         raise ValueError("stroboscopic sampling requires alpha != 0")
     if n < 1:
         raise ValueError("stroboscopic sampling requires n >= 1")
+    if not float(n).is_integer():
+        raise ValueError("n must be a positive integer")
     if not (per_period >= 1 and float(per_period).is_integer()):
         raise ValueError("per_period must be a positive integer")
     T = p.forcing_period
     x0, y0 = float(s0[0]), float(s0[1])
     rhs = forced_rhs_3d(p)
     t_eval = np.arange(n * per_period + 1) * (T / per_period)
-    traj = integrate(rhs, (x0, y0, 0.0), (0.0, n * T),
-                     dense=False, t_eval=t_eval)
+    traj = integrate(rhs, (x0, y0, 0.0), (0.0, n * T), t_eval=t_eval)
     return traj.states[:, :2].copy()

@@ -9,7 +9,7 @@ from qvdp.detect import (SeparatrixSplit, Verdict, _shoot_to_section,
                          classify_forced, escape_bound, find_limit_cycle,
                          rotation_number, separatrix_split, winding_number)
 from qvdp.detect import (_saddle_eigvectors, _positive_x, _to_section,
-                         _LAUNCH_OFFSET)
+                         _LAUNCH_OFFSET, _SHOOT_HORIZON)
 from qvdp.equilibria import EqLabel, EquilibriumKind, find_equilibria
 from qvdp.bifurcation import homoclinic_curve, hopf_curve
 from qvdp.integrate import Direction, detect_crossings, integrate
@@ -372,17 +372,14 @@ def test_separatrix_split_mirror_symmetry():
     ref = separatrix_split(p)
     rhs = unforced_rhs(p)
 
-    def rhs_back(t, s):
-        return [-v for v in rhs(t, s)]
-
     def negative_x(s):
         return s[0] < 0.0
 
     vu, vs = _saddle_eigvectors(p)
     xu = _shoot_to_section(rhs, -_LAUNCH_OFFSET * vu, Direction.UP,
                            accept=negative_x)
-    xs = _shoot_to_section(rhs_back, -_LAUNCH_OFFSET * vs, Direction.DOWN,
-                           accept=negative_x)
+    xs = _shoot_to_section(rhs, -_LAUNCH_OFFSET * vs, Direction.DOWN,
+                           accept=negative_x, horizon=-_SHOOT_HORIZON)
     assert abs(abs(xu - xs) - abs(ref.distance)) < 1e-9
 
 

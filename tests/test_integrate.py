@@ -167,6 +167,58 @@ def test_stop_event_zero_at_the_start_stops_there():
     assert np.array_equal(traj.at(0.0)[0], [1.0, 0.0])
 
 
+def test_a_run_sampled_at_t_eval_keeps_no_interpolant():
+    # the samples are all a t_eval run returns: it has no interpolant to
+    # evaluate or to scan for crossings
+    traj = integrate(_rotation_field, [1.0, 0.0], (0.0, 10.0),
+                     t_eval=[0.0, 5.0, 10.0])
+    assert list(traj.t) == [0.0, 5.0, 10.0]
+    assert abs(traj.states[1][0] - math.cos(5.0)) < 1e-8
+    with pytest.raises(ValueError, match="keeps no interpolant"):
+        traj.at(5.0)
+    with pytest.raises(ValueError, match="keeps no interpolant"):
+        detect_crossings(traj, lambda s: s[1])
+
+
+def _rising(t, s):
+    return s[1]
+
+
+_rising.direction = 1
+
+
+_SADDLE_SET = Params(mu=-0.18, beta=1.0, eps=2.0)
+# the stable eigenvalue of the saddle at the origin
+_LAM_S = (_SADDLE_SET.mu - math.sqrt(_SADDLE_SET.mu ** 2
+                                     + 4.0 * _SADDLE_SET.beta)) / 2.0
+
+
+@pytest.mark.parametrize("s0, t1, stop", [
+    ([0.7, 0.3], 30.0, None),
+    # the stable separatrix, run backward from a 1e-8 offset along its
+    # eigenvector (1, lam_s) to the section, as separatrix shooting does
+    ([1e-8 / math.hypot(1.0, _LAM_S), 1e-8 * _LAM_S / math.hypot(1.0, _LAM_S)],
+     400.0, _rising),
+])
+def test_backward_span_is_the_negated_field_run_forward(s0, t1, stop):
+    # a negative span runs the field backward: it takes the steps of the
+    # negated field run forward, with times negated, bit for bit
+    rhs = unforced_rhs(_SADDLE_SET)
+
+    def negated(t, s):
+        return [-v for v in rhs(t, s)]
+    back = integrate(rhs, s0, (0.0, -t1), escape_radius=5.0,
+                     stop_event=stop)
+    fwd = integrate(negated, s0, (0.0, t1), escape_radius=5.0,
+                    stop_event=stop)
+    assert back.stopped == fwd.stopped == (stop is not None)
+    assert back.stats == fwd.stats
+    assert np.array_equal(back.t, -fwd.t)
+    assert np.array_equal(back.states, fwd.states)
+    grid = np.linspace(0.0, fwd.t1, 101)
+    assert np.array_equal(back.at(-grid), fwd.at(grid))
+
+
 def _recorded_rotation_run(wrap):
     """A stopped rotation run whose field returns ``wrap(tuple)``, and
     the states its field and event calls got."""
@@ -236,6 +288,13 @@ def test_stroboscopic_requires_a_positive_integer_per_period(per_period):
     p = Params(mu=-0.1, beta=1.0, eps=3.0, alpha=-0.3, omega=1.0)
     with pytest.raises(ValueError, match="per_period must be a positive"):
         stroboscopic(p, (0.0, 1.2), 2, per_period=per_period)
+
+
+@pytest.mark.parametrize("n", [2.5, math.nan, math.inf])
+def test_stroboscopic_requires_a_positive_integer_period_count(n):
+    p = Params(mu=-0.1, beta=1.0, eps=3.0, alpha=-0.3, omega=1.0)
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        stroboscopic(p, (0.0, 1.2), n)
 
 
 def test_stroboscopic_fixed_point_of_forced_system():
