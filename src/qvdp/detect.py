@@ -23,8 +23,10 @@ is sampled from the dense output of that same return.
 Homoclinic proximity is measured by shooting: the unstable manifold of the
 saddle at the origin is launched forward, the stable manifold backward,
 both from 1e-8 offsets along the respective eigenvectors, each integrated
-once up to its first section crossing, and the signed gap between the two
-crossings brackets the homoclinic connection as mu varies.
+once up to its first return to the section, and the signed gap between the
+two returns brackets the homoclinic connection as mu varies.  A return,
+forward or backward, is the first crossing of the section that goes down
+in forward time: a backward run meets it going up.
 
 The forced system is judged through its stroboscopic map: contraction to a
 point (a harmonically entrained periodic solution), a revisited finite set
@@ -42,8 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .equilibria import EqLabel, find_equilibria
-from .integrate import (Direction, NonFinite, NoConvergence, integrate,
-                        stroboscopic)
+from .integrate import NonFinite, NoConvergence, integrate, stroboscopic
 from .model import Params, State, divergence, unforced_rhs
 
 __all__ = [
@@ -133,26 +134,24 @@ def winding_number(path_xy: np.ndarray, point) -> int:
 
 # --- return map ------------------------------------------------------------
 
-def _positive_x(s):
-    return s[0] > 0.0
+def _first_return(field_fn, s0, t_max, escape_radius):
+    """One integration from ``s0`` to its first return to {y = 0, x > 0}.
 
-
-def _to_section(field_fn, s0, direction, accept, t_max, escape_radius):
-    """One integration from ``s0`` to the first accepted crossing of {y = 0}.
-
+    The return is the first crossing of the half-axis that goes down in
+    forward time, for a span (0, t_max) of either sign: a backward run
+    (t_max < 0) stops where it meets the half-axis going up along the run.
     Returns the trajectory, whose final state lies on the section, or None
-    when no accepted crossing in ``direction`` (along the run; t_max < 0
-    runs backward) occurs within ``t_max``; raises
+    when no such crossing occurs within ``t_max``; raises
     :class:`~qvdp.integrate.NonFinite` on escape.  A start exactly on the
-    section is not a crossing.  Off the accepted half the event is held on
-    the near side of the section, so leaving the half is never taken for a
+    section is not a crossing.  Off the half-axis the event is held on the
+    near side of the section, so leaving the half is never taken for a
     crossing; the orbit has to enter the half from the near side, as it
-    does for every flow with x' = y or x' = -y and the directions used here.
+    does for every flow with x' = y.
     """
-    sign = direction.value
+    sign = -1 if t_max > 0 else 1  # direction of the crossing along the run
 
     def crossing(t, s):
-        if not accept(s):
+        if not s[0] > 0.0:
             return -sign
         # a state exactly on the section counts as past it
         return s[1] if s[1] != 0.0 else sign * math.ulp(0.0)
@@ -197,8 +196,8 @@ def find_limit_cycle(p: Params, seed: State) -> Optional[LimitCycle]:
 
     def ret(x, y=0.0):
         try:
-            return _to_section(aug_field, (x, y, 0.0), Direction.DOWN,
-                               _positive_x, _RETURN_HORIZON, escape_radius)
+            return _first_return(aug_field, (x, y, 0.0), _RETURN_HORIZON,
+                                 escape_radius)
         except NonFinite:
             return None
 
@@ -278,18 +277,6 @@ def _saddle_eigvectors(p: Params):
     return vu / np.linalg.norm(vu), vs / np.linalg.norm(vs)
 
 
-def _shoot_to_section(rhs, s0, direction, accept=_positive_x,
-                      horizon=_SHOOT_HORIZON) -> float:
-    try:
-        traj = _to_section(rhs, s0, direction, accept, horizon, _SHOOT_BOX)
-    except NonFinite as exc:
-        raise ManifoldEscape(
-            f"separatrix branch left |x|,|y| <= {_SHOOT_BOX}") from exc
-    if traj is None:
-        raise ManifoldEscape("no section crossing within the shooting horizon")
-    return float(traj.final[0])
-
-
 def separatrix_split(p: Params) -> SeparatrixSplit:
     """Signed gap between the saddle separatrices on {y = 0, x > 0}.
 
@@ -303,10 +290,21 @@ def separatrix_split(p: Params) -> SeparatrixSplit:
     if not (p.beta > 0 and p.eps > 0):
         raise ValueError("separatrix shooting requires a saddle: beta, eps > 0")
     rhs = unforced_rhs(p)
+
+    def shoot(s0, t_max):
+        try:
+            traj = _first_return(rhs, s0, t_max, _SHOOT_BOX)
+        except NonFinite as exc:
+            raise ManifoldEscape(
+                f"separatrix branch left |x|,|y| <= {_SHOOT_BOX}") from exc
+        if traj is None:
+            raise ManifoldEscape(
+                "no section crossing within the shooting horizon")
+        return float(traj.final[0])
+
     vu, vs = _saddle_eigvectors(p)
-    x_unstable = _shoot_to_section(rhs, _LAUNCH_OFFSET * vu, Direction.DOWN)
-    x_stable = _shoot_to_section(rhs, _LAUNCH_OFFSET * vs, Direction.UP,
-                                 horizon=-_SHOOT_HORIZON)
+    x_unstable = shoot(_LAUNCH_OFFSET * vu, _SHOOT_HORIZON)
+    x_stable = shoot(_LAUNCH_OFFSET * vs, -_SHOOT_HORIZON)
     return SeparatrixSplit(mu=p.mu, distance=x_unstable - x_stable)
 
 
@@ -453,11 +451,13 @@ def classify_forced(p: Params, s0: State, n: int = 2000,
     # 3. invariant closed curve
     closure = _closure_diagnostics(tail)
     evidence["closure"] = closure
-    half_closure = _closure_diagnostics(tail[: len(tail) // 2])
-    # recorded for audit; not gated on: near-resonant rotation numbers fill
-    # the curve lumpily and stall the O(1/n) shrink at these sample counts
-    evidence["gap_shrink_ratio"] = float(
-        closure["median_gap"] / max(half_closure["median_gap"], 1e-300))
+    half = tail[: len(tail) // 2]
+    if len(half) >= 2:  # a lone sample has no nearest neighbour
+        # recorded for audit; not gated on: near-resonant rotation numbers
+        # fill the curve lumpily and stall the O(1/n) shrink at these counts
+        evidence["gap_shrink_ratio"] = float(
+            closure["median_gap"]
+            / max(_closure_diagnostics(half)["median_gap"], 1e-300))
     rot = rotation_number(tail, closure["center"])
     if rot is not None:
         evidence["rotation"] = {"value": rot.value, "error": rot.error,

@@ -387,13 +387,13 @@ class SectionEvent:
 
 
 def _brent(f: Callable[[float], float], a: float, b: float,
-           xtol: float, rtol: float, maxiter: int = 100) -> float:
+           xtol: float) -> float:
     """Root of ``f`` in the sign-change bracket [a, b] (Brent, 1973).
 
     Inverse quadratic or secant steps where they shrink the bracket fast
     enough, bisection otherwise; converged once the bracket half-width is
-    below (xtol + rtol |x|) / 2.  Raises :class:`NoConvergence` on a
-    bracket without a sign change, a NaN value or ``maxiter`` exhausted.
+    below (xtol + 4 eps |x|) / 2.  Raises :class:`NoConvergence` on a
+    bracket without a sign change, a NaN value or 100 iterations exhausted.
     """
     xpre, xcur = a, b
     fpre, fcur = f(xpre), f(xcur)
@@ -406,7 +406,7 @@ def _brent(f: Callable[[float], float], a: float, b: float,
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise NoConvergence("root bracket has no sign change")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(100):
         if fpre != 0.0 and fcur != 0.0 and \
                 math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
             xblk, fblk = xpre, fpre
@@ -414,7 +414,7 @@ def _brent(f: Callable[[float], float], a: float, b: float,
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + 4 * _EPS * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -439,8 +439,7 @@ def _brent(f: Callable[[float], float], a: float, b: float,
         fcur = f(xcur)
         if math.isnan(fcur):
             raise NoConvergence("root bracketing met a NaN value")
-    raise NoConvergence(f"root bracketing did not converge in {maxiter} "
-                        "iterations")
+    raise NoConvergence("root bracketing did not converge in 100 iterations")
 
 
 def _initial_step(fun, t0, y0, f0, t1, direction, atol, rtol):
@@ -582,7 +581,7 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
                     return _interp_eval((s - step.t) / step.h, y_arr,
                                         coef).tolist()
                 roots = [_brent(lambda s: events[i][0](s, state(s)),
-                                step.t, t_end, 4 * _EPS, 4 * _EPS)
+                                step.t, t_end, 4 * _EPS)
                          for i in hit]
                 # the earliest root ends the run; a tie goes to the escape
                 first = min(range(len(hit)),
@@ -726,7 +725,7 @@ def detect_crossings(traj: Trajectory,
         if direction is not None and d is not direction:
             continue
         t_root = _brent(gfun, float(tgrid[i]), float(tgrid[i + 1]),
-                        xtol=1e-14, rtol=4 * _EPS)
+                        xtol=1e-14)
         state = traj.at(t_root)[0]
         if abs(section(state)) > _RESIDUAL_TOL:
             raise NoConvergence(

@@ -1,15 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qvdp import detect
-from qvdp.detect import (SeparatrixSplit, Verdict, _shoot_to_section,
+from qvdp.detect import (SeparatrixSplit, Verdict, _first_return,
                          classify_forced, escape_bound, find_limit_cycle,
                          rotation_number, separatrix_split, winding_number)
-from qvdp.detect import (_saddle_eigvectors, _positive_x, _to_section,
-                         _LAUNCH_OFFSET, _SHOOT_HORIZON)
+from qvdp.detect import (_saddle_eigvectors, _LAUNCH_OFFSET, _SHOOT_BOX,
+                         _SHOOT_HORIZON)
 from qvdp.equilibria import EqLabel, EquilibriumKind, find_equilibria
 from qvdp.bifurcation import homoclinic_curve, hopf_curve
 from qvdp.integrate import Direction, detect_crossings, integrate
@@ -206,9 +207,9 @@ def test_no_cycle_search_crawls_to_a_mu_scaled_bound(monkeypatch):
 
     def counting(*args):
         calls.append(args)
-        return _to_section(*args)
+        return _first_return(*args)
 
-    monkeypatch.setattr(detect, "_to_section", counting)
+    monkeypatch.setattr(detect, "_first_return", counting)
     p = Params(mu=4.0, beta=1.0, eps=-1.0)
     assert find_limit_cycle(p, State(2.0, 0.0)) is None
     assert calls == []
@@ -222,9 +223,9 @@ def test_no_return_map_search_for_nonpositive_eps(monkeypatch, beta, eps):
 
     def counting(*args):
         calls.append(args)
-        return _to_section(*args)
+        return _first_return(*args)
 
-    monkeypatch.setattr(detect, "_to_section", counting)
+    monkeypatch.setattr(detect, "_first_return", counting)
     p = Params(mu=0.1, beta=beta, eps=eps)
     for k in range(8):  # the criterion-7 seed ring
         ang = 2.0 * math.pi * k / 8
@@ -317,8 +318,7 @@ def test_liouville_slope_matches_return_map(x0):
     def g(x):
         return p.beta * x - p.eps * x ** 3
 
-    hit = _to_section(aug_field, (x0, 0.0, 0.0), Direction.DOWN,
-                      _positive_x, 240.0, 8.0)
+    hit = _first_return(aug_field, (x0, 0.0, 0.0), 240.0, 8.0)
     px = float(hit.final[0])
     slope = g(x0) / g(px) * math.exp(hit.final[2])
     h = 1e-5 * max(1.0, abs(x0))
@@ -334,9 +334,9 @@ def test_energy_boundary_search_gives_up_within_30_returns(monkeypatch):
 
     def counting(*args):
         calls.append(args)
-        return _to_section(*args)
+        return _first_return(*args)
 
-    monkeypatch.setattr(detect, "_to_section", counting)
+    monkeypatch.setattr(detect, "_first_return", counting)
     p = Params(mu=-5.0 / 36.0, beta=0.0, eps=2.0)
     assert find_limit_cycle(p, State(2.2, 0.0)) is None
     assert len(calls) <= 30
@@ -346,11 +346,30 @@ def test_return_from_the_section_does_not_stop_at_start():
     # from (2, 0) the orbit leaves the section downward at t = 0; a plain
     # terminal event would report that start as the crossing
     p = Params(mu=-0.1, beta=1.0, eps=2.0)
-    traj = _to_section(unforced_rhs(p), (2.0, 0.0), Direction.DOWN,
-                       _positive_x, 240.0, 8.0)
+    traj = _first_return(unforced_rhs(p), (2.0, 0.0), 240.0, 8.0)
     assert traj is not None and traj.t1 > 1.0
     assert abs(traj.final[1]) < 1e-10
     assert abs(traj.final[0] - _first_return_x(p, 2.0)) < 1e-9
+
+
+@pytest.mark.parametrize("start, t_max, t_stop", [
+    ((0.0, 1.0), 10.0, 0.5 * math.pi),
+    # passing (-1, 0) at t = -pi/2 is off the half-axis: not a stop
+    ((0.0, 1.0), -10.0, -1.5 * math.pi),
+    # a start on the section is not a crossing, in either direction
+    ((1.0, 0.0), 10.0, 2.0 * math.pi),
+    ((1.0, 0.0), -10.0, -2.0 * math.pi),
+    ((0.0, 1.0), 1.0, None),
+])
+def test_first_return_is_downward_in_forward_time(start, t_max, t_stop):
+    # x' = y, y' = -x turns clockwise: it crosses {y = 0, x > 0} going down
+    # in forward time, so a backward run meets it going up along the run
+    traj = _first_return(lambda t, s: (s[1], -s[0]), start, t_max, 8.0)
+    if t_stop is None:
+        assert traj is None
+        return
+    assert abs(traj.t1 - t_stop) < 1e-8
+    assert abs(traj.final[0] - 1.0) < 1e-8 and abs(traj.final[1]) < 1e-10
 
 
 # --- separatrix shooting -----------------------------------------------------
@@ -372,14 +391,17 @@ def test_separatrix_split_mirror_symmetry():
     ref = separatrix_split(p)
     rhs = unforced_rhs(p)
 
-    def negative_x(s):
-        return s[0] < 0.0
+    def shoot(s0, t_max):
+        # from these launches y keeps its sign, and x' = y moves x away from
+        # 0, until the first crossing of y = 0, which therefore has x < 0
+        traj = integrate(rhs, s0, (0.0, t_max), escape_radius=_SHOOT_BOX,
+                         stop_event=lambda t, s: s[1])
+        assert traj.stopped and traj.final[0] < 0.0
+        return float(traj.final[0])
 
     vu, vs = _saddle_eigvectors(p)
-    xu = _shoot_to_section(rhs, -_LAUNCH_OFFSET * vu, Direction.UP,
-                           accept=negative_x)
-    xs = _shoot_to_section(rhs, -_LAUNCH_OFFSET * vs, Direction.DOWN,
-                           accept=negative_x, horizon=-_SHOOT_HORIZON)
+    xu = shoot(-_LAUNCH_OFFSET * vu, _SHOOT_HORIZON)
+    xs = shoot(-_LAUNCH_OFFSET * vs, -_SHOOT_HORIZON)
     assert abs(abs(xu - xs) - abs(ref.distance)) < 1e-9
 
 
@@ -438,6 +460,19 @@ def test_forced_quasi_periodic_short_run():
     assert rep.verdict is Verdict.QUASI_PERIODIC
     assert rep.rotation_number is not None
     assert rep.evidence["closure"]["gap_ratio"] < 5.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_classify_forced_short_run_has_no_lone_sample_gap_ratio(n):
+    # for n <= 3 the first half of the tail is a single sample, whose
+    # nearest-neighbour distance is inf: no gap shrink ratio is recorded
+    p = Params(mu=-0.1, beta=1.0, eps=3.0, alpha=-0.3, omega=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = classify_forced(p, State(0.0, 1.2), n=n)
+    ratio = rep.evidence.get("gap_shrink_ratio")
+    assert (ratio is None) == (n <= 3)
+    assert ratio != 0
 
 
 def test_nearest_neighbor_distances_match_kdtree():
