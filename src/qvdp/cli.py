@@ -238,6 +238,8 @@ def cmd_forced(args) -> int:
     p = _params_from(args)
     if p.alpha == 0:
         raise ValueError("forced analysis requires alpha != 0")
+    if len(args.seed) > 1:
+        raise ValueError("forced takes at most one --seed")
     seed = args.seed[0] if args.seed else (0.0, 1.2)
     T = p.forcing_period
     n = args.n

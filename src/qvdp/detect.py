@@ -455,9 +455,9 @@ def classify_forced(p: Params, s0: State, n: int = 2000,
     if len(half) >= 2:  # a lone sample has no nearest neighbour
         # recorded for audit; not gated on: near-resonant rotation numbers
         # fill the curve lumpily and stall the O(1/n) shrink at these counts
+        half_gap = float(np.median(_nearest_neighbor_distances(half)))
         evidence["gap_shrink_ratio"] = float(
-            closure["median_gap"]
-            / max(_closure_diagnostics(half)["median_gap"], 1e-300))
+            closure["median_gap"] / max(half_gap, 1e-300))
     rot = rotation_number(tail, closure["center"])
     if rot is not None:
         evidence["rotation"] = {"value": rot.value, "error": rot.error,

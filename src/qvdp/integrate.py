@@ -76,8 +76,9 @@ def _lower(rows: Sequence[dict]) -> tuple:
                  for i, r in enumerate(rows))
 
 
-# DOP853 (Hairer's dop853.f): row i combines stages 0..i into stage i + 1;
-# row 11 holds the solution weights, rows 12-14 the interpolant's stages
+# DOP853 (Hairer's dop853.f): row i combines stages 0..i into stage i + 1
+# at t + c_i h; row 11 holds the solution weights, so stage 12 is the
+# derivative at the new point, and rows 12-14 give the interpolant's stages
 # 13-15
 _DOP_A = _lower([
     {0: 5.26001519587677318785587544488e-2},
@@ -177,7 +178,6 @@ _DOP_C = (0.526001519587677318785587544488e-01,
           0.1,
           0.2,
           0.777777777777777777777777777778)
-_DOP_B = _DOP_A[11]
 # rows F_3..F_6 of the interpolant (see _dop853_coef) over 16 stages
 _DOP_POLY = tuple(
     tuple(r.get(j, 0.0) for j in range(16)) for r in (
@@ -242,7 +242,7 @@ _DOP_E3 = tuple(
     w - {0: 0.244094488188976377952755905512,
          8: 0.733846688281611857341361741547,
          11: 0.220588235294117647058823529412e-1}.get(j, 0.0)
-    for j, w in enumerate(_DOP_B + (0.0,)))
+    for j, w in enumerate(_DOP_A[11] + (0.0,)))
 
 _ERROR_ORDER = 7  # order of the embedded error estimate
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
@@ -251,14 +251,18 @@ _SUBSAMPLES = 4  # interior interpolant points per step of Trajectory.refined
 
 
 class _Step(NamedTuple):
-    """One accepted step from (t, y) to (t_new, y_new), h = t_new - t."""
+    """One accepted step from (t, y) to (t_new, y_new), h = t_new - t.
+
+    ``ks`` holds per component the stage derivatives: stage 0 at (t, y),
+    stages 1-12 from tableau rows 0-11, stage 12 the derivative at y_new,
+    and, once :func:`_dop853_coef` has run, stages 13-15.
+    """
     t: float
     y: list
     h: float
     t_new: float
     y_new: list
-    f_new: list
-    ks: list      # per component: the stage derivatives, f_new last
+    ks: list
 
 
 def _rms(v) -> float:
@@ -278,23 +282,30 @@ def _error_norm(ks, h: float, scale) -> float:
     return abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * len(scale))
 
 
+def _stage_rows(fun, t: float, y: list, h: float, ks: list,
+                rows: range) -> list:
+    """Append to ``ks`` (per component, the stage derivatives so far) the
+    stages of tableau ``rows``; returns the state of the last row."""
+    for i in rows:
+        ys = [yi + sum(map(mul, _DOP_A[i], k)) * h for yi, k in zip(y, ks)]
+        for k, v in zip(ks, fun(t + _DOP_C[i] * h, ys)):
+            k.append(v)
+    return ys
+
+
 def _dop853_coef(fun, step: _Step) -> np.ndarray:
     """Interpolant rows F_0..F_6 of one step (see :func:`_interp_eval`).
 
-    They take three more stages, appended to ``step.ks`` (three
-    evaluations of ``fun``), so call this at most once per step.
+    They take the stages of tableau rows 12-14, appended to ``step.ks``
+    (three evaluations of ``fun``), so call this at most once per step.
     """
-    t, y, h, ks = step.t, step.y, step.h, step.ks
-    for c, row in zip(_DOP_C[12:], _DOP_A[12:]):
-        ys = [yi + sum(map(mul, row, k)) * h for yi, k in zip(y, ks)]
-        for k, v in zip(ks, fun(t + c * h, ys)):
-            k.append(v)
+    y, h, ks = step.y, step.h, step.ks
+    _stage_rows(fun, step.t, y, h, ks, range(12, 15))
     dy = [b - a for a, b in zip(y, step.y_new)]
-    f_old = [k[0] for k in ks]
     return np.array([
         dy,
-        [h * fo - d for fo, d in zip(f_old, dy)],
-        [2 * d - h * (fn + fo) for d, fn, fo in zip(dy, step.f_new, f_old)],
+        [h * k[0] - d for k, d in zip(ks, dy)],
+        [2 * d - h * (k[12] + k[0]) for d, k in zip(dy, ks)],
         *([h * sum(map(mul, row, k)) for k in ks] for row in _DOP_POLY)])
 
 
@@ -543,10 +554,11 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
         events.append((stop_event, getattr(stop_event, "direction", 0)))
 
     y = y0.tolist()
-    # flat float buffers: the step ends, their states, each step's h and rows
-    ts, ys = array("d", [t0]), array("d", y)
+    # flat float buffers: the samples (the start and the step ends, or the
+    # t_eval times reached), their states, each step's h and rows
+    ts, ys = (array("d"), array("d")) if t_eval is not None else \
+        (array("d", [t0]), array("d", y))
     hs, rows = array("d"), array("d")
-    samples, n_samples = [], 0  # blocks of t_eval states
     n = len(y)
     accepted = rejected = 0
     escaped = stopped = False
@@ -570,10 +582,7 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
             hit = [i for i, ((_, d), a, b) in enumerate(zip(events, g, g_new))
                    if (a <= 0 <= b and d >= 0) or (a >= 0 >= b and d <= 0)]
             g = g_new
-            due = t_eval is not None and n_samples < len(t_eval) and \
-                direction * (t_eval[n_samples] - t_end) <= 0
-            if t_eval is None or hit or due:
-                coef = _dop853_coef(fun, step)
+            coef = _dop853_coef(fun, step) if t_eval is None or hit else None
             if hit:
                 y_arr = np.array(step.y)
 
@@ -597,28 +606,27 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
                 hs.append(step.h)
                 rows.frombytes(coef.tobytes())
             else:
-                stop = n_samples
+                start = stop = len(ts)
                 while stop < len(t_eval) and \
                         direction * (t_eval[stop] - t_end) <= 0:
                     stop += 1
-                if stop > n_samples:
-                    x = ((t_eval[n_samples:stop] - step.t) / step.h)[:, None]
-                    samples.append(_interp_eval(x, np.array(step.y), coef))
-                    n_samples = stop
+                if stop > start:  # rows only for a step that holds samples
+                    if coef is None:
+                        coef = _dop853_coef(fun, step)
+                    x = ((t_eval[start:stop] - step.t) / step.h)[:, None]
+                    ts.frombytes(t_eval[start:stop].tobytes())
+                    ys.frombytes(_interp_eval(x, np.array(step.y), coef)
+                                 .tobytes())
             t_last = t_end
             if hit:
                 break
 
     stats = {"nfev": nfev, "accepted_steps": accepted,
              "rejected_steps_estimate": rejected}
-    if t_eval is None:
-        t_out, states = np.frombuffer(ts), np.frombuffer(ys).reshape(-1, n)
-        interp = _Dense(direction, t_out, states, np.frombuffer(hs),
-                        np.frombuffer(rows).reshape(-1, 7, n))
-    else:
-        t_out = t_eval[:n_samples]
-        states = np.vstack(samples) if samples else np.empty((0, n))
-        interp = None
+    t_out, states = np.frombuffer(ts), np.frombuffer(ys).reshape(-1, n)
+    interp = None if t_eval is not None else _Dense(
+        direction, t_out, states, np.frombuffer(hs),
+        np.frombuffer(rows).reshape(-1, 7, n))
     traj = Trajectory(t=t_out, states=states, stats=stats, escaped=escaped,
                       stopped=stopped, _dense=interp)
     if escaped:
@@ -651,7 +659,8 @@ def _dormand_prince(fun, t: float, y: list, f: list, t_bound: float,
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            y_new, f_new, ks = _stages(fun, t, y, f, h)
+            ks = [[fi] for fi in f]
+            y_new = _stage_rows(fun, t, y, h, ks, range(12))
             scale = [atol + max(abs(a), abs(b)) * rtol
                      for a, b in zip(y, y_new)]
             err = _error_norm(ks, h, scale)
@@ -662,23 +671,8 @@ def _dormand_prince(fun, t: float, y: list, f: list, t_bound: float,
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * err ** exponent)
             rejected += 1
-        yield _Step(t, y, h, t_new, y_new, f_new, ks), rejected
-        t, y, f = t_new, y_new, f_new
-
-
-def _stages(fun, t: float, y: list, f: list, h: float):
-    """One step attempt: the new state and derivative, and the stage
-    derivatives per component (the new derivative last)."""
-    ks = [[fi] for fi in f]
-    for c, row in zip(_DOP_C[:11], _DOP_A[:11]):
-        ys = [yi + sum(map(mul, row, k)) * h for yi, k in zip(y, ks)]
-        for k, v in zip(ks, fun(t + c * h, ys)):
-            k.append(v)
-    y_new = [yi + h * sum(map(mul, _DOP_B, k)) for yi, k in zip(y, ks)]
-    f_new = fun(t + h, y_new)
-    for k, v in zip(ks, f_new):
-        k.append(v)
-    return y_new, f_new, ks
+        yield _Step(t, y, h, t_new, y_new, ks), rejected
+        t, y, f = t_new, y_new, [k[12] for k in ks]
 
 
 _RESIDUAL_TOL = 1e-10  # |section| at a refined crossing

@@ -356,6 +356,17 @@ def test_portrait_requires_seed(tmp_path):
     assert _run(["portrait", "--beta", "1", "--eps", "2"]) == 2
 
 
+def test_forced_rejects_a_second_seed(tmp_path, capsys):
+    # forced runs one orbit: a second --seed is an error, not dropped
+    out = tmp_path / "f.csv"
+    assert _run(["forced", "--mu", "-0.1", "--beta", "1", "--eps", "3",
+                 "--alpha", "-0.3", "--seed", "0,1.2", "--seed", "1,0",
+                 "--n", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["portrait", "--beta", "1", "--eps", "2", "--mu", "-0.1", "--t1", "5"],
     ["forced", "--beta", "1", "--eps", "3", "--mu", "-0.3", "--alpha",

@@ -180,6 +180,39 @@ def test_a_run_sampled_at_t_eval_keeps_no_interpolant():
         detect_crossings(traj, lambda s: s[1])
 
 
+def test_a_t_eval_run_owns_its_times():
+    # the returned times are a copy: writing to the caller's t_eval later
+    # does not reach the trajectory
+    t_eval = np.array([0.0, 1.0, 2.0])
+    traj = integrate(_rotation_field, [2.0, 0.0], (0.0, 5.0), t_eval=t_eval)
+    t_eval[1] = 99.0
+    assert list(traj.t) == [0.0, 1.0, 2.0]
+
+
+def _half_speed_stop(t, s):
+    return abs(s[1]) - 0.5
+
+
+@pytest.mark.parametrize("t1, t_eval, stop, radius", [
+    # stopped where |y| reaches 0.5, before t = 0.25
+    (50.0, (10.0, 50.0), _half_speed_stop, 1e4),
+    # escaped past |x| = 8 before t = 599
+    (600.0, (599.0,), None, 8.0),
+])
+def test_a_t_eval_run_ending_before_its_first_sample_is_empty(t1, t_eval,
+                                                              stop, radius):
+    p = Params(mu=0.3, beta=1.0, eps=-1.0)
+    try:
+        traj = integrate(unforced_rhs(p), [2.0, 0.0], (0.0, t1),
+                         t_eval=t_eval, escape_radius=radius, stop_event=stop)
+    except NonFinite as exc:
+        traj = exc.trajectory
+    assert traj.stopped == (stop is not None)
+    assert traj.escaped == (stop is None)
+    assert traj.t.shape == (0,)
+    assert traj.states.shape == (0, 2)
+
+
 def _rising(t, s):
     return s[1]
 
