@@ -282,7 +282,7 @@ _UNFORCED_EXAMPLES = [
     ("large_cycle", {"eps": 2.0, "beta": 1.0, "mu": -0.1}),
 ]
 _FORCED_EXAMPLES = [
-    ("forced_irregular", {"mu": -0.3, "beta": 1.0, "eps": 3.0,
+    ("forced_entrained", {"mu": -0.3, "beta": 1.0, "eps": 3.0,
                           "alpha": -0.3, "omega": 1.0}),
     ("forced_quasiperiodic", {"mu": -0.1, "beta": 1.0, "eps": 3.0,
                               "alpha": -0.3, "omega": 1.0}),

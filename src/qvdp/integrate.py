@@ -9,17 +9,19 @@ the initial-step rule of HNW II.4, an RMS error norm against
 and no growth right after a rejection -- so a run takes the same steps as
 scipy's ``solve_ivp(method="DOP853")`` with the same tolerances, up to
 rounding: sums run in another order, which can flip an accept/reject
-decision that sits on the bound.  The stage arithmetic runs on Python
-floats: the states here have two or three components, where array
-operations cost more than they compute.
+decision that sits on the bound.  Every field integrated here acts on
+the plane (x, y); the forced one is non-autonomous and reads its forcing
+from t, and only the return map augments its state, with the divergence
+integral.  The stage arithmetic runs on Python floats: for these two- and
+three-component states array operations cost more than they compute.
 
 On top of the stepper the module provides:
 
 * a :class:`Trajectory` value carrying samples, exact step counts and,
   unless sampled at ``t_eval``, the interpolant on its step ends with a
   finer grid of its points per step (:meth:`Trajectory.refined`);
-* escape detection on the first two state components (x, y; further
-  components of an augmented state are not monitored) -- for eps <= 0
+* escape detection on the first two state components (x, y; the return
+  map's divergence integral is not monitored) -- for eps <= 0
   the oscillator genuinely blows up in finite time, which is a reportable
   outcome (:class:`NonFinite`), not a crash;
 * a terminal event that ends a run at the first zero of a scalar function
@@ -29,7 +31,8 @@ On top of the stepper the module provides:
 * stroboscopic sampling of the forced system at exact fractions of the
   forcing period.
 
-All returned values are immutable.
+All returned values are immutable: a trajectory's arrays and those of
+its interpolant are read-only.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import IntegrationError, NoConvergence, NonFinite, StepUnderflow
-from .model import Params, forced_rhs_3d
+from .model import Params, forced_rhs
 
 __all__ = [
     "Trajectory",
@@ -325,10 +328,13 @@ def _interp_eval(x, y_old, coef):
 
 class _Dense:
     """Piecewise interpolant on a run's step ends: step i starts at t[i]
-    in states[i]; a run stopped at a step's start keeps that step last."""
+    in states[i]; a run stopped at a step's start keeps that step last.
+    Its arrays are made read-only."""
 
     def __init__(self, direction, t, states, h, rows):
         self._key = direction * t   # ascending
+        for a in (self._key, t, states, h, rows):
+            a.flags.writeable = False
         self._t = t
         self._states = states
         self._h = h
@@ -355,6 +361,7 @@ class Trajectory:
     ``stats`` counts right-hand-side evaluations (``nfev``), accepted steps
     (``accepted_steps``) and rejected step attempts
     (``rejected_steps_estimate``, an exact count despite its name).
+    ``t`` and ``states`` are made read-only.
     """
 
     t: np.ndarray
@@ -363,6 +370,10 @@ class Trajectory:
     escaped: bool = False
     stopped: bool = False
     _dense: object = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.t.flags.writeable = False
+        self.states.flags.writeable = False
 
     def at(self, times) -> np.ndarray:
         """Evaluate the dense interpolant; rows are states."""
@@ -498,9 +509,9 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
         along it; samples come from the step interpolants, so the steps
         taken do not depend on them
     escape_radius : bound on the max-norm of the first two components,
-        (x, y), beyond which the run is declared escaped; further
-        components (the forced system's phase, a divergence integral) are
-        not monitored
+        (x, y), beyond which the run is declared escaped; a further
+        component (the return map's divergence integral) is not
+        monitored
     stop_event : optional event ``g(t, state)`` on the same state lists,
         terminal whatever its ``terminal`` attribute; a ``direction``
         attribute selects zeros as in scipy (+1 rising, -1 falling, 0 or
@@ -567,7 +578,7 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
         if not all(map(math.isfinite, f)):
             raise NonFinite(
                 "field is non-finite at the initial state",
-                Trajectory(t=np.array([t0]), states=y0[None, :],
+                Trajectory(t=np.array([t0]), states=np.array([y0]),
                            stats={"nfev": 1, "accepted_steps": 0,
                                   "rejected_steps_estimate": 0},
                            escaped=True))
@@ -733,12 +744,12 @@ def stroboscopic(p: Params, s0, n: int, per_period: int = 1) -> np.ndarray:
 
     T = 2*pi/omega is the forcing period, the integer n >= 1 the number of
     periods and the integer per_period >= 1 the samples per period.  The
-    forced system is integrated at ``DEFAULT_TOL`` as its 3D autonomous
-    extension (x, y, theta), in one ``t_eval`` run (no interpolant kept)
-    on the exact grid ``arange(n*per_period + 1) * (T/per_period)``.  The
-    samples come from the step interpolants, so the steps, and every
-    ``per_period``-th row, do not depend on ``per_period``.  Returns an
-    (n*per_period + 1) x 2 array of (x, y) samples.
+    forced field is integrated at ``DEFAULT_TOL`` in the plane (x, y),
+    non-autonomous, from t = 0, in one ``t_eval`` run (no interpolant
+    kept) on the exact grid ``arange(n*per_period + 1) * (T/per_period)``.
+    The samples come from the step interpolants, so the steps, and every
+    ``per_period``-th row, do not depend on ``per_period``.  Returns the
+    run's own read-only (n*per_period + 1) x 2 array of (x, y) samples.
     """
     if p.alpha == 0:
         raise ValueError("stroboscopic sampling requires alpha != 0")
@@ -749,8 +760,7 @@ def stroboscopic(p: Params, s0, n: int, per_period: int = 1) -> np.ndarray:
     if not (per_period >= 1 and float(per_period).is_integer()):
         raise ValueError("per_period must be a positive integer")
     T = p.forcing_period
-    x0, y0 = float(s0[0]), float(s0[1])
-    rhs = forced_rhs_3d(p)
     t_eval = np.arange(n * per_period + 1) * (T / per_period)
-    traj = integrate(rhs, (x0, y0, 0.0), (0.0, n * T), t_eval=t_eval)
-    return traj.states[:, :2].copy()
+    traj = integrate(forced_rhs(p), (float(s0[0]), float(s0[1])),
+                     (0.0, n * T), t_eval=t_eval)
+    return traj.states

@@ -693,7 +693,7 @@ def test_closed_form_paths_load_no_numpy(tmp_path):
         "import sys",
         "import qvdp",
         "import qvdp.cli",
-        "from qvdp.model import Params, forced_rhs_3d, unforced_rhs",
+        "from qvdp.model import Params, forced_rhs, unforced_rhs",
         "def heavy():",
         "    return sorted(m for m in sys.modules",
         "                  if m.split('.')[0] == 'numpy' or m in",
@@ -701,7 +701,7 @@ def test_closed_form_paths_load_no_numpy(tmp_path):
         "print(heavy())",
         "p = Params(mu=-0.1, beta=1.0, eps=3.0, alpha=-0.3, omega=1.0)",
         "unforced_rhs(p)(0.0, [1.0, 0.5])",
-        "forced_rhs_3d(p)(0.0, [1.0, 0.5, 0.0])",
+        "forced_rhs(p)(0.0, [1.0, 0.5])",
         "print(heavy())",
         "from qvdp.bifurcation import (hopf_cycle_prediction,",
         "    hopf_normal_form, torus_frequency_estimate)",
@@ -775,7 +775,7 @@ def test_repro_bundle(tmp_path):
                manifest["unforced"] + manifest["forced"])
     near = json.loads((outdir / "homoclinic_proximal.json").read_text())
     assert near["homoclinic_proximal"] is True
-    for name in ("forced_irregular", "forced_quasiperiodic"):
+    for name in ("forced_entrained", "forced_quasiperiodic"):
         assert (outdir / f"{name}.json").exists()
         assert (outdir / f"{name}_ts.csv").exists()
 

@@ -102,3 +102,23 @@ def test_package_names_are_looked_up_on_each_access(monkeypatch):
 def test_unknown_package_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         qvdp.nope
+
+
+def test_benchmark_tracer_names_resolve():
+    # the tracer looks its targets up by name only when a traced run
+    # installs it; read the tables from its source, so scipy, which it
+    # imports, is not loaded here
+    src = pathlib.Path(qvdp.__file__).parents[2] / "benchmarks" / "tracing.py"
+    tables = {}
+    for node in ast.parse(src.read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("_SPAN_TARGETS", "_LEAF_TARGETS", "_RHS_FACTORIES"):
+                tables[name] = ast.literal_eval(node.value)
+    assert sorted(tables) == ["_LEAF_TARGETS", "_RHS_FACTORIES",
+                              "_SPAN_TARGETS"]
+    targets = [entry[:2] for table in tables.values() for entry in table]
+    assert targets
+    for mod, attr in targets:
+        assert callable(getattr(importlib.import_module(mod), attr, None)), \
+            (mod, attr)

@@ -10,7 +10,7 @@ import pytest
 import qvdp
 from qvdp.integrate import (DEFAULT_TOL, Direction, NonFinite,
                             detect_crossings, integrate, stroboscopic)
-from qvdp.model import (Params, State, divergence, forced_rhs_3d,
+from qvdp.model import (Params, State, divergence, forced_rhs,
                         hamiltonian, hamiltonian_rhs, unforced_rhs)
 
 
@@ -144,6 +144,10 @@ def test_z2_transport_is_exact():
     b = integrate(rhs, [-0.7, -0.3], (0.0, 30.0), tol=(1e-12, 1e-10))
     assert np.array_equal(a.t, b.t)
     assert np.array_equal(a.states, -b.states)
+    # the forced field is odd in (x, y) at every t, so its strobe is too
+    q = Params(mu=-0.1, beta=1.0, eps=3.0, alpha=-0.3, omega=1.0)
+    assert np.array_equal(stroboscopic(q, (-0.7, -0.3), 20),
+                          -stroboscopic(q, (0.7, 0.3), 20))
 
 
 def test_determinism_bitwise():
@@ -187,6 +191,30 @@ def test_a_t_eval_run_owns_its_times():
     traj = integrate(_rotation_field, [2.0, 0.0], (0.0, 5.0), t_eval=t_eval)
     t_eval[1] = 99.0
     assert list(traj.t) == [0.0, 1.0, 2.0]
+
+
+def test_returned_arrays_are_read_only():
+    # the samples share their buffers with the interpolant, so a write to
+    # them would move the curve at() evaluates
+    traj = integrate(_rotation_field, [1.0, 0.0], (0.0, 1.0))
+    fine = traj.refined()
+    sampled = integrate(_rotation_field, [1.0, 0.0], (0.0, 1.0),
+                        t_eval=[0.0, 0.5])
+    p = Params(mu=-0.1, beta=1.0, eps=3.0, alpha=-0.3, omega=1.0)
+    s0 = np.array([1.0, 0.0])
+    with pytest.raises(NonFinite) as exc:
+        integrate(lambda t, s: (math.inf, 0.0), s0, (0.0, 1.0))
+    s0[0] = 5.0  # the failed run keeps its own copy of the start
+    arrays = [traj.t, traj.states, fine.t, fine.states, sampled.t,
+              sampled.states, stroboscopic(p, (0.0, 1.2), 2),
+              exc.value.trajectory.t, exc.value.trajectory.states,
+              *(v for v in vars(traj._dense).values()
+                if isinstance(v, np.ndarray))]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 5.0
+    assert exc.value.trajectory.states.tolist() == [[1.0, 0.0]]
+    assert traj.at(0.0).tolist() == [[1.0, 0.0]]
 
 
 def _half_speed_stop(t, s):
@@ -434,8 +462,8 @@ def _augmented(p):
     (_augmented(Params(mu=-0.1, beta=1.0, eps=2.0)), [2.0, 0.0, 0.0], 1000.0,
      (1e-12, 1e-10), 1e4, _section_down),
     # the forced system on the paper's quasi-periodic set
-    (forced_rhs_3d(Params(mu=-0.1, beta=1.0, eps=3.0, alpha=-0.3, omega=1.0)),
-     [0.0, 1.2, 0.0], 30.0, DEFAULT_TOL, 1e4, None),
+    (forced_rhs(Params(mu=-0.1, beta=1.0, eps=3.0, alpha=-0.3, omega=1.0)),
+     [0.0, 1.2], 30.0, DEFAULT_TOL, 1e4, None),
 ])
 def test_integrate_takes_the_steps_of_solve_ivp(field_fn, s0, t1, tol, radius,
                                                 stop):
@@ -467,8 +495,8 @@ def test_stroboscopic_matches_solve_ivp_dop853(mu):
     # the paper's entrained (mu = -0.3) and quasi-periodic (-0.1) sets
     p = Params(mu=mu, beta=1.0, eps=3.0, alpha=-0.3, omega=1.0)
     n, T = 50, p.forcing_period
-    ref = _solve_ivp(forced_rhs_3d(p), [0.0, 1.2, 0.0], (0.0, n * T),
+    ref = _solve_ivp(forced_rhs(p), [0.0, 1.2], (0.0, n * T),
                      DEFAULT_TOL, method="DOP853",
                      t_eval=np.arange(n + 1) * T)
     samples = stroboscopic(p, (0.0, 1.2), n)
-    assert np.max(np.abs(samples - ref.y[:2].T)) < 1e-10
+    assert np.max(np.abs(samples - ref.y.T)) < 1e-10

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qvdp.integrate import integrate
 from qvdp.model import (Params, State, divergence, field_unforced,
-                        forced_rhs_3d, hamiltonian, hamiltonian_rhs, jacobian,
+                        forced_rhs, hamiltonian, hamiltonian_rhs, jacobian,
                         unforced_rhs)
 
 finite_coord = st.floats(min_value=-3.0, max_value=3.0,
@@ -50,39 +50,37 @@ def test_rhs_closures_match_field_bit_for_bit():
     rng = np.random.default_rng(19)
     for _ in range(200):
         p = _random_params(rng)
-        unforced, forced = unforced_rhs(p), forced_rhs_3d(p)
+        unforced, forced = unforced_rhs(p), forced_rhs(p)
         for _ in range(10):
             x, y = rng.uniform(-3.0, 3.0, size=2)
-            theta, t = rng.uniform(-10.0, 10.0, size=2)
+            t = rng.uniform(-10.0, 10.0)
             f = field_unforced(State(x, y), p)
             assert list(unforced(t, [x, y])) == [f.x, f.y]
-            assert list(forced(t, [x, y, theta])) == [
-                f.x, f.y - p.alpha * x * math.cos(theta), p.omega]
+            assert list(forced(t, [x, y])) == [
+                f.x, f.y - p.alpha * x * math.cos(p.omega * t)]
 
 
 def test_forced_rhs_values_and_reduction():
     p = Params(mu=0.0, beta=1.0, eps=3.0, alpha=-0.3, omega=1.0)
-    assert list(forced_rhs_3d(p)(0.0, [1.0, 0.0, 0.0])) == [
-        0.0, -1.7, 1.0]
+    assert list(forced_rhs(p)(0.0, [1.0, 0.0])) == [0.0, -1.7]
     p0 = Params(mu=0.4, beta=0.5, eps=1.5, alpha=0.0, omega=2.0)
     rng = np.random.default_rng(7)
     for _ in range(25):
         s = rng.uniform(-2, 2, size=2)
-        theta = rng.uniform(0, 20)
-        f = forced_rhs_3d(p0)(0.0, np.array([*s, theta]))
-        assert list(f[:2]) == list(field_unforced(State(*s), p0))
+        t = rng.uniform(0, 20)
+        f = forced_rhs(p0)(t, list(s))
+        assert list(f) == list(field_unforced(State(*s), p0))
 
 
 def test_forced_rhs_periodicity():
+    # the field is periodic in t with the forcing period T = 2 pi / omega
     p = Params(mu=-0.1, beta=1.0, eps=3.0, alpha=-0.3, omega=1.3)
-    rhs = forced_rhs_3d(p)
+    rhs, T = forced_rhs(p), p.forcing_period
     rng = np.random.default_rng(3)
     for _ in range(25):
-        s = rng.uniform(-2, 2, size=2)
-        theta = rng.uniform(0, 20)
-        a = rhs(0.0, np.array([*s, theta]))
-        b = rhs(0.0, np.array([*s, theta + 2.0 * math.pi]))
-        assert abs(a[1] - b[1]) < 1e-12
+        s = list(rng.uniform(-2, 2, size=2))
+        t = rng.uniform(0, 20)
+        assert abs(rhs(t, s)[1] - rhs(t + T, s)[1]) < 1e-12
 
 
 def test_jacobian_closed_forms():
