@@ -165,7 +165,6 @@ def _probe_verdict(chart, p: Params, s0) -> str:
 
     def leave(t, s):
         return size(s) - grow * _PROBE_RADIUS
-    leave.direction = 1
     traj = integrate(lambda t, s: field(*s, p), s0,
                      (0.0, _PROBE_TAU), tol=(1e-12, 1e-9),
                      t_eval=(0.0, _PROBE_TAU), stop_event=leave)

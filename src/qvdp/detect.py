@@ -139,23 +139,24 @@ def _first_return(field_fn, s0, t_max, escape_radius):
 
     The return is the first crossing of the half-axis that goes down in
     forward time, for a span (0, t_max) of either sign: a backward run
-    (t_max < 0) stops where it meets the half-axis going up along the run.
+    (t_max < 0) meets it going up along the run.  The stop event is
+    ``sign * y`` on the half-axis, with sign -1 forward and +1 backward,
+    so it rises through zero at the return either way.
     Returns the trajectory, whose final state lies on the section, or None
     when no such crossing occurs within ``t_max``; raises
     :class:`~qvdp.integrate.NonFinite` on escape.  A start exactly on the
-    section is not a crossing.  Off the half-axis the event is held on the
-    near side of the section, so leaving the half is never taken for a
-    crossing; the orbit has to enter the half from the near side, as it
-    does for every flow with x' = y.
+    section is not a crossing.  Off the half-axis the event is held at -1,
+    on the near side of the section, so leaving the half is never taken
+    for a crossing; the orbit has to enter the half from the near side, as
+    it does for every flow with x' = y.
     """
-    sign = -1 if t_max > 0 else 1  # direction of the crossing along the run
+    sign = -1 if t_max > 0 else 1
 
     def crossing(t, s):
         if not s[0] > 0.0:
-            return -sign
+            return -1.0
         # a state exactly on the section counts as past it
-        return s[1] if s[1] != 0.0 else sign * math.ulp(0.0)
-    crossing.direction = sign
+        return sign * s[1] if s[1] != 0.0 else math.ulp(0.0)
 
     traj = integrate(field_fn, s0, (0.0, t_max),
                      escape_radius=escape_radius, stop_event=crossing)

@@ -114,9 +114,9 @@ def _eigs_at_origin(p: Params) -> tuple[complex, complex]:
     return (complex(0.5 * (p.mu + r)), complex(0.5 * (p.mu - r)))
 
 
-def _eigs_at_pair(p: Params, focus: bool) -> tuple[complex, complex]:
+def _eigs_at_pair(p: Params, mus: CriticalMus,
+                  focus: bool) -> tuple[complex, complex]:
     # roots of lambda^2 - sigma lambda + 2 beta = 0, sigma = mu - muc
-    mus = critical_mus(p)
     sigma = p.mu - mus.muc
     disc = sigma * sigma - 8.0 * p.beta
     if (disc < 0.0) != focus:
@@ -142,8 +142,7 @@ def _kind_at_origin(p: Params) -> EquilibriumKind:
     return EquilibriumKind.UNSTABLE_NODE
 
 
-def _kind_at_pair(p: Params) -> EquilibriumKind:
-    mus = critical_mus(p)
+def _kind_at_pair(p: Params, mus: CriticalMus) -> EquilibriumKind:
     if p.mu <= mus.mu1:
         return EquilibriumKind.STABLE_NODE
     if p.mu <= mus.muc:
@@ -163,8 +162,9 @@ def find_equilibria(p: Params) -> list[Equilibrium]:
                        kind=_kind_at_origin(p), label=EqLabel.O)]
     if p.beta > 0 and p.eps > 0:
         x2 = math.sqrt(p.beta / p.eps)
-        kind = _kind_at_pair(p)
-        eigs = _eigs_at_pair(p, kind.focus)
+        mus = critical_mus(p)
+        kind = _kind_at_pair(p, mus)
+        eigs = _eigs_at_pair(p, mus, kind.focus)
         out.append(Equilibrium(State(-x2, 0.0), eigs, kind, EqLabel.E1))
         out.append(Equilibrium(State(x2, 0.0), eigs, kind, EqLabel.E2))
     return out

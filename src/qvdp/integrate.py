@@ -24,8 +24,8 @@ On top of the stepper the module provides:
   map's divergence integral is not monitored) -- for eps <= 0
   the oscillator genuinely blows up in finite time, which is a reportable
   outcome (:class:`NonFinite`), not a crash;
-* a terminal event that ends a run at the first zero of a scalar function
-  of the state, located on the step's interpolant;
+* a terminal event that ends a run at the first zero a scalar function of
+  the state rises through, located on the step's interpolant;
 * sign-change detection of arbitrary scalar sections on the dense output,
   refined by root bracketing to |section| < 1e-10;
 * stroboscopic sampling of the forced system at exact fractions of the
@@ -326,42 +326,20 @@ def _interp_eval(x, y_old, coef):
     return y + y_old
 
 
-class _Dense:
-    """Piecewise interpolant on a run's step ends: step i starts at t[i]
-    in states[i]; a run stopped at a step's start keeps that step last.
-    Its arrays are made read-only."""
-
-    def __init__(self, direction, t, states, h, rows):
-        self._key = direction * t   # ascending
-        for a in (self._key, t, states, h, rows):
-            a.flags.writeable = False
-        self._t = t
-        self._states = states
-        self._h = h
-        self._rows = rows
-        self._direction = direction
-
-    def __call__(self, times: np.ndarray) -> np.ndarray:
-        # a time on a step boundary belongs to the step that ends there;
-        # times outside the run extrapolate the first or last step
-        seg = np.searchsorted(self._key, self._direction * times) - 1
-        np.clip(seg, 0, len(self._h) - 1, out=seg)
-        x = (times - self._t[seg])[:, None] / self._h[seg][:, None]
-        return _interp_eval(x, self._states[seg], self._rows[seg])
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Time-ordered solution samples with integrator metadata.
 
     ``states`` has one row per sample; ``t`` is strictly increasing for
     forward integration (strictly decreasing spans are stored as produced).
-    Without ``t_eval`` the samples are the step ends and :meth:`at`
-    evaluates the run's interpolant; a ``t_eval`` run keeps none.
+    Without ``t_eval`` the samples are the step ends and the run keeps its
+    interpolant: ``_h`` holds each step's signed size and ``_rows`` its
+    interpolant rows, step i starting at t[i] in states[i] (a run stopped
+    at a step's start keeps that step last).  A ``t_eval`` run keeps none.
     ``stats`` counts right-hand-side evaluations (``nfev``), accepted steps
     (``accepted_steps``) and rejected step attempts
     (``rejected_steps_estimate``, an exact count despite its name).
-    ``t`` and ``states`` are made read-only.
+    All its arrays are made read-only.
     """
 
     t: np.ndarray
@@ -369,28 +347,44 @@ class Trajectory:
     stats: dict
     escaped: bool = False
     stopped: bool = False
-    _dense: object = field(default=None, repr=False, compare=False)
+    _h: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _rows: Optional[np.ndarray] = field(default=None, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
-        self.t.flags.writeable = False
-        self.states.flags.writeable = False
+        for a in (self.t, self.states, self._h, self._rows):
+            if a is not None:
+                a.flags.writeable = False
 
     def at(self, times) -> np.ndarray:
-        """Evaluate the dense interpolant; rows are states."""
-        if self._dense is None:
-            raise ValueError("a run sampled at t_eval keeps no interpolant")
-        return self._dense(np.atleast_1d(np.asarray(times, dtype=float)))
+        """Evaluate the dense interpolant; rows are states.
+
+        A time on a step boundary belongs to the step that ends there;
+        times outside the run extrapolate the first or last step.
+        """
+        if self._h is None:
+            raise ValueError("a run sampled at t_eval or refined keeps no "
+                             "interpolant")
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        t, h = self.t, self._h
+        key, at = (t, times) if h[0] > 0 else (-t, -times)  # ascending
+        seg = np.searchsorted(key, at) - 1
+        np.clip(seg, 0, len(h) - 1, out=seg)
+        x = (times - t[seg])[:, None] / h[seg][:, None]
+        return _interp_eval(x, self.states[seg], self._rows[seg])
 
     def refined(self) -> "Trajectory":
         """The run on a finer grid: the dense interpolant at the samples
         and at ``_SUBSAMPLES`` evenly spaced interior times between each
         two, in the trajectory's time order.  Without ``t_eval`` the
-        samples are the step ends, so the grid follows the step sizes."""
+        samples are the step ends, so the grid follows the step sizes.
+        The refined run keeps no interpolant: its samples are not knots."""
         t = self.t
         frac = np.arange(_SUBSAMPLES + 1) / (_SUBSAMPLES + 1)
         grid = np.append((t[:-1, None] + frac * np.diff(t)[:, None]).ravel(),
                          t[-1:])
-        return replace(self, t=grid, states=self.at(grid))
+        return replace(self, t=grid, states=self.at(grid), _h=None,
+                       _rows=None)
 
     @property
     def t1(self) -> float:
@@ -512,11 +506,10 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
         (x, y), beyond which the run is declared escaped; a further
         component (the return map's divergence integral) is not
         monitored
-    stop_event : optional event ``g(t, state)`` on the same state lists,
-        terminal whatever its ``terminal`` attribute; a ``direction``
-        attribute selects zeros as in scipy (+1 rising, -1 falling, 0 or
-        absent either way).  The run ends at its first zero with
-        ``stopped`` set on the trajectory
+    stop_event : optional event ``g(t, state)`` on the same state lists.
+        The run ends at the first zero it rises through along the run, in
+        a step with g(start) <= 0 <= g(end), with ``stopped`` set on the
+        trajectory
 
     Raises
     ------
@@ -558,11 +551,11 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
         nfev += 1
         return field_fn(t, y)
 
-    # terminal events (g, direction); the escape check first, so that it
-    # wins a tie
-    events = [(lambda t, s: max(map(abs, s[:2])) - escape_radius, 1)]
+    # terminal events, each ending the run where it rises through zero; the
+    # escape check first, so that it wins a tie
+    events = [lambda t, s: max(map(abs, s[:2])) - escape_radius]
     if stop_event is not None:
-        events.append((stop_event, getattr(stop_event, "direction", 0)))
+        events.append(stop_event)
 
     y = y0.tolist()
     # flat float buffers: the samples (the start and the step ends, or the
@@ -582,16 +575,15 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
                            stats={"nfev": 1, "accepted_steps": 0,
                                   "rejected_steps_estimate": 0},
                            escaped=True))
-        g = [ev(t0, y) for ev, _ in events]
+        g = [ev(t0, y) for ev in events]
         t_last = t0
         for step, n_rejected in _dormand_prince(fun, t0, y, f, t1, atol,
                                                 rtol):
             accepted += 1
             rejected += n_rejected
             t_end, y_end = step.t_new, step.y_new
-            g_new = [ev(t_end, y_end) for ev, _ in events]
-            hit = [i for i, ((_, d), a, b) in enumerate(zip(events, g, g_new))
-                   if (a <= 0 <= b and d >= 0) or (a >= 0 >= b and d <= 0)]
+            g_new = [ev(t_end, y_end) for ev in events]
+            hit = [i for i, (a, b) in enumerate(zip(g, g_new)) if a <= 0 <= b]
             g = g_new
             coef = _dop853_coef(fun, step) if t_eval is None or hit else None
             if hit:
@@ -600,7 +592,7 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
                 def state(s):
                     return _interp_eval((s - step.t) / step.h, y_arr,
                                         coef).tolist()
-                roots = [_brent(lambda s: events[i][0](s, state(s)),
+                roots = [_brent(lambda s: events[i](s, state(s)),
                                 step.t, t_end, 4 * _EPS)
                          for i in hit]
                 # the earliest root ends the run; a tie goes to the escape
@@ -634,12 +626,12 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
 
     stats = {"nfev": nfev, "accepted_steps": accepted,
              "rejected_steps_estimate": rejected}
-    t_out, states = np.frombuffer(ts), np.frombuffer(ys).reshape(-1, n)
-    interp = None if t_eval is not None else _Dense(
-        direction, t_out, states, np.frombuffer(hs),
-        np.frombuffer(rows).reshape(-1, 7, n))
-    traj = Trajectory(t=t_out, states=states, stats=stats, escaped=escaped,
-                      stopped=stopped, _dense=interp)
+    interp = {} if t_eval is not None else {
+        "_h": np.frombuffer(hs),
+        "_rows": np.frombuffer(rows).reshape(-1, 7, n)}
+    traj = Trajectory(t=np.frombuffer(ts),
+                      states=np.frombuffer(ys).reshape(-1, n), stats=stats,
+                      escaped=escaped, stopped=stopped, **interp)
     if escaped:
         raise NonFinite(
             f"state escaped |s| > {escape_radius:g} at t={t_last:.6g}", traj)

@@ -114,11 +114,14 @@ def write_lines(path: Optional[str], lines: Iterable[str]) -> None:
     names (through symlinks), which is renamed onto it on success and
     removed if producing or writing a line raises.  A path that exists but
     is no regular file, such as /dev/null or a pipe, is written in place.
-    A path that cannot be opened raises ValueError naming ``path``.
+    A path that cannot be opened, or an empty one, raises ValueError
+    naming ``path``.
     """
     if path is None:
         sys.stdout.writelines(lines)
         return
+    if not path:
+        raise ValueError("cannot write '': the path is empty")
     in_place = os.path.exists(path) and not os.path.isfile(path)
     target = os.path.realpath(path)
     name = path if in_place else f"{target}.{os.urandom(4).hex()}.tmp"

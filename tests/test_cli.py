@@ -150,6 +150,27 @@ def test_unwritable_out_exit_2(name, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--beta", "1", "--eps", "2", "--mu", "-0.1"],
+    ["sweep", "--eps", "1", "--grid", "beta:0:3:3", "--grid", "mu:-1:1:3"],
+    ["forced", "--mu", "-0.3", "--beta", "1", "--eps", "3", "--alpha",
+     "-0.3", "--n", "4"],
+])
+def test_empty_out_exit_2(argv, tmp_path, monkeypatch, capsys):
+    # an empty --out names no file: one error line, and nothing is written
+    # to the working directory or next to it
+    work = tmp_path / "w"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(argv + ["--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write '': ")
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [work]
+    assert list(work.iterdir()) == []
+
+
 def test_out_through_symlink_and_into_pipe(tmp_path):
     # a symlinked --out is written through and stays a link; a pipe is
     # written in place, not replaced by a file

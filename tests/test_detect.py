@@ -393,9 +393,11 @@ def test_separatrix_split_mirror_symmetry():
 
     def shoot(s0, t_max):
         # from these launches y keeps its sign, and x' = y moves x away from
-        # 0, until the first crossing of y = 0, which therefore has x < 0
+        # 0, until the first crossing of y = 0, which therefore has x < 0;
+        # the event rises there: y forward, -y backward
+        sign = 1.0 if t_max > 0 else -1.0
         traj = integrate(rhs, s0, (0.0, t_max), escape_radius=_SHOOT_BOX,
-                         stop_event=lambda t, s: s[1])
+                         stop_event=lambda t, s: sign * s[1])
         assert traj.stopped and traj.final[0] < 0.0
         return float(traj.final[0])
 

@@ -164,11 +164,19 @@ def test_stop_event_zero_at_the_start_stops_there():
     # interpolant still answers at the start
     def on_axis(t, s):
         return s[1]
-    on_axis.direction = 1
     traj = integrate(_rotation_field, [1.0, 0.0], (0.0, 1.0),
                      stop_event=on_axis)
     assert traj.stopped and list(traj.t) == [0.0]
     assert np.array_equal(traj.at(0.0)[0], [1.0, 0.0])
+
+
+def test_a_stop_event_stops_only_where_it_rises():
+    # -y is zero and falling at the start: the run goes on to t = pi, where
+    # it rises through zero
+    traj = integrate(_rotation_field, [1.0, 0.0], (0.0, 10.0),
+                     stop_event=lambda t, s: -s[1])
+    assert traj.stopped and abs(traj.t1 - math.pi) < 1e-9
+    assert abs(traj.final[0] + 1.0) < 1e-9 and abs(traj.final[1]) < 1e-10
 
 
 def test_a_run_sampled_at_t_eval_keeps_no_interpolant():
@@ -182,6 +190,14 @@ def test_a_run_sampled_at_t_eval_keeps_no_interpolant():
         traj.at(5.0)
     with pytest.raises(ValueError, match="keeps no interpolant"):
         detect_crossings(traj, lambda s: s[1])
+
+
+def test_a_refined_run_keeps_no_interpolant():
+    # the refined grid is no longer the step ends the interpolant is
+    # knotted on, so the refined run keeps none
+    fine = integrate(_rotation_field, [1.0, 0.0], (0.0, 10.0)).refined()
+    with pytest.raises(ValueError, match="keeps no interpolant"):
+        fine.at(0.0)
 
 
 def test_a_t_eval_run_owns_its_times():
@@ -208,8 +224,7 @@ def test_returned_arrays_are_read_only():
     arrays = [traj.t, traj.states, fine.t, fine.states, sampled.t,
               sampled.states, stroboscopic(p, (0.0, 1.2), 2),
               exc.value.trajectory.t, exc.value.trajectory.states,
-              *(v for v in vars(traj._dense).values()
-                if isinstance(v, np.ndarray))]
+              traj._h, traj._rows]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 5.0
@@ -243,9 +258,6 @@ def test_a_t_eval_run_ending_before_its_first_sample_is_empty(t1, t_eval,
 
 def _rising(t, s):
     return s[1]
-
-
-_rising.direction = 1
 
 
 _SADDLE_SET = Params(mu=-0.18, beta=1.0, eps=2.0)
@@ -291,8 +303,7 @@ def _recorded_rotation_run(wrap):
 
     def below_half(t, s):
         seen.append(s)
-        return s[1] + 0.5
-    below_half.direction = -1
+        return -0.5 - s[1]
 
     traj = integrate(field, [1.0, 0.0], (0.0, 10.0), stop_event=below_half)
     return traj, seen
@@ -427,14 +438,15 @@ def _solve_ivp(field_fn, s0, t_span, tol, escape_radius=1e4, stop_event=None,
 
 
 def _section_down(t, s):
-    # first downward crossing of {y = 0} on x > 0, as a return map takes it
+    # first downward crossing of {y = 0} on x > 0, as a return map takes
+    # it: the event rises through zero there
     if not s[0] > 0.0:
-        return 1.0
-    return s[1] if s[1] != 0.0 else -math.ulp(0.0)
+        return -1.0
+    return -s[1] if s[1] != 0.0 else math.ulp(0.0)
 
 
-_section_down.terminal = True
-_section_down.direction = -1
+_section_down.terminal = True  # for solve_ivp
+_section_down.direction = 1
 
 
 def _augmented(p):
