@@ -42,7 +42,7 @@ _EXPORTS = {name: module for module, names in (
                    "field_chart_u field_chart_v infinity_equilibria "
                    "probe_infinity_kind"),
     ("errors", "NonFinite NoConvergence StepUnderflow"),
-    ("integrate", "Direction SectionEvent Trajectory detect_crossings "
+    ("integrate", "SectionEvent Trajectory detect_crossings "
                   "integrate stroboscopic"),
     ("detect", "AttractorReport LimitCycle ManifoldEscape RotationEstimate "
                "SeparatrixSplit Verdict classify_forced find_limit_cycle "

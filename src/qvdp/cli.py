@@ -292,8 +292,13 @@ _FORCED_EXAMPLES = [
 def cmd_repro(args) -> int:
     if args.n < 1:
         raise ValueError("repro requires --n >= 1")
-    outdir = args.out or "repro_out"
-    os.makedirs(outdir, exist_ok=True)
+    outdir = args.out
+    if not outdir:
+        raise ValueError("cannot write '': the path is empty")
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:  # a regular file there or among its parents
+        raise ValueError(f"cannot write {outdir}: {exc.strerror}") from exc
     manifest = {"unforced": [], "forced": [], "n_strobe": args.n}
     parser = build_parser()
     for name, kw in _UNFORCED_EXAMPLES:

@@ -26,8 +26,8 @@ On top of the stepper the module provides:
   outcome (:class:`NonFinite`), not a crash;
 * a terminal event that ends a run at the first zero a scalar function of
   the state rises through, located on the step's interpolant;
-* sign-change detection of arbitrary scalar sections on the dense output,
-  refined by root bracketing to |section| < 1e-10;
+* crossings of a scalar section of the state by the same rule, refined
+  on the dense output by root bracketing to |section| < 1e-10;
 * stroboscopic sampling of the forced system at exact fractions of the
   forcing period.
 
@@ -37,7 +37,6 @@ its interpolant are read-only.
 
 from __future__ import annotations
 
-import enum
 import math
 from array import array
 from dataclasses import dataclass, field, replace
@@ -52,7 +51,6 @@ from .model import Params, forced_rhs
 __all__ = [
     "Trajectory",
     "SectionEvent",
-    "Direction",
     "IntegrationError",
     "StepUnderflow",
     "NonFinite",
@@ -64,11 +62,6 @@ __all__ = [
 
 DEFAULT_TOL = (1e-12, 1e-10)  # (abs, rel)
 TOL_FLOOR, TOL_CEIL = 1e-13, 1e-3
-
-
-class Direction(enum.Enum):
-    UP = 1      # section value passes through zero increasing
-    DOWN = -1   # decreasing
 
 
 # --- DOP853 -----------------------------------------------------------------
@@ -336,16 +329,17 @@ class Trajectory:
     interpolant: ``_h`` holds each step's signed size and ``_rows`` its
     interpolant rows, step i starting at t[i] in states[i] (a run stopped
     at a step's start keeps that step last).  A ``t_eval`` run keeps none.
-    ``stats`` counts right-hand-side evaluations (``nfev``), accepted steps
-    (``accepted_steps``) and rejected step attempts
-    (``rejected_steps_estimate``, an exact count despite its name).
+    ``stopped`` marks a run a stop event ended; an escaping run raises
+    :class:`NonFinite`, which carries it.  ``stats`` counts right-hand-side
+    evaluations (``nfev``), accepted steps (``accepted_steps``) and
+    rejected step attempts (``rejected_steps_estimate``, an exact count
+    despite its name).
     All its arrays are made read-only.
     """
 
     t: np.ndarray
     states: np.ndarray
     stats: dict
-    escaped: bool = False
     stopped: bool = False
     _h: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     _rows: Optional[np.ndarray] = field(default=None, repr=False,
@@ -399,7 +393,6 @@ class Trajectory:
 class SectionEvent:
     t: float
     state: np.ndarray
-    direction: Direction
 
 
 def _brent(f: Callable[[float], float], a: float, b: float,
@@ -573,8 +566,7 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
                 "field is non-finite at the initial state",
                 Trajectory(t=np.array([t0]), states=np.array([y0]),
                            stats={"nfev": 1, "accepted_steps": 0,
-                                  "rejected_steps_estimate": 0},
-                           escaped=True))
+                                  "rejected_steps_estimate": 0}))
         g = [ev(t0, y) for ev in events]
         t_last = t0
         for step, n_rejected in _dormand_prince(fun, t0, y, f, t1, atol,
@@ -631,7 +623,7 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
         "_rows": np.frombuffer(rows).reshape(-1, 7, n)}
     traj = Trajectory(t=np.frombuffer(ts),
                       states=np.frombuffer(ys).reshape(-1, n), stats=stats,
-                      escaped=escaped, stopped=stopped, **interp)
+                      stopped=stopped, **interp)
     if escaped:
         raise NonFinite(
             f"state escaped |s| > {escape_radius:g} at t={t_last:.6g}", traj)
@@ -682,52 +674,31 @@ _RESIDUAL_TOL = 1e-10  # |section| at a refined crossing
 
 
 def detect_crossings(traj: Trajectory,
-                     section: Callable,
-                     direction: Optional[Direction] = None
-                     ) -> list[SectionEvent]:
-    """All crossings of ``section(state) == 0`` along a trajectory.
+                     section: Callable) -> list[SectionEvent]:
+    """The crossings where ``section(state)`` rises through zero.
 
-    The section is sampled on :meth:`Trajectory.refined`; each sign-change
-    bracket is refined by Brent root bracketing on the interpolant until
-    |section| < 1e-10.
-
-    ``direction`` filters for increasing (UP) or decreasing (DOWN)
-    crossings; None keeps both.  Events are returned in strictly
-    increasing time order.
+    The rule is the terminal event's: the section is sampled on
+    :meth:`Trajectory.refined`, and a crossing lies between two adjacent
+    samples a, b with section(a) < 0 <= section(b).  Each is refined by
+    Brent root bracketing on the interpolant until |section| < 1e-10; a
+    sample on the section ends its bracket and is the crossing, so a run
+    that starts on it does not count its start.  A falling crossing is a
+    rising crossing of ``-section``.  Events come in the run's time order.
+    Raises :class:`NoConvergence` on a NaN section value.
     """
     fine = traj.refined()  # a ValueError for a run sampled at t_eval
-    if len(fine.t) < 2:
-        return []
-    tgrid, states = fine.t, fine.states
-    if tgrid[0] > tgrid[-1]:  # a backward run: scan in increasing time
-        tgrid, states = tgrid[::-1], states[::-1]
-    g = np.array([section(s) for s in states])
-
-    def gfun(t):
-        return section(traj.at(t)[0])
-
+    g = np.array([section(s) for s in fine.states])
+    if np.isnan(g).any():
+        raise NoConvergence("root bracketing met a NaN value")
     events: list[SectionEvent] = []
-    for i in range(len(tgrid) - 1):
-        ga, gb = g[i], g[i + 1]
-        if ga == 0.0:
-            if i == 0 or g[i - 1] == 0.0:
-                continue  # starts on the section / grazing: not a crossing
-            d = Direction.UP if g[i - 1] < 0 else Direction.DOWN
-            if direction is None or d is direction:
-                events.append(SectionEvent(float(tgrid[i]), states[i], d))
-            continue
-        if ga * gb >= 0.0:
-            continue
-        d = Direction.UP if ga < 0 else Direction.DOWN
-        if direction is not None and d is not direction:
-            continue
-        t_root = _brent(gfun, float(tgrid[i]), float(tgrid[i + 1]),
-                        xtol=1e-14)
+    for i in np.flatnonzero((g[:-1] < 0) & (g[1:] >= 0)):
+        t_root = _brent(lambda t: section(traj.at(t)[0]), float(fine.t[i]),
+                        float(fine.t[i + 1]), xtol=1e-14)
         state = traj.at(t_root)[0]
         if abs(section(state)) > _RESIDUAL_TOL:
             raise NoConvergence(
                 f"crossing residual {abs(section(state)):.3e} above target")
-        events.append(SectionEvent(float(t_root), state, d))
+        events.append(SectionEvent(float(t_root), state))
     return events
 
 

@@ -16,7 +16,7 @@ from qvdp.compactify import InfinityLabel, probe_infinity_kind
 from qvdp.detect import Verdict, classify_forced, find_limit_cycle, separatrix_split
 from qvdp.equilibria import (EqLabel, EquilibriumKind, critical_mus,
                              find_equilibria)
-from qvdp.integrate import NonFinite, Direction, detect_crossings, integrate
+from qvdp.integrate import NonFinite, detect_crossings, integrate
 from qvdp.model import (Params, State, hamiltonian, hamiltonian_rhs, jacobian,
                         unforced_rhs)
 
@@ -360,7 +360,7 @@ def _no_cycle_from(p: Params, seed) -> bool:
             return True
         state = traj.final
         new = 0
-        for ev in detect_crossings(traj, lambda s: s[1], Direction.DOWN):
+        for ev in detect_crossings(traj, lambda s: -s[1]):
             if ev.t > 1e-9 and ev.state[0] > 0:
                 xs.append(float(ev.state[0]))
                 new += 1

@@ -155,6 +155,7 @@ def test_unwritable_out_exit_2(name, tmp_path, monkeypatch, capsys):
     ["sweep", "--eps", "1", "--grid", "beta:0:3:3", "--grid", "mu:-1:1:3"],
     ["forced", "--mu", "-0.3", "--beta", "1", "--eps", "3", "--alpha",
      "-0.3", "--n", "4"],
+    ["repro", "--n", "2"],
 ])
 def test_empty_out_exit_2(argv, tmp_path, monkeypatch, capsys):
     # an empty --out names no file: one error line, and nothing is written
@@ -799,6 +800,20 @@ def test_repro_bundle(tmp_path):
     for name in ("forced_entrained", "forced_quasiperiodic"):
         assert (outdir / f"{name}.json").exists()
         assert (outdir / f"{name}_ts.csv").exists()
+
+
+def test_repro_onto_a_regular_file_exit_2(tmp_path, monkeypatch, capsys):
+    # --out names the bundle's directory: an existing regular file there is
+    # one error line naming it, left as it was, and nothing else is written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("old\n")
+    assert main(["repro", "--n", "2", "--out", "taken"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write taken: ")
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [tmp_path / "taken"]
+    assert (tmp_path / "taken").read_text() == "old\n"
 
 
 def test_repro_requires_a_period(tmp_path, capsys):

@@ -13,7 +13,7 @@ from qvdp.detect import (_saddle_eigvectors, _LAUNCH_OFFSET, _SHOOT_BOX,
                          _SHOOT_HORIZON)
 from qvdp.equilibria import EqLabel, EquilibriumKind, find_equilibria
 from qvdp.bifurcation import homoclinic_curve, hopf_curve
-from qvdp.integrate import Direction, detect_crossings, integrate
+from qvdp.integrate import detect_crossings, integrate
 from qvdp.model import Params, State, divergence, unforced_rhs
 
 
@@ -264,8 +264,7 @@ def _first_return_x(p: Params, x0: float) -> float:
     traj = integrate(unforced_rhs(p), np.array([x0, 0.0]), (0.0, 40.0),
                      tol=(1e-12, 1e-10))
     return next(float(ev.state[0])
-                for ev in detect_crossings(traj, lambda s: s[1],
-                                           Direction.DOWN)
+                for ev in detect_crossings(traj, lambda s: -s[1])
                 if ev.t > 1e-9 and ev.state[0] > 0.0)
 
 

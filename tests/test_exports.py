@@ -50,7 +50,7 @@ _PACKAGE_NAMES = {
     "compactify": "InfinityEquilibrium InfinityLabel disk_project "
                   "field_chart_u field_chart_v infinity_equilibria "
                   "probe_infinity_kind",
-    "integrate": "Direction NonFinite NoConvergence SectionEvent "
+    "integrate": "NonFinite NoConvergence SectionEvent "
                  "StepUnderflow Trajectory detect_crossings integrate "
                  "stroboscopic",
     "detect": "AttractorReport LimitCycle ManifoldEscape RotationEstimate "

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qvdp
-from qvdp.integrate import (DEFAULT_TOL, Direction, NonFinite,
+from qvdp.integrate import (DEFAULT_TOL, NoConvergence, NonFinite,
                             detect_crossings, integrate, stroboscopic)
 from qvdp.model import (Params, State, divergence, forced_rhs,
                         hamiltonian, hamiltonian_rhs, unforced_rhs)
@@ -84,7 +84,7 @@ def test_hopf_point_linear_period_recovered():
     x2 = math.sqrt(beta / eps)
     traj = integrate(unforced_rhs(p), [x2 + 1e-3, 0.0], (0.0, 25.0),
                      tol=(1e-13, 1e-11))
-    events = detect_crossings(traj, lambda s: s[1], Direction.DOWN)
+    events = detect_crossings(traj, lambda s: -s[1])
     times = [e.t for e in events if e.state[0] > x2]
     assert len(times) >= 3
     period = np.mean(np.diff(times))
@@ -97,25 +97,61 @@ def test_detect_crossings_rotation():
     # hang on the sign of the phase error at t1
     traj = integrate(_rotation_field, [1.0, 0.0], (0.0, 20.5 * math.pi),
                      tol=(1e-12, 1e-10))
-    ups = detect_crossings(traj, lambda s: s[1], Direction.UP)
+    ups = detect_crossings(traj, lambda s: s[1])
     assert len(ups) == 10
     for k, ev in enumerate(ups):
         assert abs(ev.t - 2.0 * math.pi * (k + 1)) < 1e-6
         assert abs(ev.state[0] - 1.0) < 1e-6
         assert abs(ev.state[1]) < 1e-10
-        assert ev.direction is Direction.UP
     ts = [e.t for e in ups]
     assert all(b > a for a, b in zip(ts, ts[1:]))
-    both = detect_crossings(traj, lambda s: s[1], None)
-    assert len(both) == 20
+    downs = detect_crossings(traj, lambda s: -s[1])
+    assert len(ups) + len(downs) == 20
 
 
 def test_detect_crossings_skips_start_on_section():
     traj = integrate(_rotation_field, [1.0, 0.0], (0.0, 2.5 * math.pi),
                      tol=(1e-12, 1e-10))
-    downs = detect_crossings(traj, lambda s: s[1], Direction.DOWN)
+    downs = detect_crossings(traj, lambda s: -s[1])
     assert len(downs) == 1
     assert abs(downs[0].t - math.pi) < 1e-6
+
+
+@pytest.mark.parametrize("field_fn, s0, t1, c", [
+    (_rotation_field, [0.8, 0.3], 20.0, 0.5),
+    (_rotation_field, [0.8, 0.3], -20.0, 0.5),
+    # the paper's reference set onto its large cycle, and backward into the
+    # focus E2 (x = 0.707), unstable forward
+    (unforced_rhs(Params(mu=-0.1, beta=1.0, eps=2.0)), [1.5, 0.3], 30.0, 0.5),
+    (unforced_rhs(Params(mu=-0.1, beta=1.0, eps=2.0)), [0.9, 0.1], -15.0,
+     0.7),
+    (unforced_rhs(Params(mu=0.1, beta=0.5, eps=1.0)), [0.9, 0.1], -10.0, 0.7),
+    (unforced_rhs(Params(mu=0.5, beta=0.0, eps=1.0)), [0.1, 0.2], 40.0, 0.05),
+])
+def test_detect_crossings_follows_the_stop_event_rule(field_fn, s0, t1, c):
+    # one rule for both locators: the first crossing is where a stop event
+    # on the same section ends the run, and the crossings come in the
+    # run's time order, backward runs included
+    run = integrate(field_fn, s0, (0.0, t1))
+    sign = math.copysign(1.0, t1)
+    for g in (lambda s: s[1], lambda s: -s[1], lambda s: s[0] - c,
+              lambda s: c - s[0]):
+        assert g(s0) != 0.0  # a start on the section counts for a stop only
+        events = detect_crossings(run, g)
+        assert events
+        assert all(sign * (b.t - a.t) > 0 for a, b in zip(events, events[1:]))
+        stop = integrate(field_fn, s0, (0.0, t1),
+                         stop_event=lambda t, s: g(s))
+        assert stop.stopped
+        assert abs(events[0].t - stop.t1) < 1e-12
+        assert np.max(np.abs(events[0].state - stop.final)) < 1e-12
+
+
+def test_detect_crossings_raises_on_a_nan_section_value():
+    # a NaN orders neither way, so it would hide a crossing: it raises
+    traj = integrate(_rotation_field, [1.0, 0.0], (0.0, 2.5 * math.pi))
+    with pytest.raises(NoConvergence, match="NaN"):
+        detect_crossings(traj, lambda s: s[1] if s[0] > -0.5 else math.nan)
 
 
 def test_self_convergence():
@@ -245,13 +281,14 @@ def _half_speed_stop(t, s):
 def test_a_t_eval_run_ending_before_its_first_sample_is_empty(t1, t_eval,
                                                               stop, radius):
     p = Params(mu=0.3, beta=1.0, eps=-1.0)
+    escaped = False
     try:
         traj = integrate(unforced_rhs(p), [2.0, 0.0], (0.0, t1),
                          t_eval=t_eval, escape_radius=radius, stop_event=stop)
     except NonFinite as exc:
-        traj = exc.trajectory
+        traj, escaped = exc.trajectory, True
     assert traj.stopped == (stop is not None)
-    assert traj.escaped == (stop is None)
+    assert escaped == (stop is None)
     assert traj.t.shape == (0,)
     assert traj.states.shape == (0, 2)
 
@@ -337,7 +374,7 @@ def test_nonfinite_escape_reported():
         integrate(unforced_rhs(p), [2.0, 0.0], (0.0, 600.0),
                   tol=(1e-10, 1e-7), escape_radius=8.0)
     partial = exc.value.trajectory
-    assert partial.escaped
+    assert "escaped" in str(exc.value)
     assert len(partial.t) >= 2
     assert np.all(np.isfinite(partial.states))
     assert partial.t1 < 600.0
@@ -481,11 +518,12 @@ def test_integrate_takes_the_steps_of_solve_ivp(field_fn, s0, t1, tol, radius,
                                                 stop):
     ref = _solve_ivp(field_fn, s0, (0.0, t1), tol, radius, stop,
                      method="DOP853", dense_output=True)
+    escaped = False
     try:
         traj = integrate(field_fn, s0, (0.0, t1), tol=tol,
                          escape_radius=radius, stop_event=stop)
     except NonFinite as exc:
-        traj = exc.trajectory
+        traj, escaped = exc.trajectory, True
     accepted = len(ref.t) - 1
     assert traj.stats["accepted_steps"] == accepted
     assert traj.stats["nfev"] == ref.nfev
@@ -494,7 +532,7 @@ def test_integrate_takes_the_steps_of_solve_ivp(field_fn, s0, t1, tol, radius,
     # dense_output is asked for, as this stepper does for dense runs)
     assert traj.stats["rejected_steps_estimate"] == \
         (ref.nfev - 2 - 3 * accepted) // 12 - accepted
-    assert traj.escaped == (len(ref.t_events[0]) > 0)
+    assert escaped == (len(ref.t_events[0]) > 0)
     assert traj.stopped == (stop is not None and len(ref.t_events[1]) > 0)
     assert abs(traj.t1 - ref.t[-1]) < 1e-12
     assert np.max(np.abs(traj.final - ref.y[:, -1])) < 1e-12
