@@ -119,8 +119,7 @@ def cmd_portrait(args) -> int:
         except IntegrationError as exc:
             traj, err = None, str(exc)
         if traj is None or len(traj.t) < 2:
-            print(f"warning: seed {sid} failed: {err or 'no samples'}",
-                  file=sys.stderr)
+            print(f"warning: seed {sid} failed: {err}", file=sys.stderr)
             continue
         if err:
             print(f"warning: seed {sid} escaped to infinity at "

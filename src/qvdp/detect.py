@@ -174,7 +174,9 @@ def find_limit_cycle(p: Params, seed: State) -> Optional[LimitCycle]:
     path and the multiplier.
 
     Returns None when the orbit escapes to infinity, collapses into an
-    equilibrium, or stops crossing the section; raises
+    equilibrium, or stops crossing the section {y = 0, x > 0}, the only one
+    searched (a seed circling E1 alone gives None; its mirror image finds
+    the mirrored cycle around E2); raises
     :class:`~qvdp.integrate.NoConvergence` if none of 60 returns from the
     section closes.
 

@@ -330,10 +330,12 @@ class Trajectory:
     interpolant rows, step i starting at t[i] in states[i] (a run stopped
     at a step's start keeps that step last).  A ``t_eval`` run keeps none.
     ``stopped`` marks a run a stop event ended; an escaping run raises
-    :class:`NonFinite`, which carries it.  ``stats`` counts right-hand-side
-    evaluations (``nfev``), accepted steps (``accepted_steps``) and
-    rejected step attempts (``rejected_steps_estimate``, an exact count
-    despite its name).
+    :class:`NonFinite`, which carries it.  ``stats`` counts accepted steps
+    (``accepted_steps``), rejected step attempts (``rejected_steps_estimate``,
+    an exact count despite its name) and field evaluations, ``nfev`` =
+    2 + 12 (accepted + rejected) + 3 per step whose interpolant is formed:
+    every step of a dense run, and in a ``t_eval`` run each step that holds
+    a sample or an event root.
     All its arrays are made read-only.
     """
 
@@ -537,13 +539,6 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
                 or direction * (t_eval[-1] - t1) > 0):
             raise ValueError("t_eval must lie within t_span, in its order")
 
-    nfev = 0
-
-    def fun(t, y):
-        nonlocal nfev
-        nfev += 1
-        return field_fn(t, y)
-
     # terminal events, each ending the run where it rises through zero; the
     # escape check first, so that it wins a tie
     events = [lambda t, s: max(map(abs, s[:2])) - escape_radius]
@@ -557,10 +552,10 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
         (array("d", [t0]), array("d", y))
     hs, rows = array("d"), array("d")
     n = len(y)
-    accepted = rejected = 0
+    accepted = rejected = interpolants = 0
     escaped = stopped = False
     with np.errstate(over="ignore", invalid="ignore"):
-        f = fun(t0, y)
+        f = field_fn(t0, y)
         if not all(map(math.isfinite, f)):
             raise NonFinite(
                 "field is non-finite at the initial state",
@@ -569,15 +564,16 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
                                   "rejected_steps_estimate": 0}))
         g = [ev(t0, y) for ev in events]
         t_last = t0
-        for step, n_rejected in _dormand_prince(fun, t0, y, f, t1, atol,
-                                                rtol):
+        for step, n_rejected in _dormand_prince(field_fn, t0, y, f, t1,
+                                                atol, rtol):
             accepted += 1
             rejected += n_rejected
             t_end, y_end = step.t_new, step.y_new
             g_new = [ev(t_end, y_end) for ev in events]
             hit = [i for i, (a, b) in enumerate(zip(g, g_new)) if a <= 0 <= b]
             g = g_new
-            coef = _dop853_coef(fun, step) if t_eval is None or hit else None
+            coef = (_dop853_coef(field_fn, step)
+                    if t_eval is None or hit else None)
             if hit:
                 y_arr = np.array(step.y)
 
@@ -607,17 +603,18 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
                     stop += 1
                 if stop > start:  # rows only for a step that holds samples
                     if coef is None:
-                        coef = _dop853_coef(fun, step)
+                        coef = _dop853_coef(field_fn, step)
                     x = ((t_eval[start:stop] - step.t) / step.h)[:, None]
                     ts.frombytes(t_eval[start:stop].tobytes())
                     ys.frombytes(_interp_eval(x, np.array(step.y), coef)
                                  .tobytes())
+            interpolants += coef is not None
             t_last = t_end
             if hit:
                 break
 
-    stats = {"nfev": nfev, "accepted_steps": accepted,
-             "rejected_steps_estimate": rejected}
+    stats = {"nfev": 2 + 12 * (accepted + rejected) + 3 * interpolants,
+             "accepted_steps": accepted, "rejected_steps_estimate": rejected}
     interp = {} if t_eval is not None else {
         "_h": np.frombuffer(hs),
         "_rows": np.frombuffer(rows).reshape(-1, 7, n)}

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -17,6 +18,7 @@ import qvdp
 from qvdp import cli
 from qvdp.cli import build_parser, main
 from qvdp.detect import classify_forced, escape_bound, find_limit_cycle
+from qvdp.errors import NoConvergence
 from qvdp.integrate import integrate
 from qvdp.model import Params, State, unforced_rhs
 from qvdp.output import PortraitSVG, csv_lines, dumps_json, fmt, rows_to_csv
@@ -365,6 +367,32 @@ def test_portrait_all_seeds_failing_exit_3(tmp_path, capsys):
     assert rc == 3
 
 
+def test_portrait_non_finite_seed_exit_2(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    assert _run(["portrait", "--beta", "1", "--eps", "2", "--mu", "-0.1",
+                 "--seed", "nan,0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: initial state must be finite\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_forced_numerical_failure_exit_3(tmp_path, monkeypatch, capsys):
+    # an integration failure in the forced run: one error line, exit 3, and
+    # none of the three files
+    def fail(*args, **kwargs):
+        raise NoConvergence("no convergence")
+
+    # the module, which the package's exported function of its name hides
+    monkeypatch.setattr(importlib.import_module("qvdp.integrate"),
+                        "stroboscopic", fail)
+    out = tmp_path / "f.csv"
+    assert _run(["forced", "--mu", "-0.1", "--beta", "1", "--eps", "3",
+                 "--alpha", "-0.3", "--n", "5", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_portrait_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["portrait", "--beta", "1", "--eps", "2", "--mu", "-0.2",
@@ -450,6 +478,18 @@ def test_portrait_svg_draws_the_search_orbit(tmp_path):
 def _polylines(svg: str) -> list[list[str]]:
     return [chunk.split('points="')[1].split('"')[0].split()
             for chunk in svg.split("<polyline")[1:]]
+
+
+def test_portrait_draws_a_cycle_two_seeds_reach_once(tmp_path):
+    # the README example: both seeds reach the large cycle, which is drawn
+    # once, next to the two orbits
+    out = tmp_path / "p.csv"
+    assert _run(["portrait", "--beta", "1", "--eps", "2", "--mu", "-0.1",
+                 "--seed", "2,0", "--seed", "0.8,0", "--format", "svg",
+                 "--out", str(out)]) == 0
+    svg = (tmp_path / "p.svg").read_text()
+    assert len(_polylines(svg)) == 2
+    assert len(_polygons(svg)) == 1
 
 
 @pytest.mark.parametrize("seed, t1", [((2.0, 0.0), 10.0), ((0.8, 0.0), -10.0)])

@@ -13,7 +13,7 @@ from qvdp.detect import (_saddle_eigvectors, _LAUNCH_OFFSET, _SHOOT_BOX,
                          _SHOOT_HORIZON)
 from qvdp.equilibria import EqLabel, EquilibriumKind, find_equilibria
 from qvdp.bifurcation import homoclinic_curve, hopf_curve
-from qvdp.integrate import detect_crossings, integrate
+from qvdp.integrate import NoConvergence, detect_crossings, integrate
 from qvdp.model import Params, State, divergence, unforced_rhs
 
 
@@ -339,6 +339,15 @@ def test_energy_boundary_search_gives_up_within_30_returns(monkeypatch):
     p = Params(mu=-5.0 / 36.0, beta=0.0, eps=2.0)
     assert find_limit_cycle(p, State(2.2, 0.0)) is None
     assert len(calls) <= 30
+
+
+def test_search_that_never_closes_raises(monkeypatch):
+    # two returns from (2, 0) do not close onto the large cycle: the search
+    # gives up with NoConvergence, which the portrait and the CLI catch
+    monkeypatch.setattr(detect, "_MAX_RETURNS", 2)
+    p = Params(mu=-0.1, beta=1.0, eps=2.0)
+    with pytest.raises(NoConvergence, match="none of 2 returns"):
+        find_limit_cycle(p, State(2.0, 0.0))
 
 
 def test_return_from_the_section_does_not_stop_at_start():

@@ -44,6 +44,25 @@ def test_non_finite_t_eval_rejected(t_eval):
         integrate(unforced_rhs(p), [2.0, 0.0], (0.0, 5.0), t_eval=t_eval)
 
 
+@pytest.mark.parametrize("s0", [[math.nan, 0.0], [0.0, math.inf]])
+def test_non_finite_initial_state_rejected(s0):
+    with pytest.raises(ValueError, match="initial state must be finite"):
+        integrate(_rotation_field, s0, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("t1, t_eval", [
+    (5.0, [2.0, 1.0]),     # decreasing on a forward run
+    (5.0, [1.0, 6.0]),     # past the end of a forward run
+    (5.0, [-1.0, 1.0]),    # before the start of a forward run
+    (-5.0, [-1.0, -6.0]),  # past the end of a backward run
+    (-5.0, [-2.0, -1.0]),  # increasing on a backward run
+])
+def test_t_eval_out_of_its_span_or_order_rejected(t1, t_eval):
+    with pytest.raises(ValueError,
+                       match="t_eval must lie within t_span, in its order"):
+        integrate(_rotation_field, [1.0, 0.0], (0.0, t1), t_eval=t_eval)
+
+
 def test_trajectory_contract():
     traj = integrate(_rotation_field, [1.0, 0.0], (0.0, 10.0))
     assert np.all(np.diff(traj.t) > 0)
@@ -457,6 +476,32 @@ def test_cli_paths_load_no_scipy(tmp_path):
                          capture_output=True, text=True, check=True).stdout
     assert out.split("\n")[:-1] == ["[]"] * (1 + len(runs))
     assert (tmp_path / "p.svg").exists()
+
+
+@pytest.mark.parametrize("t1, t_eval, k", [
+    (50.0, [0.0, 3.3, 10.0, 25.0, 50.0], 5),
+    # the first two samples share the first step
+    (50.0, [0.0, 1e-9, 25.0, 50.0], 3),
+    (-0.5, [-0.1, -0.5], 2),
+])
+def test_a_t_eval_run_forms_interpolants_only_in_steps_it_samples(t1, t_eval,
+                                                                  k):
+    # the steps do not depend on t_eval; a dense run forms the interpolant
+    # of every step, three evaluations each, and a t_eval run only those of
+    # the k steps that hold a sample
+    rhs = unforced_rhs(Params(mu=-0.1, beta=1.0, eps=2.0))
+    dense = integrate(rhs, [2.0, 0.0], (0.0, t1))
+    sampled = integrate(rhs, [2.0, 0.0], (0.0, t1), t_eval=t_eval)
+    accepted = dense.stats["accepted_steps"]
+    assert sampled.stats["accepted_steps"] == accepted
+    assert sampled.stats["rejected_steps_estimate"] == \
+        dense.stats["rejected_steps_estimate"]
+    # a sample belongs to the first step ending at or past it; step i ends
+    # at dense.t[i], and a sample at the start belongs to the first step
+    sign = math.copysign(1.0, t1)
+    ends = np.searchsorted(sign * dense.t, sign * np.array(t_eval))
+    assert len(set(np.maximum(ends, 1).tolist())) == k
+    assert sampled.stats["nfev"] == dense.stats["nfev"] - 3 * (accepted - k)
 
 
 # --- scipy's solve_ivp as the reference of the stepper ------------------------
