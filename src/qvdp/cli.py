@@ -13,9 +13,10 @@ forced     stroboscopic samples, full time series and attractor verdict; the
 repro      one-command rerun of the six reference unforced parameter sets
            and the two forced ones
 
-Only portrait, forced and repro integrate: they import numpy, integrate and
-detect (portrait also compactify) when they run, so classify, sweep and
-melnikov start and finish without them.
+Only portrait, forced and repro integrate: they import numpy and integrate
+when they run (portrait also compactify, and detect only for --format svg;
+forced and repro also detect), so classify, sweep and melnikov start and
+finish without them.
 
 Exit codes: 0 success, 2 usage/parameter error, 3 runtime numerical failure.
 Outputs are deterministic (17-significant-digit numbers, LF line endings).
@@ -91,11 +92,12 @@ def cmd_classify(args) -> int:
 
 # --- portrait ----------------------------------------------------------------
 
-_PORTRAIT_ESCAPE = 10.0  # detect.escape_bound base of the portraits
+# escape bound of the portraits that can escape; for eps > 0 (backward
+# runs) it is scaled by max(1, mu): seeds on a large cycle lie at |y| ~ 3 mu
+_PORTRAIT_ESCAPE = 10.0
 
 
 def cmd_portrait(args) -> int:
-    from . import detect
     from .compactify import disk_project
     from .integrate import integrate
 
@@ -105,7 +107,9 @@ def cmd_portrait(args) -> int:
     if args.format == "svg" and not args.out:
         raise ValueError("--format svg needs --out: the SVG goes next to the CSV")
     rhs = unforced_rhs(p)
-    escape_radius = detect.escape_bound(p, _PORTRAIT_ESCAPE)
+    # eps > 0: every forward orbit is bounded, so a forward run needs none
+    escape_radius = (math.inf if p.eps > 0 and args.t1 > 0 else
+                     _PORTRAIT_ESCAPE * (max(1.0, p.mu) if p.eps > 0 else 1.0))
 
     kept = []  # (seed id, trajectory on its refined grid)
     for sid, seed in enumerate(args.seed):

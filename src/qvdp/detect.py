@@ -59,7 +59,6 @@ __all__ = [
     "classify_forced",
     "rotation_number",
     "winding_number",
-    "escape_bound",
 ]
 
 _FIXED_POINT_RESIDUAL = 1e-8
@@ -68,17 +67,6 @@ _RETURN_HORIZON = 240.0
 # a converged section fixed point closer than this to an equilibrium, or a
 # loop staying within this distance of one, is a collapsed spiral, not a cycle
 _COLLAPSE_RADIUS = 1e-2
-_CYCLE_ESCAPE = 8.0  # escape_bound base of the cycle search
-
-
-def escape_bound(p: Params, base: float) -> float:
-    """Escape radius: ``base``, times ``max(1, mu)`` where eps > 0.
-
-    Escapes crawl, stiffer with |x|, so bounds stay small; but large cycles
-    reach |y| of about 3 mu.  For eps > 0 no forward orbit reaches infinity,
-    so the larger bound costs no crawl; for eps <= 0 there is no cycle.
-    """
-    return base * (max(1.0, p.mu) if p.eps > 0 else 1.0)
 
 
 class ManifoldEscape(RuntimeError):
@@ -173,36 +161,34 @@ def find_limit_cycle(p: Params, seed: State) -> Optional[LimitCycle]:
     to P(x).  The return that closes to within 1e-8 gives the period, the
     path and the multiplier.
 
-    Returns None when the orbit escapes to infinity, collapses into an
-    equilibrium, or stops crossing the section {y = 0, x > 0}, the only one
-    searched (a seed circling E1 alone gives None; its mirror image finds
-    the mirrored cycle around E2); raises
-    :class:`~qvdp.integrate.NoConvergence` if none of 60 returns from the
-    section closes.
+    Returns None when the orbit collapses into an equilibrium or stops
+    crossing the section {y = 0, x > 0}, the only one searched (a seed
+    circling E1 alone gives None; its mirror image finds the mirrored cycle
+    around E2); raises :class:`~qvdp.integrate.NoConvergence` if none of 60
+    returns from the section closes.  The returns carry no escape bound:
+    for eps > 0 every forward orbit is bounded (the equator repels it), so
+    a large cycle is found however far out it lies.  A seed where the field
+    overflows raises :class:`~qvdp.integrate.NonFinite`.
 
     For eps <= 0 it returns None at once, without integrating: on the
     section y' = g(x) = x (beta - eps x^2) > 0 for every x > 0 (beta >= 0,
     and beta and eps are not both zero), so no orbit crosses it downward
     and there is no return map to search.  The integration would only
-    crawl to the escape bound.
+    crawl off to infinity.
     """
     if p.eps <= 0.0:
         return None
     rhs = unforced_rhs(p)
     eqs = find_equilibria(p)
     section_eq_x = [0.0] + [e.location.x for e in eqs if e.location.x > 0]
-    escape_radius = escape_bound(p, _CYCLE_ESCAPE)
 
     def aug_field(t, s):
         # (x, y) and the divergence integral along the orbit
         return (*rhs(t, s[:2]), divergence(s[0], p))
 
     def ret(x, y=0.0):
-        try:
-            return _first_return(aug_field, (x, y, 0.0), _RETURN_HORIZON,
-                                 escape_radius)
-        except NonFinite:
-            return None
+        return _first_return(aug_field, (x, y, 0.0), _RETURN_HORIZON,
+                             math.inf)
 
     def g(x):
         # y' on the section {y = 0}

@@ -251,6 +251,14 @@ def test_cycle_prediction_past_re_c1_sign_change(beta, eps, mu_off):
     assert math.isfinite(torus_frequency_estimate(p))
 
 
+def test_torus_frequency_at_a_stable_focus_is_the_linear_one():
+    # below mu_c the foci are stable and there is no cycle: the estimate is
+    # Im lambda itself, with no cubic correction
+    p = Params(mu=hopf_curve(1.0, 2.0) - 0.05, beta=1.0, eps=2.0)
+    assert torus_frequency_estimate(p) == hopf_normal_form(p).lambda_mu.imag
+    assert torus_frequency_estimate(p) == 1.4139925742379271
+
+
 def test_torus_frequency_tracks_cycle_frequency():
     # in the two-small-cycles band the cubic normal form should beat the
     # bare linear frequency by a wide margin

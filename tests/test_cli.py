@@ -17,7 +17,8 @@ import pytest
 import qvdp
 from qvdp import cli
 from qvdp.cli import build_parser, main
-from qvdp.detect import classify_forced, escape_bound, find_limit_cycle
+from qvdp.bifurcation import homoclinic_curve
+from qvdp.detect import classify_forced, find_limit_cycle
 from qvdp.errors import NoConvergence
 from qvdp.integrate import integrate
 from qvdp.model import Params, State, unforced_rhs
@@ -502,9 +503,7 @@ def test_portrait_rows_are_the_refined_grid(seed, t1, tmp_path):
                  "--format", "svg", "--out", str(out)]) == 0
     p = Params(mu=-0.1, beta=1.0, eps=2.0)
     fine = integrate(unforced_rhs(p), np.array(seed), (0.0, t1),
-                     tol=(1e-12, 1e-10),
-                     escape_radius=escape_bound(p, cli._PORTRAIT_ESCAPE)
-                     ).refined()
+                     tol=(1e-12, 1e-10)).refined()
     rows = np.array([[float(v) for v in line.split(",")[1:]]
                      for line in out.read_text().split("\n")[1:] if line])
     assert np.array_equal(rows, np.column_stack([fine.t, fine.states]))
@@ -525,6 +524,51 @@ def test_portrait_keeps_large_cycle_past_fixed_bound(tmp_path, capsys):
     rows = [l.split(",") for l in out.read_text().split("\n")[1:] if l]
     assert float(rows[-1][1]) == 40.0
     assert max(abs(float(r[3])) for r in rows) > 10.0
+
+
+def test_portrait_draws_a_large_cycle_at_large_beta(tmp_path, capsys):
+    # beta = 400, eps = 200, just past mu_3: the bounded orbit passes
+    # |y| = 21, beyond 10 max(1, mu), and the search finds its cycle
+    out = tmp_path / "p.csv"
+    mu = homoclinic_curve(400.0, 200.0) + 0.05
+    assert _run(["portrait", "--beta", "400", "--eps", "200", "--mu", repr(mu),
+                 "--seed", "2.1,0", "--t1", "20", "--format", "svg",
+                 "--out", str(out)]) == 0
+    assert "escaped" not in capsys.readouterr().err
+    rows = [l.split(",") for l in out.read_text().split("\n")[1:] if l]
+    assert float(rows[-1][1]) == 20.0
+    assert len(_polygons((tmp_path / "p.svg").read_text())) == 1
+
+
+def test_portrait_skips_a_seed_whose_cycle_search_fails(tmp_path, capsys):
+    # the field overflows at the first seed: its run fails, its search
+    # raises and is skipped, and the second seed's cycle is drawn
+    out = tmp_path / "p.csv"
+    assert _run(["portrait", "--beta", "1", "--eps", "2", "--mu", "-0.1",
+                 "--seed", "1e200,0", "--seed", "2,0", "--t1", "10",
+                 "--format", "svg", "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["warning: seed 0 failed: escaped"]
+    svg = (tmp_path / "p.svg").read_text()
+    assert len(_polylines(svg)) == 1
+    assert len(_polygons(svg)) == 1
+
+
+@pytest.mark.parametrize("flags, y_end", [
+    # eps < 0 orbits do reach infinity: the bound stays 10 whatever mu
+    (["--beta", "1", "--eps", "-1", "--mu", "6", "--seed", "0,5",
+      "--t1", "50", "--tol", "1e-6"], 10.0),
+    # a backward eps > 0 run can escape: it stops at 10 mu = 61, beyond
+    # its seed (12, 0)
+    (["--beta", "3", "--eps", "1", "--mu", "6.1", "--seed", "12,0",
+      "--t1", "-1"], 61.0),
+])
+def test_portrait_escape_bounds(flags, y_end, tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    assert _run(["portrait", *flags, "--out", str(out)]) == 0
+    assert "escaped to infinity" in capsys.readouterr().err
+    last = out.read_text().split("\n")[-2].split(",")
+    assert abs(float(last[3]) - y_end) < 1e-9
 
 
 def test_format_only_on_portrait():

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qvdp import detect
-from qvdp.detect import (SeparatrixSplit, Verdict, _first_return,
-                         classify_forced, escape_bound, find_limit_cycle,
+from qvdp.detect import (ManifoldEscape, SeparatrixSplit, Verdict,
+                         _first_return, classify_forced, find_limit_cycle,
                          rotation_number, separatrix_split, winding_number)
 from qvdp.detect import (_saddle_eigvectors, _LAUNCH_OFFSET, _SHOOT_BOX,
                          _SHOOT_HORIZON)
 from qvdp.equilibria import EqLabel, EquilibriumKind, find_equilibria
 from qvdp.bifurcation import homoclinic_curve, hopf_curve
-from qvdp.integrate import NoConvergence, detect_crossings, integrate
+from qvdp.integrate import (NoConvergence, NonFinite, detect_crossings,
+                            integrate)
 from qvdp.model import Params, State, divergence, unforced_rhs
 
 
@@ -200,9 +201,8 @@ def test_search_reports_the_cycle_the_orbit_reaches(beta, eps, frac, offset):
 
 
 def test_no_cycle_search_crawls_to_a_mu_scaled_bound(monkeypatch):
-    # eps < 0 admits no cycle; at a mu that would scale the escape bound
-    # where eps > 0, the search still returns None without integrating
-    # instead of crawling through the stiff damping out to 8 mu
+    # eps < 0 admits no cycle; at a large mu the search still returns None
+    # without integrating instead of crawling through the stiff damping
     calls = []
 
     def counting(*args):
@@ -238,23 +238,36 @@ def test_no_return_map_search_for_nonpositive_eps(monkeypatch, beta, eps):
     assert calls
 
 
-def test_escape_bound_scales_with_mu_only_for_positive_eps():
-    assert escape_bound(Params(mu=6.0, beta=1.0, eps=1.0), 8.0) == 48.0
-    assert escape_bound(Params(mu=0.5, beta=1.0, eps=1.0), 8.0) == 8.0
-    assert escape_bound(Params(mu=6.0, beta=1.0, eps=-1.0), 8.0) == 8.0
-    assert escape_bound(Params(mu=6.0, beta=1.0, eps=0.0), 10.0) == 10.0
-    assert escape_bound(Params(mu=-2.0, beta=0.0, eps=-2.0), 10.0) == 10.0
-
-
 def test_cycle_beyond_fixed_escape_bound():
     # beta/eps = 3 past mu_c: the large cycle reaches |y| ~ 3 mu, well
-    # beyond the escape bound of 8 that holds for mu <= 1
+    # beyond a fixed bound of order 1; the search's returns carry none
     p = Params(mu=6.1, beta=3.0, eps=1.0)
     cyc = find_limit_cycle(p, State(2.0, 0.0))
     assert cyc is not None
     traj = integrate(unforced_rhs(p), np.array(cyc.representative),
                      (0.0, cyc.period), tol=(1e-12, 1e-10))
     assert np.max(np.abs(traj.final - np.array(cyc.representative))) < 1e-6
+
+
+def test_large_cycle_at_large_beta_is_found():
+    # beta/eps = 2 < 7/3 and mu just past mu_3 = 2.057: the large cycle
+    # reaches |y| of about 25, beyond 8 max(1, mu) = 16.9, which a first
+    # return from (2.1, 0) passes; no escape bound cuts that return off
+    p = Params(mu=homoclinic_curve(400.0, 200.0) + 0.05, beta=400.0,
+               eps=200.0)
+    cyc = find_limit_cycle(p, State(2.1, 0.0))
+    assert cyc is not None and cyc.stable
+    assert cyc.encloses == frozenset({EqLabel.O, EqLabel.E1, EqLabel.E2})
+    assert abs(cyc.period - 0.527548) < 1e-6
+    assert abs(cyc.floquet - 0.6824) < 1e-4
+    assert np.max(np.abs(cyc.path[:, 1])) > 20.0
+
+
+def test_search_from_an_overflowing_seed_raises():
+    # the field overflows at the seed itself: no escape bound turns that
+    # into None, and the portrait skips the seed's search
+    with pytest.raises(NonFinite, match="non-finite at the initial state"):
+        find_limit_cycle(Params(mu=-0.1, beta=1.0, eps=2.0), State(1e80, 0.0))
 
 
 # --- Liouville multiplier vs the return map ----------------------------------
@@ -434,6 +447,19 @@ def test_separatrix_split_crosses_section_before_leaving_box():
         else:
             hi = mid
     assert abs(0.5 * (lo + hi) - mu3) < 5e-3
+
+
+@pytest.mark.parametrize("mu", [1.9, 2.0, 2.05])
+def test_separatrix_split_reports_a_branch_leaving_the_box(mu):
+    # at beta = 2, eps = 1 and mu up to 2.05, just under mu_3 = 2.057, a
+    # branch leaves |x|,|y| <= 5 before it reaches the section
+    with pytest.raises(ManifoldEscape, match=r"left \|x\|,\|y\| <= 5"):
+        separatrix_split(Params(mu=mu, beta=2.0, eps=1.0))
+
+
+def test_separatrix_split_inside_the_box_at_beta_2():
+    split = separatrix_split(Params(mu=2.1, beta=2.0, eps=1.0))
+    assert abs(split.distance - 0.1959) < 1e-4
 
 
 def test_separatrix_requires_saddle():

@@ -9,7 +9,8 @@ import pytest
 
 import qvdp
 from qvdp.integrate import (DEFAULT_TOL, NoConvergence, NonFinite,
-                            detect_crossings, integrate, stroboscopic)
+                            StepUnderflow, detect_crossings, integrate,
+                            stroboscopic)
 from qvdp.model import (Params, State, divergence, forced_rhs,
                         hamiltonian, hamiltonian_rhs, unforced_rhs)
 
@@ -397,6 +398,16 @@ def test_nonfinite_escape_reported():
     assert len(partial.t) >= 2
     assert np.all(np.isfinite(partial.states))
     assert partial.t1 < 600.0
+
+
+def test_step_underflow_in_a_finite_time_blow_up():
+    # backward in time the quintic damping blows up in finite time; with no
+    # escape bound the steps shrink until they fall below the float spacing
+    p = Params(mu=-0.1, beta=1.0, eps=2.0)
+    with pytest.raises(StepUnderflow,
+                       match="step size fell below the float spacing"):
+        integrate(unforced_rhs(p), [2.0, 0.0], (0.0, -5.0),
+                  escape_radius=math.inf)
 
 
 def test_stroboscopic_requires_forcing():
