@@ -141,10 +141,7 @@ def _first_return(field_fn, s0, t_max, escape_radius):
     sign = -1 if t_max > 0 else 1
 
     def crossing(t, s):
-        if not s[0] > 0.0:
-            return -1.0
-        # a state exactly on the section counts as past it
-        return sign * s[1] if s[1] != 0.0 else math.ulp(0.0)
+        return sign * s[1] if s[0] > 0.0 else -1.0
 
     traj = integrate(field_fn, s0, (0.0, t_max),
                      escape_radius=escape_radius, stop_event=crossing)

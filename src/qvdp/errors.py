@@ -37,5 +37,5 @@ class NonFinite(IntegrationError):
 
 class NoConvergence(IntegrationError):
     """An iteration gave up: root bracketing failed on a section or an
-    event, a refined crossing missed the section residual target, or a
+    event, a located crossing missed the section residual bound, or a
     limit-cycle search spent its 60 returns without closing."""

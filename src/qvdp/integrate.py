@@ -24,10 +24,10 @@ On top of the stepper the module provides:
   map's divergence integral is not monitored) -- for eps <= 0
   the oscillator genuinely blows up in finite time, which is a reportable
   outcome (:class:`NonFinite`), not a crash;
-* a terminal event that ends a run at the first zero a scalar function of
-  the state rises through, located on the step's interpolant;
-* crossings of a scalar section of the state by the same rule, refined
-  on the dense output by root bracketing to |section| < 1e-10;
+* a terminal event that ends a run at the first zero a scalar function g
+  of the state rises through, in a step with g(start) < 0 <= g(end),
+  located by Brent's method to 4 eps on the step's interpolant;
+* crossings of a scalar section of the state by the same rule and locator;
 * stroboscopic sampling of the forced system at exact fractions of the
   forcing period.
 
@@ -244,6 +244,7 @@ _ERROR_ORDER = 7  # order of the embedded error estimate
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EPS = math.ulp(1.0)  # machine epsilon
 _SUBSAMPLES = 4  # interior interpolant points per step of Trajectory.refined
+_NO_INTERPOLANT = "a run sampled at t_eval or refined keeps no interpolant"
 
 
 class _Step(NamedTuple):
@@ -359,8 +360,7 @@ class Trajectory:
         times outside the run extrapolate the first or last step.
         """
         if self._h is None:
-            raise ValueError("a run sampled at t_eval or refined keeps no "
-                             "interpolant")
+            raise ValueError(_NO_INTERPOLANT)
         times = np.atleast_1d(np.asarray(times, dtype=float))
         t, h = self.t, self._h
         key, at = (t, times) if h[0] > 0 else (-t, -times)  # ascending
@@ -453,6 +453,15 @@ def _brent(f: Callable[[float], float], a: float, b: float,
     raise NoConvergence("root bracketing did not converge in 100 iterations")
 
 
+def _root(event, t: float, t_new: float, y, h: float, coef):
+    """Zero of ``event(t, state)`` in the step from (t, y) to t_new, size h,
+    and the state there, by Brent's method to 4 eps on its rows ``coef``."""
+    def state(s):
+        return _interp_eval((s - t) / h, y, coef).tolist()
+    t_root = _brent(lambda s: event(s, state(s)), t, t_new, 4 * _EPS)
+    return t_root, state(t_root)
+
+
 def _initial_step(fun, t0, y0, f0, t1, direction, atol, rtol):
     """First step size from the local behaviour at t0 (HNW II.4).
 
@@ -498,13 +507,13 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
         along it; samples come from the step interpolants, so the steps
         taken do not depend on them
     escape_radius : bound on the max-norm of the first two components,
-        (x, y), beyond which the run is declared escaped; a further
-        component (the return map's divergence integral) is not
-        monitored
+        (x, y): the run escapes where the norm rises through it, by the
+        stop rule, or at t0 from a start on or beyond it; a further
+        component (the return map's divergence integral) is not monitored
     stop_event : optional event ``g(t, state)`` on the same state lists.
         The run ends at the first zero it rises through along the run, in
-        a step with g(start) <= 0 <= g(end), with ``stopped`` set on the
-        trajectory
+        a step with g(start) < 0 <= g(end), so a start on a zero is none,
+        with ``stopped`` set on the trajectory
 
     Raises
     ------
@@ -512,7 +521,7 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
         tolerance out of bounds, empty or non-finite ``t_span``, or
         non-finite initial state
     NonFinite
-        state crossed ``escape_radius`` (partial trajectory attached)
+        state reached ``escape_radius`` (partial trajectory attached)
     StepUnderflow
         step control failure without escape
     NoConvergence
@@ -556,13 +565,15 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
     escaped = stopped = False
     with np.errstate(over="ignore", invalid="ignore"):
         f = field_fn(t0, y)
-        if not all(map(math.isfinite, f)):
+        g = [ev(t0, y) for ev in events]
+        # a start on or beyond the bound never rises through it: escaped
+        if g[0] >= 0 or not all(map(math.isfinite, f)):
             raise NonFinite(
-                "field is non-finite at the initial state",
+                f"state escaped |s| > {escape_radius:g} at t={t0:.6g}"
+                if g[0] >= 0 else "field is non-finite at the initial state",
                 Trajectory(t=np.array([t0]), states=np.array([y0]),
                            stats={"nfev": 1, "accepted_steps": 0,
                                   "rejected_steps_estimate": 0}))
-        g = [ev(t0, y) for ev in events]
         t_last = t0
         for step, n_rejected in _dormand_prince(field_fn, t0, y, f, t1,
                                                 atol, rtol):
@@ -570,24 +581,17 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
             rejected += n_rejected
             t_end, y_end = step.t_new, step.y_new
             g_new = [ev(t_end, y_end) for ev in events]
-            hit = [i for i, (a, b) in enumerate(zip(g, g_new)) if a <= 0 <= b]
+            hit = [i for i, (a, b) in enumerate(zip(g, g_new)) if a < 0 <= b]
             g = g_new
             coef = (_dop853_coef(field_fn, step)
                     if t_eval is None or hit else None)
             if hit:
-                y_arr = np.array(step.y)
-
-                def state(s):
-                    return _interp_eval((s - step.t) / step.h, y_arr,
-                                        coef).tolist()
-                roots = [_brent(lambda s: events[i](s, state(s)),
-                                step.t, t_end, 4 * _EPS)
+                roots = [_root(events[i], step.t, t_end, step.y, step.h, coef)
                          for i in hit]
                 # the earliest root ends the run; a tie goes to the escape
                 first = min(range(len(hit)),
-                            key=lambda j: (direction * roots[j], j))
-                t_end = roots[first]
-                y_end = state(t_end)
+                            key=lambda j: (direction * roots[j][0], j))
+                t_end, y_end = roots[first]
                 escaped = hit[first] == 0
                 stopped = not escaped
             if t_eval is None:
@@ -667,35 +671,36 @@ def _dormand_prince(fun, t: float, y: list, f: list, t_bound: float,
         t, y, f = t_new, y_new, [k[12] for k in ks]
 
 
-_RESIDUAL_TOL = 1e-10  # |section| at a refined crossing
+_RESIDUAL_TOL = 1e-10  # |section| at a crossing: a safety check, not a target
 
 
 def detect_crossings(traj: Trajectory,
                      section: Callable) -> list[SectionEvent]:
     """The crossings where ``section(state)`` rises through zero.
 
-    The rule is the terminal event's: the section is sampled on
-    :meth:`Trajectory.refined`, and a crossing lies between two adjacent
-    samples a, b with section(a) < 0 <= section(b).  Each is refined by
-    Brent root bracketing on the interpolant until |section| < 1e-10; a
-    sample on the section ends its bracket and is the crossing, so a run
-    that starts on it does not count its start.  A falling crossing is a
-    rising crossing of ``-section``.  Events come in the run's time order.
-    Raises :class:`NoConvergence` on a NaN section value.
+    The rule and the locator are the stop event's: a crossing lies in a
+    step whose knots a, b have section(a) < 0 <= section(b), so a start
+    on the section is none, and Brent's method locates it to 4 eps on the
+    step's interpolant.  The first crossing is bit for bit where a stop
+    event ``section(state)`` ends the same run.  A falling crossing is a
+    rising crossing of ``-section``; events come in the run's time order.
+    Raises :class:`NoConvergence` on a NaN section value or |section| >
+    1e-10 at a crossing, ValueError for a run without an interpolant.
     """
-    fine = traj.refined()  # a ValueError for a run sampled at t_eval
-    g = np.array([section(s) for s in fine.states])
+    if traj._h is None:
+        raise ValueError(_NO_INTERPOLANT)
+    g = np.array([section(s) for s in traj.states])
     if np.isnan(g).any():
         raise NoConvergence("root bracketing met a NaN value")
     events: list[SectionEvent] = []
     for i in np.flatnonzero((g[:-1] < 0) & (g[1:] >= 0)):
-        t_root = _brent(lambda t: section(traj.at(t)[0]), float(fine.t[i]),
-                        float(fine.t[i + 1]), xtol=1e-14)
-        state = traj.at(t_root)[0]
+        t_root, state = _root(lambda t, s: section(s), float(traj.t[i]),
+                              float(traj.t[i + 1]), traj.states[i],
+                              float(traj._h[i]), traj._rows[i])
         if abs(section(state)) > _RESIDUAL_TOL:
             raise NoConvergence(
                 f"crossing residual {abs(section(state)):.3e} above target")
-        events.append(SectionEvent(float(t_root), state))
+        events.append(SectionEvent(t_root, np.array(state)))
     return events
 
 

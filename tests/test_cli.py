@@ -571,6 +571,23 @@ def test_portrait_escape_bounds(flags, y_end, tmp_path, capsys):
     assert abs(float(last[3]) - y_end) < 1e-9
 
 
+def test_portrait_seed_beyond_its_escape_bound_fails_as_escaped(tmp_path,
+                                                                capsys):
+    # the backward seed (12, 0) starts beyond its bound 10: it has escaped
+    # at t = 0 rather than crawling on until the step size underflows, and
+    # the second seed is drawn up to its own escape
+    out = tmp_path / "p.csv"
+    assert _run(["portrait", "--beta", "1", "--eps", "2", "--mu", "-0.1",
+                 "--seed", "12,0", "--seed", "2,0", "--t1", "-1",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: seed 0 failed: escaped",
+        "warning: seed 1 escaped to infinity at t=-0.742484 "
+        "(partial trajectory kept)"]
+    rows = [l.split(",") for l in out.read_text().split("\n")[1:] if l]
+    assert {r[0] for r in rows} == {"1"}
+
+
 def test_format_only_on_portrait():
     for cmd in ("classify", "sweep", "melnikov", "forced"):
         with pytest.raises(SystemExit) as exc:

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import qvdp
 from qvdp.integrate import (DEFAULT_TOL, NoConvergence, NonFinite,
@@ -149,22 +150,46 @@ def test_detect_crossings_skips_start_on_section():
     (unforced_rhs(Params(mu=0.5, beta=0.0, eps=1.0)), [0.1, 0.2], 40.0, 0.05),
 ])
 def test_detect_crossings_follows_the_stop_event_rule(field_fn, s0, t1, c):
-    # one rule for both locators: the first crossing is where a stop event
-    # on the same section ends the run, and the crossings come in the
-    # run's time order, backward runs included
+    # one rule and one locator: the first crossing is bit for bit where a
+    # stop event on the same section ends the run, and the crossings come
+    # in the run's time order, backward runs included
     run = integrate(field_fn, s0, (0.0, t1))
     sign = math.copysign(1.0, t1)
     for g in (lambda s: s[1], lambda s: -s[1], lambda s: s[0] - c,
               lambda s: c - s[0]):
-        assert g(s0) != 0.0  # a start on the section counts for a stop only
+        assert g(s0) != 0.0
         events = detect_crossings(run, g)
         assert events
         assert all(sign * (b.t - a.t) > 0 for a, b in zip(events, events[1:]))
         stop = integrate(field_fn, s0, (0.0, t1),
                          stop_event=lambda t, s: g(s))
         assert stop.stopped
-        assert abs(events[0].t - stop.t1) < 1e-12
-        assert np.max(np.abs(events[0].state - stop.final)) < 1e-12
+        assert events[0].t == stop.t1
+        assert np.array_equal(events[0].state, stop.final)
+
+
+@settings(max_examples=25, deadline=None)
+@given(x=st.floats(-1.0, 1.0), y=st.floats(-0.5, 0.5),
+       t1=st.sampled_from([-12.0, 12.0]), i=st.sampled_from([0, 1]),
+       c=st.floats(-0.5, 0.5), sign=st.sampled_from([-1.0, 1.0]))
+def test_first_crossing_is_the_stop_root_bit_for_bit(x, y, t1, i, c, sign):
+    # the section sign * (s[i] - c) from a start off it, on the paper's
+    # reference set: forward onto its large cycle, backward into E1 or E2
+    # (from |x| > 1.1 a backward run escapes)
+    def g(s):
+        return sign * (s[i] - c)
+    s0 = [x, y]
+    assume(g(s0) != 0.0)
+    rhs = unforced_rhs(Params(mu=-0.1, beta=1.0, eps=2.0))
+    run = integrate(rhs, s0, (0.0, t1))
+    events = detect_crossings(run, g)
+    assert all(math.copysign(1.0, t1) * (b.t - a.t) > 0
+               for a, b in zip(events, events[1:]))
+    stop = integrate(rhs, s0, (0.0, t1), stop_event=lambda t, s: g(s))
+    assert stop.stopped == bool(events)
+    if events:
+        assert events[0].t == stop.t1
+        assert np.array_equal(events[0].state, stop.final)
 
 
 def test_detect_crossings_raises_on_a_nan_section_value():
@@ -215,15 +240,34 @@ def test_determinism_bitwise():
     assert np.array_equal(a.states, b.states)
 
 
-def test_stop_event_zero_at_the_start_stops_there():
-    # the event is zero at t0 and rises: the run stops at once, and the
-    # interpolant still answers at the start
+def test_a_start_on_the_event_is_not_a_crossing():
+    # y is zero at t0 and rises: a crossing needs g(a) < 0, so the run goes
+    # on to its next rising zero, one turn later, and the interpolant
+    # answers at the start
     def on_axis(t, s):
         return s[1]
-    traj = integrate(_rotation_field, [1.0, 0.0], (0.0, 1.0),
+    short = integrate(_rotation_field, [1.0, 0.0], (0.0, 1.0),
+                      stop_event=on_axis)
+    assert not short.stopped and short.t1 == 1.0
+    assert np.array_equal(short.at(0.0)[0], [1.0, 0.0])
+    turn = integrate(_rotation_field, [1.0, 0.0], (0.0, 7.0),
                      stop_event=on_axis)
-    assert traj.stopped and list(traj.t) == [0.0]
-    assert np.array_equal(traj.at(0.0)[0], [1.0, 0.0])
+    assert turn.stopped and abs(turn.t1 - 2.0 * math.pi) < 1e-9
+
+
+@pytest.mark.parametrize("s0", [[12.0, 0.0], [10.0, 0.0]])
+def test_a_start_on_or_beyond_the_escape_bound_has_escaped(s0):
+    # backward, the quintic damping drives (12, 0) off to infinity; a start
+    # beyond the bound, or on it, never rises through it, so the run
+    # escapes at t0 with the start alone instead of crawling on until the
+    # step size underflows
+    p = Params(mu=-0.1, beta=1.0, eps=2.0)
+    with pytest.raises(NonFinite, match="escaped") as exc:
+        integrate(unforced_rhs(p), s0, (0.0, -1.0), escape_radius=10.0)
+    partial = exc.value.trajectory
+    assert partial.t.tolist() == [0.0]
+    assert partial.states.tolist() == [s0]
+    assert partial.stats["nfev"] == 1
 
 
 def test_a_stop_event_stops_only_where_it_rises():
@@ -532,7 +576,9 @@ def _solve_ivp(field_fn, s0, t_span, tol, escape_radius=1e4, stop_event=None,
 
 def _section_down(t, s):
     # first downward crossing of {y = 0} on x > 0, as a return map takes
-    # it: the event rises through zero there
+    # it: the event rises through zero there.  A state on the section reads
+    # one ulp past it, since solve_ivp takes g(a) <= 0 <= g(b) for a
+    # crossing and would stop at a start on the section
     if not s[0] > 0.0:
         return -1.0
     return -s[1] if s[1] != 0.0 else math.ulp(0.0)
