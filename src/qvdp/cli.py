@@ -92,14 +92,9 @@ def cmd_classify(args) -> int:
 
 # --- portrait ----------------------------------------------------------------
 
-# escape bound of the portraits that can escape; for eps > 0 (backward
-# runs) it is scaled by max(1, mu): seeds on a large cycle lie at |y| ~ 3 mu
-_PORTRAIT_ESCAPE = 10.0
-
-
 def cmd_portrait(args) -> int:
     from .compactify import disk_project
-    from .integrate import integrate
+    from .integrate import _ESCAPE_BOUND, integrate
 
     p = _params_from(args)
     if not args.seed:
@@ -107,9 +102,10 @@ def cmd_portrait(args) -> int:
     if args.format == "svg" and not args.out:
         raise ValueError("--format svg needs --out: the SVG goes next to the CSV")
     rhs = unforced_rhs(p)
-    # eps > 0: every forward orbit is bounded, so a forward run needs none
+    # eps > 0: every forward orbit is bounded, so a forward run needs none;
+    # backward, seeds on a large cycle lie at |y| ~ 3 mu
     escape_radius = (math.inf if p.eps > 0 and args.t1 > 0 else
-                     _PORTRAIT_ESCAPE * (max(1.0, p.mu) if p.eps > 0 else 1.0))
+                     _ESCAPE_BOUND * (max(1.0, p.mu) if p.eps > 0 else 1.0))
 
     kept = []  # (seed id, trajectory on its refined grid)
     for sid, seed in enumerate(args.seed):

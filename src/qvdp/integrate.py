@@ -12,8 +12,10 @@ rounding: sums run in another order, which can flip an accept/reject
 decision that sits on the bound.  Every field integrated here acts on
 the plane (x, y); the forced one is non-autonomous and reads its forcing
 from t, and only the return map augments its state, with the divergence
-integral.  The stage arithmetic runs on Python floats: for these two- and
-three-component states array operations cost more than they compute.
+integral.  The run loop works on Python floats alone (stages, each
+component's 7 interpolant rows, event roots, ``t_eval`` samples): for these
+small states array operations cost more than they compute.  One evaluator
+serves the loop's floats and the arrays of :meth:`Trajectory.at`.
 
 On top of the stepper the module provides:
 
@@ -62,6 +64,7 @@ __all__ = [
 
 DEFAULT_TOL = (1e-12, 1e-10)  # (abs, rel)
 TOL_FLOOR, TOL_CEIL = 1e-13, 1e-3
+_ESCAPE_BOUND = 10.0  # of eps <= 0 runs: they crawl out along a nullcline
 
 
 # --- DOP853 -----------------------------------------------------------------
@@ -290,8 +293,9 @@ def _stage_rows(fun, t: float, y: list, h: float, ks: list,
     return ys
 
 
-def _dop853_coef(fun, step: _Step) -> np.ndarray:
-    """Interpolant rows F_0..F_6 of one step (see :func:`_interp_eval`).
+def _dop853_coef(fun, step: _Step) -> list:
+    """Interpolant rows F_0..F_6 of one step (see :func:`_interp_eval`), per
+    component a list of 7 floats.
 
     They take the stages of tableau rows 12-14, appended to ``step.ks``
     (three evaluations of ``fun``), so call this at most once per step.
@@ -299,24 +303,23 @@ def _dop853_coef(fun, step: _Step) -> np.ndarray:
     y, h, ks = step.y, step.h, step.ks
     _stage_rows(fun, step.t, y, h, ks, range(12, 15))
     dy = [b - a for a, b in zip(y, step.y_new)]
-    return np.array([
-        dy,
-        [h * k[0] - d for k, d in zip(ks, dy)],
-        [2 * d - h * (k[12] + k[0]) for d, k in zip(dy, ks)],
-        *([h * sum(map(mul, row, k)) for k in ks] for row in _DOP_POLY)])
+    return [[d, h * k[0] - d, 2 * d - h * (k[12] + k[0]),
+             *(h * sum(map(mul, row, k)) for row in _DOP_POLY)]
+            for d, k in zip(dy, ks)]
 
 
 def _interp_eval(x, y_old, coef):
     """State at fraction ``x`` of a step from its interpolant rows.
 
-    ``coef[..., j, :]`` is row j; broadcasting evaluates one step at many
-    fractions or many steps at once, elementwise, so a sample does not
-    depend on the others evaluated with it.
+    ``coef[j]`` is row j: one component's 7 floats evaluate that component
+    of one step, and arrays with the row axis first evaluate many steps at
+    once, elementwise by the same operations, so a sample does not depend
+    on the others evaluated with it and equals its float evaluation.
     """
     # y_old + x (F_0 + (1 - x) (F_1 + x (F_2 + ... + (1 - x) (F_5 + x F_6))))
-    y = coef[..., 6, :] * x
+    y = coef[6] * x
     for j in range(5, -1, -1):
-        y = (y + coef[..., j, :]) * (x if j % 2 == 0 else 1.0 - x)
+        y = (y + coef[j]) * (x if j % 2 == 0 else 1.0 - x)
     return y + y_old
 
 
@@ -327,9 +330,10 @@ class Trajectory:
     ``states`` has one row per sample; ``t`` is strictly increasing for
     forward integration (strictly decreasing spans are stored as produced).
     Without ``t_eval`` the samples are the step ends and the run keeps its
-    interpolant: ``_h`` holds each step's signed size and ``_rows`` its
-    interpolant rows, step i starting at t[i] in states[i] (a run stopped
-    at a step's start keeps that step last).  A ``t_eval`` run keeps none.
+    interpolant: ``_h`` holds each step's signed size and ``_rows``, shaped
+    (steps, components, 7), each component's rows F_0..F_6, step i starting
+    at t[i] in states[i] (a run stopped at a step's start keeps that step
+    last).  A ``t_eval`` run keeps none.
     ``stopped`` marks a run a stop event ended; an escaping run raises
     :class:`NonFinite`, which carries it.  ``stats`` counts accepted steps
     (``accepted_steps``), rejected step attempts (``rejected_steps_estimate``,
@@ -367,7 +371,8 @@ class Trajectory:
         seg = np.searchsorted(key, at) - 1
         np.clip(seg, 0, len(h) - 1, out=seg)
         x = (times - t[seg])[:, None] / h[seg][:, None]
-        return _interp_eval(x, self.states[seg], self._rows[seg])
+        return _interp_eval(x, self.states[seg],
+                            np.moveaxis(self._rows[seg], -1, 0))
 
     def refined(self) -> "Trajectory":
         """The run on a finer grid: the dense interpolant at the samples
@@ -397,13 +402,12 @@ class SectionEvent:
     state: np.ndarray
 
 
-def _brent(f: Callable[[float], float], a: float, b: float,
-           xtol: float) -> float:
+def _brent(f: Callable[[float], float], a: float, b: float) -> float:
     """Root of ``f`` in the sign-change bracket [a, b] (Brent, 1973).
 
     Inverse quadratic or secant steps where they shrink the bracket fast
     enough, bisection otherwise; converged once the bracket half-width is
-    below (xtol + 4 eps |x|) / 2.  Raises :class:`NoConvergence` on a
+    below 2 eps (1 + |x|).  Raises :class:`NoConvergence` on a
     bracket without a sign change, a NaN value or 100 iterations exhausted.
     """
     xpre, xcur = a, b
@@ -425,7 +429,7 @@ def _brent(f: Callable[[float], float], a: float, b: float,
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + 4 * _EPS * abs(xcur)) / 2
+        delta = 2 * _EPS * (1.0 + abs(xcur))
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -455,10 +459,11 @@ def _brent(f: Callable[[float], float], a: float, b: float,
 
 def _root(event, t: float, t_new: float, y, h: float, coef):
     """Zero of ``event(t, state)`` in the step from (t, y) to t_new, size h,
-    and the state there, by Brent's method to 4 eps on its rows ``coef``."""
+    and the state there, by Brent's method to 4 eps on its float rows."""
     def state(s):
-        return _interp_eval((s - t) / h, y, coef).tolist()
-    t_root = _brent(lambda s: event(s, state(s)), t, t_new, 4 * _EPS)
+        x = (s - t) / h
+        return [_interp_eval(x, yi, c) for yi, c in zip(y, coef)]
+    t_root = _brent(lambda s: event(s, state(s)), t, t_new)
     return t_root, state(t_root)
 
 
@@ -535,8 +540,8 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
         raise ValueError("t_span must be finite")
     if t0 == t1:
         raise ValueError("t_span must not be empty")
-    y0 = np.asarray(s0, dtype=float)
-    if not np.all(np.isfinite(y0)):
+    y = [float(v) for v in s0]
+    if not all(map(math.isfinite, y)):
         raise ValueError("initial state must be finite")
     direction = 1.0 if t1 > t0 else -1.0
     if t_eval is not None:
@@ -547,6 +552,7 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
                 direction * (t_eval[0] - t0) < 0
                 or direction * (t_eval[-1] - t1) > 0):
             raise ValueError("t_eval must lie within t_span, in its order")
+        t_eval = t_eval.tolist()
 
     # terminal events, each ending the run where it rises through zero; the
     # escape check first, so that it wins a tie
@@ -554,7 +560,6 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
     if stop_event is not None:
         events.append(stop_event)
 
-    y = y0.tolist()
     # flat float buffers: the samples (the start and the step ends, or the
     # t_eval times reached), their states, each step's h and rows
     ts, ys = (array("d"), array("d")) if t_eval is not None else \
@@ -571,7 +576,7 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
             raise NonFinite(
                 f"state escaped |s| > {escape_radius:g} at t={t0:.6g}"
                 if g[0] >= 0 else "field is non-finite at the initial state",
-                Trajectory(t=np.array([t0]), states=np.array([y0]),
+                Trajectory(t=np.array([t0]), states=np.array([y]),
                            stats={"nfev": 1, "accepted_steps": 0,
                                   "rejected_steps_estimate": 0}))
         t_last = t0
@@ -599,19 +604,16 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
                     ts.append(t_end)
                     ys.extend(y_end)
                 hs.append(step.h)
-                rows.frombytes(coef.tobytes())
+                rows.extend(v for c in coef for v in c)
             else:
-                start = stop = len(ts)
-                while stop < len(t_eval) and \
-                        direction * (t_eval[stop] - t_end) <= 0:
-                    stop += 1
-                if stop > start:  # rows only for a step that holds samples
-                    if coef is None:
-                        coef = _dop853_coef(field_fn, step)
-                    x = ((t_eval[start:stop] - step.t) / step.h)[:, None]
-                    ts.frombytes(t_eval[start:stop].tobytes())
-                    ys.frombytes(_interp_eval(x, np.array(step.y), coef)
-                                 .tobytes())
+                while len(ts) < len(t_eval) and \
+                        direction * (t_eval[len(ts)] - t_end) <= 0:
+                    # rows only for a step that holds samples
+                    coef = coef or _dop853_coef(field_fn, step)
+                    x = (t_eval[len(ts)] - step.t) / step.h
+                    ts.append(t_eval[len(ts)])
+                    ys.extend([_interp_eval(x, yi, c)
+                               for yi, c in zip(step.y, coef)])
             interpolants += coef is not None
             t_last = t_end
             if hit:
@@ -621,7 +623,7 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
              "accepted_steps": accepted, "rejected_steps_estimate": rejected}
     interp = {} if t_eval is not None else {
         "_h": np.frombuffer(hs),
-        "_rows": np.frombuffer(rows).reshape(-1, 7, n)}
+        "_rows": np.frombuffer(rows).reshape(-1, n, 7)}
     traj = Trajectory(t=np.frombuffer(ts),
                       states=np.frombuffer(ys).reshape(-1, n), stats=stats,
                       stopped=stopped, **interp)
@@ -695,8 +697,8 @@ def detect_crossings(traj: Trajectory,
     events: list[SectionEvent] = []
     for i in np.flatnonzero((g[:-1] < 0) & (g[1:] >= 0)):
         t_root, state = _root(lambda t, s: section(s), float(traj.t[i]),
-                              float(traj.t[i + 1]), traj.states[i],
-                              float(traj._h[i]), traj._rows[i])
+                              float(traj.t[i + 1]), traj.states[i].tolist(),
+                              float(traj._h[i]), traj._rows[i].tolist())
         if abs(section(state)) > _RESIDUAL_TOL:
             raise NoConvergence(
                 f"crossing residual {abs(section(state)):.3e} above target")
@@ -712,6 +714,8 @@ def stroboscopic(p: Params, s0, n: int, per_period: int = 1) -> np.ndarray:
     forced field is integrated at ``DEFAULT_TOL`` in the plane (x, y),
     non-autonomous, from t = 0, in one ``t_eval`` run (no interpolant
     kept) on the exact grid ``arange(n*per_period + 1) * (T/per_period)``.
+    An eps <= 0 run escapes (:class:`NonFinite`) where max(|x|, |y|) rises
+    through 10; for eps > 0 the quintic damping bounds every orbit.
     The samples come from the step interpolants, so the steps, and every
     ``per_period``-th row, do not depend on ``per_period``.  Returns the
     run's own read-only (n*per_period + 1) x 2 array of (x, y) samples.
@@ -727,5 +731,6 @@ def stroboscopic(p: Params, s0, n: int, per_period: int = 1) -> np.ndarray:
     T = p.forcing_period
     t_eval = np.arange(n * per_period + 1) * (T / per_period)
     traj = integrate(forced_rhs(p), (float(s0[0]), float(s0[1])),
-                     (0.0, n * T), t_eval=t_eval)
+                     (0.0, n * T), t_eval=t_eval,
+                     escape_radius=_ESCAPE_BOUND if p.eps <= 0 else math.inf)
     return traj.states

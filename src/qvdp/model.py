@@ -85,9 +85,7 @@ class Params:
 
 def field_unforced(s: State, p: Params) -> State:
     """Vector field of the autonomous (alpha = 0) system at state ``s``."""
-    x, y = s
-    x2 = x * x
-    return State(y, (p.mu + x2 - x2 * x2) * y + p.beta * x - p.eps * x2 * x)
+    return State(*unforced_rhs(p)(0.0, s))
 
 
 def jacobian(s: State, p: Params) -> np.ndarray:

@@ -394,6 +394,17 @@ def test_forced_numerical_failure_exit_3(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_forced_escape_for_eps_below_zero_exit_3(tmp_path, capsys):
+    # the eps < 0 orbit escapes at t = 23.82 (about 1 s): one error line,
+    # exit 3, and none of the three files
+    out = tmp_path / "f.csv"
+    assert _run(["forced", "--mu", "0.3", "--beta", "1", "--eps", "-2",
+                 "--alpha", "0.3", "--n", "20", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: state escaped") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_portrait_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["portrait", "--beta", "1", "--eps", "2", "--mu", "-0.2",

@@ -309,6 +309,51 @@ def test_a_t_eval_run_owns_its_times():
     assert list(traj.t) == [0.0, 1.0, 2.0]
 
 
+def _run_or_partial(*args, **kwargs):
+    """The run, or the partial trajectory of one that escapes."""
+    try:
+        return integrate(*args, **kwargs)
+    except NonFinite as exc:
+        return exc.trajectory
+
+
+def _assert_samples_are_at(field_fn, s0, t1):
+    # t_eval samples come from the run loop's floats, at() from arrays of
+    # the dense run's rows: one evaluator, so equal bit for bit, also on a
+    # knot, where a sample belongs to the step that ends there
+    dense = _run_or_partial(field_fn, s0, (0.0, t1), escape_radius=10.0)
+    ts = np.unique(np.concatenate([dense.t[::3], dense.t[-1:],
+                                   np.linspace(0.0, t1, 37)]))
+    ts = ts if t1 > 0 else ts[::-1]
+    sampled = _run_or_partial(field_fn, s0, (0.0, t1), t_eval=ts,
+                              escape_radius=10.0)
+    assert len(sampled.t) >= min(len(ts), 4)
+    assert np.array_equal(sampled.t, ts[:len(sampled.t)])
+    assert np.array_equal(sampled.states, dense.at(sampled.t))
+
+
+_FORCED_SET = Params(mu=-0.1, beta=1.0, eps=3.0, alpha=-0.3, omega=1.0)
+
+
+@pytest.mark.parametrize("field_fn, s0", [
+    (unforced_rhs(Params(mu=-0.1, beta=1.0, eps=2.0)), [2.0, 0.0]),
+    (forced_rhs(_FORCED_SET), [0.0, 1.2]),
+])
+@pytest.mark.parametrize("t1", [30.0, -0.6])
+def test_t_eval_samples_are_at_bit_for_bit(field_fn, s0, t1):
+    _assert_samples_are_at(field_fn, s0, t1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(x=st.floats(-2.0, 2.0), y=st.floats(-2.0, 2.0),
+       t1=st.floats(0.5, 20.0) | st.floats(-2.0, -0.1),
+       forced=st.booleans())
+def test_t_eval_samples_are_at_on_random_runs(x, y, t1, forced):
+    field_fn = forced_rhs(_FORCED_SET) if forced else \
+        unforced_rhs(Params(mu=-0.1, beta=1.0, eps=2.0))
+    _assert_samples_are_at(field_fn, [x, y], t1)
+
+
 def test_returned_arrays_are_read_only():
     # the samples share their buffers with the interpolant, so a write to
     # them would move the curve at() evaluates
@@ -478,6 +523,18 @@ def test_stroboscopic_requires_a_positive_integer_period_count(n):
     p = Params(mu=-0.1, beta=1.0, eps=3.0, alpha=-0.3, omega=1.0)
     with pytest.raises(ValueError, match="n must be a positive integer"):
         stroboscopic(p, (0.0, 1.2), n)
+
+
+def test_stroboscopic_escapes_for_eps_below_zero():
+    # an eps < 0 orbit crawls out along the quartic-damping nullcline; the
+    # forced run escapes where max(|x|, |y|) rises through 10 (here at
+    # t = 23.82 after 13,846 steps, about 1 s) with the samples before it,
+    # at t = 0, T, 2T and 3T
+    p = Params(mu=0.3, beta=1.0, eps=-2.0, alpha=0.3)
+    with pytest.raises(NonFinite, match=r"escaped \|s\| > 10 at t=23\.8") \
+            as exc:
+        stroboscopic(p, (0.0, 1.2), 20)
+    assert len(exc.value.trajectory.t) == 4
 
 
 def test_stroboscopic_fixed_point_of_forced_system():
