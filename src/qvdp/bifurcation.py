@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from math import factorial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .equilibria import critical_mus, find_equilibria
 from .model import Params
@@ -74,8 +73,7 @@ class PitchforkKind(enum.Enum):
     SUBCRITICAL = "subcritical"
 
 
-@dataclass(frozen=True)
-class PitchforkReduction:
+class PitchforkReduction(NamedTuple):
     """Center-manifold reduction x' = linear_coeff*x + cubic_coeff*x^3
     of the origin for beta near 0."""
 
@@ -111,8 +109,7 @@ def hopf_curve(beta: float, eps: float) -> float:
     return critical_mus(Params(mu=0.0, beta=beta, eps=eps)).muc
 
 
-@dataclass(frozen=True)
-class HopfData:
+class HopfData(NamedTuple):
     """Normal-form data of the E2 (equivalently E1) focus.
 
     ``g`` maps (k, l) with 2 <= k+l <= 3 to the coefficient of
@@ -200,8 +197,7 @@ def hopf_normal_form(p: Params) -> HopfData:
                     muc=mus.muc, omega0=omega0)
 
 
-@dataclass(frozen=True)
-class CyclePrediction:
+class CyclePrediction(NamedTuple):
     """Leading-order prediction of the Hopf cycle around E1/E2.
 
     Both radii are closed forms in the E2 eigenvalue lambda:
@@ -260,8 +256,7 @@ class MelnikovMethod(enum.Enum):
     QUADRATURE = "quadrature"
 
 
-@dataclass(frozen=True)
-class MelnikovResult:
+class MelnikovResult(NamedTuple):
     value: float
     scale: float  # sum of the closed form's term magnitudes
     mu3: float
@@ -341,8 +336,7 @@ class CertificateKind(enum.Enum):
     ENERGY = "energy"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     kind: CertificateKind
     reason: str
 
@@ -392,10 +386,9 @@ class Region(enum.Enum):
     THREE_EQ_NO_CYCLE = "three_eq_no_cycle"
 
 
-@dataclass(frozen=True)
-class RegionLabel:
+class RegionLabel(NamedTuple):
     label: Region
-    certificates: tuple[str, ...] = field(default_factory=tuple)
+    certificates: tuple[str, ...] = ()
 
 
 def classify_region(p: Params) -> RegionLabel:

@@ -16,7 +16,9 @@ repro      one-command rerun of the six reference unforced parameter sets
 Only portrait, forced and repro integrate: they import numpy and integrate
 when they run (portrait also compactify, and detect only for --format svg;
 forced and repro also detect), so classify, sweep and melnikov start and
-finish without them.
+finish without them.  They also run without :mod:`dataclasses` and the
+:mod:`inspect` it imports: the records they read are NamedTuples (see
+qvdp.model), and params serialise through ``Params._asdict``.
 
 Exit codes: 0 success, 2 usage/parameter error, 3 runtime numerical failure.
 Outputs are deterministic (17-significant-digit numbers, LF line endings).
@@ -27,7 +29,6 @@ complete, so a failing run leaves none (see qvdp.output.write_lines).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -68,7 +69,7 @@ def _critical_values(p: Params):
 def cmd_classify(args) -> int:
     p = _params_from(args)
     eqs = equilibria.find_equilibria(p)
-    doc: dict = {"params": dataclasses.asdict(p)}
+    doc: dict = {"params": p._asdict()}
     doc["equilibria"] = [
         {"label": e.label.value, "x": e.location.x, "y": e.location.y,
          "eigenvalues": [[ev.real, ev.imag] for ev in e.eigs],
@@ -258,7 +259,7 @@ def cmd_forced(args) -> int:
 
     report = detect.classify_forced(p, State(*seed), n, samples=strobe)
     doc = {
-        "params": dataclasses.asdict(p),
+        "params": p._asdict(),
         "seed": [seed[0], seed[1]],
         "n": n,
         "verdict": report.verdict.value,

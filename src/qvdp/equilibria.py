@@ -28,7 +28,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import Params, State
 
@@ -70,16 +70,14 @@ class EqLabel(enum.Enum):
     E2 = "E2"
 
 
-@dataclass(frozen=True)
-class Equilibrium:
+class Equilibrium(NamedTuple):
     location: State
     eigs: tuple[complex, complex]
     kind: EquilibriumKind
     label: EqLabel
 
 
-@dataclass(frozen=True)
-class CriticalMus:
+class CriticalMus(NamedTuple):
     """Critical damping offsets of the E1/E2 pair.
 
     mu1 < muc < mu2 for beta > 0: node/focus transitions at mu1 and mu2,

@@ -16,12 +16,19 @@ factories build fields on plain floats, the integrator's state format,
 and every one of them acts on the plane (x, y): the forced field is
 non-autonomous and reads its forcing from t.  Only :func:`jacobian`,
 which returns an array, imports numpy.
+
+Records in the modules the closed-form CLI loads (this one, equilibria
+and bifurcation) are ``typing.NamedTuple`` classes, like :class:`State`
+and :class:`Params`, so those modules load neither :mod:`dataclasses`
+nor the :mod:`inspect` it imports.  Only integrate, detect and
+compactify, which load numpy anyway, define dataclasses: ``Trajectory``
+and ``LimitCycle`` carry array fields left out of comparison, which a
+NamedTuple cannot do.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 if TYPE_CHECKING:
@@ -47,11 +54,18 @@ class State(NamedTuple):
     y: float
 
 
-@dataclass(frozen=True)
-class Params:
+class _ParamsTuple(NamedTuple):
+    mu: float
+    beta: float
+    eps: float
+    alpha: float = 0.0
+    omega: float = 1.0
+
+
+class Params(_ParamsTuple):
     """Parameter vector (mu, beta, eps, alpha, omega) of the oscillator.
 
-    Constraints enforced on construction:
+    Constraints enforced on construction, by ``_make`` and by ``_replace``:
 
     * ``beta >= 0``
     * ``beta`` and ``eps`` not both zero (otherwise the whole line y = 0
@@ -60,15 +74,11 @@ class Params:
     * all entries finite
     """
 
-    mu: float
-    beta: float
-    eps: float
-    alpha: float = 0.0
-    omega: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        vals = (self.mu, self.beta, self.eps, self.alpha, self.omega)
-        if not all(math.isfinite(v) for v in vals):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not all(math.isfinite(v) for v in self):
             raise ValueError("all parameters must be finite")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
@@ -76,6 +86,12 @@ class Params:
             raise ValueError("beta and eps must not both be zero")
         if self.alpha != 0 and not self.omega > 0:
             raise ValueError("omega must be > 0 when alpha != 0")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     @property
     def forcing_period(self) -> float:

@@ -266,6 +266,16 @@ def test_classify_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_classify_params_block_bytes(tmp_path):
+    out = tmp_path / "c.json"
+    _run(["classify", "--beta", "1.3", "--eps", "0.7", "--mu", "0.11",
+          "--out", str(out)])
+    assert out.read_text().startswith(
+        '{\n  "params": {\n    "mu": 0.11,\n    "beta": 1.3,\n'
+        '    "eps": 0.69999999999999996,\n    "alpha": 0,\n'
+        '    "omega": 1\n  },\n  "equilibria": [\n')
+
+
 # --- melnikov ------------------------------------------------------------------
 
 def test_melnikov_cli_values(tmp_path):
@@ -820,9 +830,9 @@ def test_forced_run_loads_no_scipy(tmp_path):
 
 
 def test_closed_form_paths_load_no_numpy(tmp_path):
-    # classify, sweep and melnikov never load numpy or the integrating
-    # modules, nor do the RHS closures or the Hopf normal form; portrait
-    # and forced load them on first use
+    # classify, sweep and melnikov never load numpy, the integrating
+    # modules, dataclasses or inspect, nor do the RHS closures or the Hopf
+    # normal form; portrait and forced load them on first use
     code = "\n".join([
         "import sys",
         "import qvdp",
@@ -831,7 +841,8 @@ def test_closed_form_paths_load_no_numpy(tmp_path):
         "def heavy():",
         "    return sorted(m for m in sys.modules",
         "                  if m.split('.')[0] == 'numpy' or m in",
-        "                  ('qvdp.integrate', 'qvdp.detect', 'qvdp.compactify'))",
+        "                  ('qvdp.integrate', 'qvdp.detect', 'qvdp.compactify',",
+        "                   'dataclasses', 'inspect'))",
         "print(heavy())",
         "p = Params(mu=-0.1, beta=1.0, eps=3.0, alpha=-0.3, omega=1.0)",
         "unforced_rhs(p)(0.0, [1.0, 0.5])",

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -26,6 +27,35 @@ def test_params_validation():
         Params(mu=math.inf, beta=1.0, eps=2.0)
     # omega unconstrained while alpha == 0
     Params(mu=0.0, beta=1.0, eps=2.0, alpha=0.0, omega=-1.0)
+
+
+@pytest.mark.parametrize("bad", [
+    {"beta": -1.0},
+    {"mu": math.nan},
+    {"eps": math.inf},
+    {"alpha": 0.5, "omega": 0.0},
+    {"alpha": -0.5, "omega": -1.0},
+])
+def test_params_replace_and_make_validate(bad):
+    # namedtuple's _make and _replace would build a tuple past __new__
+    p = Params(mu=-0.1, beta=1.0, eps=2.0)
+    with pytest.raises(ValueError):
+        p._replace(**bad)
+    with pytest.raises(ValueError):
+        Params._make({**p._asdict(), **bad}.values())
+    q = p._replace(mu=0.3, alpha=0.5)
+    assert type(q) is Params and q == Params(0.3, 1.0, 2.0, 0.5, 1.0)
+    assert Params._make(q) == q
+    back = pickle.loads(pickle.dumps(q))
+    assert type(back) is Params and back == q
+
+
+def test_params_asdict_order():
+    # the CLI's params block is this dict, in dataclasses.asdict's order
+    p = Params(mu=-0.25, beta=1.0, eps=2.0)
+    assert list(p._asdict().items()) == [
+        ("mu", -0.25), ("beta", 1.0), ("eps", 2.0), ("alpha", 0.0),
+        ("omega", 1.0)]
 
 
 def test_field_unforced_values():
