@@ -95,7 +95,7 @@ def cmd_classify(args) -> int:
 
 def cmd_portrait(args) -> int:
     from .compactify import disk_project
-    from .integrate import _ESCAPE_BOUND, integrate
+    from .integrate import escape_bound, integrate
 
     p = _params_from(args)
     if not args.seed:
@@ -103,10 +103,6 @@ def cmd_portrait(args) -> int:
     if args.format == "svg" and not args.out:
         raise ValueError("--format svg needs --out: the SVG goes next to the CSV")
     rhs = unforced_rhs(p)
-    # eps > 0: every forward orbit is bounded, so a forward run needs none;
-    # backward, seeds on a large cycle lie at |y| ~ 3 mu
-    escape_radius = (math.inf if p.eps > 0 and args.t1 > 0 else
-                     _ESCAPE_BOUND * (max(1.0, p.mu) if p.eps > 0 else 1.0))
 
     kept = []  # (seed id, trajectory on its refined grid)
     for sid, seed in enumerate(args.seed):
@@ -114,7 +110,7 @@ def cmd_portrait(args) -> int:
         try:
             traj = integrate(rhs, seed, (0.0, args.t1),
                              tol=(args.tol * 1e-2, args.tol),
-                             escape_radius=escape_radius)
+                             escape_radius=escape_bound(p, args.t1))
         except NonFinite as exc:
             traj, err = exc.trajectory, "escaped"
         except IntegrationError as exc:
@@ -246,8 +242,7 @@ def cmd_forced(args) -> int:
     series = stroboscopic(p, seed, n, per_period=_TS_PER_PERIOD)
     ts = np.arange(n * _TS_PER_PERIOD + 1) * (T / _TS_PER_PERIOD)
 
-    # contiguous like stroboscopic(n) output, so the verdict's sums agree
-    strobe = series[::_TS_PER_PERIOD].copy()
+    strobe = series[::_TS_PER_PERIOD]
     base, ext = os.path.splitext(args.out) if args.out else ("", "")
     strobe_rows = ((k, float(k * T), float(x), float(y))
                    for k, (x, y) in enumerate(strobe))

@@ -44,7 +44,8 @@ from typing import Optional
 import numpy as np
 
 from .equilibria import EqLabel, find_equilibria
-from .integrate import NonFinite, NoConvergence, integrate, stroboscopic
+from .integrate import (NonFinite, NoConvergence, escape_bound, integrate,
+                        stroboscopic)
 from .model import Params, State, divergence, unforced_rhs
 
 __all__ = [
@@ -70,7 +71,7 @@ _COLLAPSE_RADIUS = 1e-2
 
 
 class ManifoldEscape(RuntimeError):
-    """A separatrix branch left the shooting box before reaching the section."""
+    """A separatrix branch escaped, or did not reach the section in time."""
 
 
 @dataclass(frozen=True)
@@ -162,9 +163,10 @@ def find_limit_cycle(p: Params, seed: State) -> Optional[LimitCycle]:
     crossing the section {y = 0, x > 0}, the only one searched (a seed
     circling E1 alone gives None; its mirror image finds the mirrored cycle
     around E2); raises :class:`~qvdp.integrate.NoConvergence` if none of 60
-    returns from the section closes.  The returns carry no escape bound:
-    for eps > 0 every forward orbit is bounded (the equator repels it), so
-    a large cycle is found however far out it lies.  A seed where the field
+    returns from the section closes.  The returns take their bound from
+    :func:`~qvdp.integrate.escape_bound`, which gives forward eps > 0 runs
+    none: every such orbit is bounded (the equator repels it), so a large
+    cycle is found however far out it lies.  A seed where the field
     overflows raises :class:`~qvdp.integrate.NonFinite`.
 
     For eps <= 0 it returns None at once, without integrating: on the
@@ -176,6 +178,7 @@ def find_limit_cycle(p: Params, seed: State) -> Optional[LimitCycle]:
     if p.eps <= 0.0:
         return None
     rhs = unforced_rhs(p)
+    bound = escape_bound(p, _RETURN_HORIZON)
     eqs = find_equilibria(p)
     section_eq_x = [0.0] + [e.location.x for e in eqs if e.location.x > 0]
 
@@ -184,8 +187,7 @@ def find_limit_cycle(p: Params, seed: State) -> Optional[LimitCycle]:
         return (*rhs(t, s[:2]), divergence(s[0], p))
 
     def ret(x, y=0.0):
-        return _first_return(aug_field, (x, y, 0.0), _RETURN_HORIZON,
-                             math.inf)
+        return _first_return(aug_field, (x, y, 0.0), _RETURN_HORIZON, bound)
 
     def g(x):
         # y' on the section {y = 0}
@@ -252,7 +254,6 @@ def find_limit_cycle(p: Params, seed: State) -> Optional[LimitCycle]:
 # --- separatrix shooting ---------------------------------------------------
 
 _LAUNCH_OFFSET = 1e-8
-_SHOOT_BOX = 5.0
 _SHOOT_HORIZON = 400.0
 
 
@@ -272,17 +273,24 @@ def separatrix_split(p: Params) -> SeparatrixSplit:
     ``distance = x_unstable - x_stable``
     changes sign across the homoclinic connection; its zero tracks the
     Melnikov root to first order in the perturbation.
+
+    Each shot takes its bound from :func:`~qvdp.integrate.escape_bound`,
+    like every other run: the forward, unstable one none, so a saddle loop
+    is found however far out it reaches, and the backward, stable one
+    10 max(1, mu).  Raises :class:`ManifoldEscape` when a shot escapes its
+    bound or does not return within the horizon of 400.
     """
     if not (p.beta > 0 and p.eps > 0):
         raise ValueError("separatrix shooting requires a saddle: beta, eps > 0")
     rhs = unforced_rhs(p)
 
     def shoot(s0, t_max):
+        bound = escape_bound(p, t_max)
         try:
-            traj = _first_return(rhs, s0, t_max, _SHOOT_BOX)
+            traj = _first_return(rhs, s0, t_max, bound)
         except NonFinite as exc:
             raise ManifoldEscape(
-                f"separatrix branch left |x|,|y| <= {_SHOOT_BOX}") from exc
+                f"separatrix branch left |x|,|y| <= {bound:g}") from exc
         if traj is None:
             raise ManifoldEscape(
                 "no section crossing within the shooting horizon")

@@ -25,7 +25,8 @@ On top of the stepper the module provides:
 * escape detection on the first two state components (x, y; the return
   map's divergence integral is not monitored) -- for eps <= 0
   the oscillator genuinely blows up in finite time, which is a reportable
-  outcome (:class:`NonFinite`), not a crash;
+  outcome (:class:`NonFinite`), not a crash -- and one rule,
+  :func:`escape_bound`, that sets the bound of every oscillator run;
 * a terminal event that ends a run at the first zero a scalar function g
   of the state rises through, in a step with g(start) < 0 <= g(end),
   located by Brent's method to 4 eps on the step's interpolant;
@@ -60,11 +61,30 @@ __all__ = [
     "integrate",
     "detect_crossings",
     "stroboscopic",
+    "escape_bound",
 ]
 
 DEFAULT_TOL = (1e-12, 1e-10)  # (abs, rel)
 TOL_FLOOR, TOL_CEIL = 1e-13, 1e-3
-_ESCAPE_BOUND = 10.0  # of eps <= 0 runs: they crawl out along a nullcline
+_ESCAPE_BOUND = 10.0  # read by escape_bound alone
+
+
+def escape_bound(p: Params, t1: float) -> float:
+    """Bound on max(|x|, |y|) for an oscillator run over (0, t1).
+
+    Every run of the oscillator, forced or not, takes its bound from this
+    rule, by whether the run can escape.  Forward eps > 0 runs get none
+    (``math.inf``): the equator repels every forward orbit, and the
+    quintic damping bounds the forced ones, forcing included.  Backward
+    eps > 0 runs, where the quintic damping blows up in finite time, get
+    10 max(1, mu): seeds on the large cycles past beta/eps = 7/3 lie at
+    |y| of about 3 mu.  eps <= 0 runs get 10: they crawl out along the
+    quartic-damping nullcline, ever more stiffly, and a larger bound
+    would let them run for hours.
+    """
+    if p.eps <= 0:
+        return _ESCAPE_BOUND
+    return math.inf if t1 > 0 else _ESCAPE_BOUND * max(1.0, p.mu)
 
 
 # --- DOP853 -----------------------------------------------------------------
@@ -277,7 +297,7 @@ def _error_norm(ks, h: float, scale) -> float:
     e5 = [sum(map(mul, _DOP_E5, k)) / s for k, s in zip(ks, scale)]
     e3 = [sum(map(mul, _DOP_E3, k)) / s for k, s in zip(ks, scale)]
     n5, n3 = sum(e * e for e in e5), sum(e * e for e in e3)
-    if n5 == 0.0 and n3 == 0.0:
+    if n5 == 0.0:  # the norm below is |h| n5 / sqrt(...); n3 may underflow
         return 0.0
     return abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * len(scale))
 
@@ -514,7 +534,11 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
     escape_radius : bound on the max-norm of the first two components,
         (x, y): the run escapes where the norm rises through it, by the
         stop rule, or at t0 from a start on or beyond it; a further
-        component (the return map's divergence integral) is not monitored
+        component (the return map's divergence integral) is not monitored.
+        Runs of the oscillator should pass :func:`escape_bound`: the
+        default 1e4 does not end an eps <= 0 crawl, whose steps shrink
+        as the orbit creeps out (from (2, 0) at mu = 0.3, beta = 1,
+        eps = -1 a run over (0, 600) had not returned after 11 minutes)
     stop_event : optional event ``g(t, state)`` on the same state lists.
         The run ends at the first zero it rises through along the run, in
         a step with g(start) < 0 <= g(end), so a start on a zero is none,
@@ -714,8 +738,9 @@ def stroboscopic(p: Params, s0, n: int, per_period: int = 1) -> np.ndarray:
     forced field is integrated at ``DEFAULT_TOL`` in the plane (x, y),
     non-autonomous, from t = 0, in one ``t_eval`` run (no interpolant
     kept) on the exact grid ``arange(n*per_period + 1) * (T/per_period)``.
-    An eps <= 0 run escapes (:class:`NonFinite`) where max(|x|, |y|) rises
-    through 10; for eps > 0 the quintic damping bounds every orbit.
+    The run takes its bound from :func:`escape_bound`: an eps <= 0 run
+    escapes (:class:`NonFinite`) where max(|x|, |y|) rises through 10, and
+    an eps > 0 run has none, since the quintic damping bounds every orbit.
     The samples come from the step interpolants, so the steps, and every
     ``per_period``-th row, do not depend on ``per_period``.  Returns the
     run's own read-only (n*per_period + 1) x 2 array of (x, y) samples.
@@ -732,5 +757,5 @@ def stroboscopic(p: Params, s0, n: int, per_period: int = 1) -> np.ndarray:
     t_eval = np.arange(n * per_period + 1) * (T / per_period)
     traj = integrate(forced_rhs(p), (float(s0[0]), float(s0[1])),
                      (0.0, n * T), t_eval=t_eval,
-                     escape_radius=_ESCAPE_BOUND if p.eps <= 0 else math.inf)
+                     escape_radius=escape_bound(p, n * T))
     return traj.states

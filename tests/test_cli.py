@@ -20,7 +20,7 @@ from qvdp.cli import build_parser, main
 from qvdp.bifurcation import homoclinic_curve
 from qvdp.detect import classify_forced, find_limit_cycle
 from qvdp.errors import NoConvergence
-from qvdp.integrate import integrate
+from qvdp.integrate import integrate, stroboscopic
 from qvdp.model import Params, State, unforced_rhs
 from qvdp.output import PortraitSVG, csv_lines, dumps_json, fmt, rows_to_csv
 
@@ -803,12 +803,15 @@ def test_forced_json_equals_library_verdict(tmp_path):
                  "--alpha", "-0.3", "--omega", "1", "--seed", "0,1.2",
                  "--n", "300", "--out", str(out)]) == 0
     doc = json.loads((tmp_path / "f.json").read_text())
-    report = classify_forced(
-        Params(mu=-0.1, beta=1.0, eps=3.0, alpha=-0.3, omega=1.0),
-        State(0.0, 1.2), 300)
-    assert doc["verdict"] == report.verdict.value
-    assert doc["rotation_number"] == report.rotation_number
-    assert doc["evidence"] == json.loads(json.dumps(report.evidence))
+    p = Params(mu=-0.1, beta=1.0, eps=3.0, alpha=-0.3, omega=1.0)
+    report = classify_forced(p, State(0.0, 1.2), 300)
+    # the CLI's strobe is a strided view of its time series, every 16th row
+    series = stroboscopic(p, (0.0, 1.2), 300, per_period=16)
+    strided = classify_forced(p, State(0.0, 1.2), 300, samples=series[::16])
+    for r in (report, strided):
+        assert doc["verdict"] == r.verdict.value
+        assert doc["rotation_number"] == r.rotation_number
+        assert doc["evidence"] == json.loads(json.dumps(r.evidence))
 
 
 def test_forced_run_loads_no_scipy(tmp_path):

@@ -9,12 +9,11 @@ from qvdp import detect
 from qvdp.detect import (ManifoldEscape, SeparatrixSplit, Verdict,
                          _first_return, classify_forced, find_limit_cycle,
                          rotation_number, separatrix_split, winding_number)
-from qvdp.detect import (_saddle_eigvectors, _LAUNCH_OFFSET, _SHOOT_BOX,
-                         _SHOOT_HORIZON)
+from qvdp.detect import _saddle_eigvectors, _LAUNCH_OFFSET, _SHOOT_HORIZON
 from qvdp.equilibria import EqLabel, EquilibriumKind, find_equilibria
 from qvdp.bifurcation import homoclinic_curve, hopf_curve
 from qvdp.integrate import (NoConvergence, NonFinite, detect_crossings,
-                            integrate)
+                            escape_bound, integrate)
 from qvdp.model import Params, State, divergence, unforced_rhs
 
 
@@ -417,7 +416,8 @@ def test_separatrix_split_mirror_symmetry():
         # 0, until the first crossing of y = 0, which therefore has x < 0;
         # the event rises there: y forward, -y backward
         sign = 1.0 if t_max > 0 else -1.0
-        traj = integrate(rhs, s0, (0.0, t_max), escape_radius=_SHOOT_BOX,
+        traj = integrate(rhs, s0, (0.0, t_max),
+                         escape_radius=escape_bound(p, t_max),
                          stop_event=lambda t, s: sign * s[1])
         assert traj.stopped and traj.final[0] < 0.0
         return float(traj.final[0])
@@ -428,8 +428,9 @@ def test_separatrix_split_mirror_symmetry():
     assert abs(abs(xu - xs) - abs(ref.distance)) < 1e-9
 
 
-def test_separatrix_split_crosses_section_before_leaving_box():
-    # the unstable branch crosses the section, then leaves |x|,|y| <= 5
+def test_separatrix_split_bisects_to_mu3():
+    # the gap changes sign across mu_3, and three bisection steps on it
+    # land within 5e-3 of the Melnikov root
     beta, eps = 1.2, 2.0
     mu3 = homoclinic_curve(beta, eps)
 
@@ -451,15 +452,51 @@ def test_separatrix_split_crosses_section_before_leaving_box():
 
 @pytest.mark.parametrize("mu", [1.9, 2.0, 2.05])
 def test_separatrix_split_reports_a_branch_leaving_the_box(mu):
-    # at beta = 2, eps = 1 and mu up to 2.05, just under mu_3 = 2.057, a
-    # branch leaves |x|,|y| <= 5 before it reaches the section
-    with pytest.raises(ManifoldEscape, match=r"left \|x\|,\|y\| <= 5"):
-        separatrix_split(Params(mu=mu, beta=2.0, eps=1.0))
+    # at beta = 2, eps = 1 and mu up to 2.05, just under mu_3 = 2.057, the
+    # stable branch, shot backward, escapes its bound of 10 mu (19 to 20.5)
+    # before it reaches the section
+    p = Params(mu=mu, beta=2.0, eps=1.0)
+    bound = escape_bound(p, -_SHOOT_HORIZON)
+    assert bound == 10.0 * mu
+    with pytest.raises(ManifoldEscape,
+                       match=rf"left \|x\|,\|y\| <= {bound:g}$"):
+        separatrix_split(p)
 
 
 def test_separatrix_split_inside_the_box_at_beta_2():
     split = separatrix_split(Params(mu=2.1, beta=2.0, eps=1.0))
     assert abs(split.distance - 0.1959) < 1e-4
+
+
+@pytest.mark.parametrize("beta, eps, mu, distance", [
+    # mu_3 - 0.02, mu_3 and mu_3 + 0.02 at beta = 1.2 and 1, eps = 2
+    (1.2, 2.0, -0.17085714285714285, -0.013541613437798361),
+    (1.2, 2.0, -0.15085714285714286, -3.0286606936602567e-05),
+    (1.2, 2.0, -0.13085714285714287, 0.013384653312263461),
+    (1.0, 2.0, -0.19142857142857145, -0.013465610039747444),
+    (1.0, 2.0, -0.17142857142857146, -5.952779440954181e-05),
+    (1.0, 2.0, -0.15142857142857147, 0.013284785391255327),
+    (2.0, 1.0, 2.1, 0.1959003995389499),
+])
+def test_separatrix_split_keeps_its_bits_inside_the_old_box(beta, eps, mu,
+                                                            distance):
+    # these shots stay within |x|,|y| <= 5, the fixed box they once had, so
+    # the bound each takes from escape_bound leaves their gap bit for bit
+    assert separatrix_split(Params(mu=mu, beta=beta, eps=eps)).distance \
+        == distance
+
+
+@pytest.mark.parametrize("dmu, distance", [
+    (-0.01, -7.271883015003144e-4),
+    (0.01, 6.257480488756073e-4),
+])
+def test_separatrix_split_finds_the_saddle_loop_at_large_beta(dmu, distance):
+    # at beta = 400, eps = 200 the forward shot reaches |y| = 21.5 and the
+    # backward one 18.5, under its bound of 10 mu, about 20.5; the gap changes
+    # sign across mu_3
+    mu = homoclinic_curve(400.0, 200.0) + dmu
+    split = separatrix_split(Params(mu=mu, beta=400.0, eps=200.0))
+    assert abs(split.distance - distance) < 1e-9
 
 
 def test_separatrix_requires_saddle():

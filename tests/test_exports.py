@@ -35,6 +35,20 @@ def test_numpy_is_the_only_runtime_dependency():
     assert names == ["numpy"]
 
 
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # a name a module shares with its siblings is public: none imports an
+    # _-prefixed one, whether from a relative or an absolute qvdp import
+    src = pathlib.Path(qvdp.__file__).parent
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or node.module.split(".")[0] == "qvdp"):
+                found += [(path.name, a.name) for a in node.names
+                          if a.name.startswith("_")]
+    assert found == []
+
+
 # every name the package bound when it imported its submodules eagerly, by
 # the submodule that defined it then
 _PACKAGE_NAMES = {

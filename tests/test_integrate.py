@@ -6,12 +6,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import qvdp
 from qvdp.integrate import (DEFAULT_TOL, NoConvergence, NonFinite,
-                            StepUnderflow, detect_crossings, integrate,
-                            stroboscopic)
+                            StepUnderflow, detect_crossings, escape_bound,
+                            integrate, stroboscopic)
 from qvdp.model import (Params, State, divergence, forced_rhs,
                         hamiltonian, hamiltonian_rhs, unforced_rhs)
 
@@ -348,10 +348,20 @@ def test_t_eval_samples_are_at_bit_for_bit(field_fn, s0, t1):
 @given(x=st.floats(-2.0, 2.0), y=st.floats(-2.0, 2.0),
        t1=st.floats(0.5, 20.0) | st.floats(-2.0, -0.1),
        forced=st.booleans())
+@example(x=0.0, y=5.262815441413184e-158, t1=1.0, forced=False)
 def test_t_eval_samples_are_at_on_random_runs(x, y, t1, forced):
     field_fn = forced_rhs(_FORCED_SET) if forced else \
         unforced_rhs(Params(mu=-0.1, beta=1.0, eps=2.0))
     _assert_samples_are_at(field_fn, [x, y], t1)
+
+
+def test_a_step_whose_error_estimates_vanish_has_error_zero():
+    # from this start the 5th-order error estimate is 0 and 0.01 times the
+    # 3rd-order one underflows to 0: the error norm |h| n5 / sqrt(...) is
+    # 0, not 0 / 0
+    field_fn = unforced_rhs(Params(mu=-0.1, beta=1.0, eps=2.0))
+    traj = integrate(field_fn, [0.0, 5.262815441413184e-158], (0.0, 1.0))
+    assert traj.t1 == 1.0 and np.all(np.isfinite(traj.states))
 
 
 def test_returned_arrays_are_read_only():
@@ -535,6 +545,19 @@ def test_stroboscopic_escapes_for_eps_below_zero():
             as exc:
         stroboscopic(p, (0.0, 1.2), 20)
     assert len(exc.value.trajectory.t) == 4
+    assert exc.value.trajectory.states[-1].tolist() == [8.931918703828263,
+                                                        0.22776502237765134]
+
+
+def test_escape_bound_follows_whether_a_run_can_escape():
+    # forward eps > 0 runs have none, backward ones 10 max(1, mu), and
+    # eps <= 0 runs 10 either way
+    assert escape_bound(Params(mu=6.1, beta=3.0, eps=1.0), 1.0) == math.inf
+    assert escape_bound(Params(mu=6.1, beta=3.0, eps=1.0), -1.0) == 61.0
+    assert escape_bound(Params(mu=0.5, beta=3.0, eps=1.0), -1.0) == 10.0
+    for eps in (0.0, -1.0):
+        for t1 in (1.0, -1.0):
+            assert escape_bound(Params(mu=6.0, beta=1.0, eps=eps), t1) == 10.0
 
 
 def test_stroboscopic_fixed_point_of_forced_system():
