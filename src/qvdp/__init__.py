@@ -19,12 +19,12 @@ cli          command-line interface (`qvdp ...`)
 The names below are exported from the package and resolve on first use
 (PEP 562): ``import qvdp`` loads no submodule, so the closed forms do not
 pay for numpy and the integrator.  Each access looks the name up in its
-submodule afresh; nothing resolved is stored on the package.
+submodule afresh; nothing resolved is stored on the package.  No exported
+name is a submodule's name: ``qvdp.integrate`` is the submodule, and
+``from qvdp.integrate import integrate`` gives its function.
 """
 
 import importlib
-import sys
-import types
 
 __version__ = "0.1.0"
 
@@ -42,8 +42,7 @@ _EXPORTS = {name: module for module, names in (
                    "field_chart_u field_chart_v infinity_equilibria "
                    "probe_infinity_kind"),
     ("errors", "NonFinite NoConvergence StepUnderflow"),
-    ("integrate", "SectionEvent Trajectory detect_crossings "
-                  "integrate stroboscopic"),
+    ("integrate", "SectionEvent Trajectory detect_crossings stroboscopic"),
     ("detect", "AttractorReport LimitCycle ManifoldEscape RotationEstimate "
                "SeparatrixSplit Verdict classify_forced find_limit_cycle "
                "rotation_number separatrix_split winding_number"),
@@ -63,14 +62,3 @@ def __getattr__(name):
 
 def __dir__():
     return sorted(set(globals()) | set(_EXPORTS))
-
-
-class _Package(types.ModuleType):
-    # importing a submodule binds it on the package; the submodule
-    # ``integrate`` would then hide the exported function of that name
-    def __setattr__(self, name, value):
-        if not (name in _EXPORTS and isinstance(value, types.ModuleType)):
-            super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

@@ -10,7 +10,8 @@ For eps > 0 the unforced oscillator undergoes, in the (beta, mu) plane:
 * a homoclinic (double saddle-loop) bifurcation on the curve
   mu_3(beta, eps) = 32 beta^2/(35 eps^2) - 4 beta/(5 eps), obtained as the
   zero of the Melnikov integral along the explicit sech/tanh saddle loop
-  of the conservative limit.
+  of the conservative limit.  :func:`homoclinic_curve` computes it, and
+  :func:`melnikov` reports its root from there.
 
 The Hopf coefficients g_kl are closed forms: the shifted field's quadratic
 and cubic Taylor coefficients at E2, substituted into the complex
@@ -265,22 +266,22 @@ class MelnikovResult(NamedTuple):
 _QUAD_T = 40.0  # sech^2(40) ~ 1e-34: truncation tail far below 1e-10
 
 
-def melnikov(mu: float, beta: float, eps: float, eps1: float = 1.0,
+def melnikov(mu: float, beta: float, eps: float,
              method: MelnikovMethod = MelnikovMethod.CLOSED_FORM) -> MelnikovResult:
     """Melnikov integral along the saddle loop of the conservative limit.
 
     Closed form:
 
         M = 4 beta^2 mu / (3 eps) + 16 beta^3 / (15 eps^2)
-            - 128 beta^4 eps1^2 / (105 eps^3)
+            - 128 beta^4 / (105 eps^3)
 
-    Quadrature evaluates int y(t)^2 (mu + x(t)^2 - eps1^2 x(t)^4) dt over
+    Quadrature evaluates int y(t)^2 (mu + x(t)^2 - x(t)^4) dt over
     the explicit loop x = sqrt(2 beta/eps) sech t,
     y = -sqrt(2) beta/sqrt(eps) sech t tanh t, by the trapezoid rule on the
     nodes t = -40 + 0.05 k, k = 0..1600, summed by ``math.fsum`` (see
     :class:`MelnikovMethod`).
     ``scale`` sums the magnitudes of the closed form's terms, which M
-    cancels near ``mu3``, the root of M in mu at the given eps1.
+    cancels near ``mu3``, its root in mu (:func:`homoclinic_curve`).
 
     Raises ValueError where ``mu3`` or M leaves the float range: a power
     overflows, a power of eps underflows to zero, or the sum is not finite.
@@ -288,23 +289,23 @@ def melnikov(mu: float, beta: float, eps: float, eps1: float = 1.0,
     if not (beta > 0 and eps > 0):
         raise ValueError("melnikov requires beta > 0 and eps > 0")
     try:
-        mu3 = _mu3(beta, eps, eps1)
+        mu3 = homoclinic_curve(beta, eps)
         lin = 4.0 * beta * beta * mu / (3.0 * eps)
         cub = 16.0 * beta ** 3 / (15.0 * eps * eps)
-        quart = 128.0 * beta ** 4 * eps1 * eps1 / (105.0 * eps ** 3)
+        quart = 128.0 * beta ** 4 / (105.0 * eps ** 3)
         if method is MelnikovMethod.CLOSED_FORM:
             value = lin + cub - quart
         else:
             # h = 0.05; the end nodes, where the integrand is ~1e-34, take
             # weight h rather than h/2, which changes nothing
             h = 2.0 * _QUAD_T / 1600
-            a, b, e2 = 2.0 * beta / eps, 2.0 * beta * beta / eps, eps1 * eps1
+            a, b = 2.0 * beta / eps, 2.0 * beta * beta / eps
             terms = []
             for t in [-_QUAD_T + k * h for k in range(1600)] + [_QUAD_T]:
                 c, th = math.cosh(t), math.tanh(t)
                 sech2 = 1.0 / (c * c)
                 x2 = a * sech2
-                terms.append(b * sech2 * (th * th) * (mu + x2 - e2 * x2 * x2))
+                terms.append(b * sech2 * (th * th) * (mu + x2 - x2 * x2))
             value = h * math.fsum(terms)
         if not math.isfinite(value):
             raise OverflowError(value)
@@ -315,17 +316,20 @@ def melnikov(mu: float, beta: float, eps: float, eps1: float = 1.0,
     return MelnikovResult(value, abs(lin) + cub + quart, mu3)
 
 
-def _mu3(beta: float, eps: float, eps1: float) -> float:
-    # root in mu of the closed-form Melnikov integral
-    return (32.0 * beta * beta * eps1 * eps1) / (35.0 * eps * eps) \
-        - (4.0 * beta) / (5.0 * eps)
-
-
 def homoclinic_curve(beta: float, eps: float) -> float:
-    """Homoclinic threshold mu_3 = 32 beta^2/(35 eps^2) - 4 beta/(5 eps)."""
+    """Homoclinic threshold mu_3 = 32 beta^2/(35 eps^2) - 4 beta/(5 eps),
+    the root in mu of the closed-form Melnikov integral; beta, eps > 0.
+
+    Raises ValueError where eps^2 underflows to zero or mu_3 is not finite.
+    """
     if not (beta > 0 and eps > 0):
         raise ValueError("homoclinic curve requires beta > 0 and eps > 0")
-    return _mu3(beta, eps, 1.0)
+    mu3 = (32.0 * beta * beta) / (35.0 * eps * eps) \
+        - (4.0 * beta) / (5.0 * eps) if eps * eps else math.inf
+    if not math.isfinite(mu3):
+        raise ValueError(f"homoclinic curve leaves the float range at "
+                         f"beta={beta:g}, eps={eps:g}")
+    return mu3
 
 
 # --- non-existence certificates / region classifier ------------------------

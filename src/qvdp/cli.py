@@ -20,6 +20,10 @@ finish without them.  They also run without :mod:`dataclasses` and the
 :mod:`inspect` it imports: the records they read are NamedTuples (see
 qvdp.model), and params serialise through ``Params._asdict``.
 
+A flag's value may start with '-' as a separate argument, whatever its
+form (``--mu -5e-05``, ``--alpha -3e-1``, ``--seed -2,0``); main rewrites it
+as ``--flag=value`` before argparse sees it.
+
 Exit codes: 0 success, 2 usage/parameter error, 3 runtime numerical failure.
 Outputs are deterministic (17-significant-digit numbers, LF line endings).
 CSV rows are streamed as they are formed; an --out file appears only once
@@ -207,9 +211,9 @@ def cmd_sweep(args) -> int:
 # --- melnikov ----------------------------------------------------------------
 
 def cmd_melnikov(args) -> int:
-    closed = bifurcation.melnikov(args.mu, args.beta, args.eps, args.eps1,
+    closed = bifurcation.melnikov(args.mu, args.beta, args.eps,
                                   bifurcation.MelnikovMethod.CLOSED_FORM)
-    quadr = bifurcation.melnikov(args.mu, args.beta, args.eps, args.eps1,
+    quadr = bifurcation.melnikov(args.mu, args.beta, args.eps,
                                  bifurcation.MelnikovMethod.QUADRATURE)
     # relative to the terms M cancels, not to M, which vanishes at mu3
     rel = abs(closed.value - quadr.value) / max(closed.scale, 1e-300)
@@ -381,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("melnikov", help="Melnikov closed form vs quadrature")
     _add_common_flags(sp)
-    sp.add_argument("--eps1", type=float, default=1.0,
-                    help="perturbation scale in the rescaled system")
     sp.set_defaults(func=cmd_melnikov)
 
     sp = sub.add_parser("forced", help="stroboscopic analysis of the forced system")
@@ -413,17 +415,23 @@ def dispatch(args) -> int:
         return EXIT_NUMERICAL
 
 
-def _join_seed_values(argv: list[str]) -> list[str]:
-    """Rewrite ``--seed X,Y`` as ``--seed=X,Y``.
+# the flags that take no value; every other --flag takes one
+_FLAGS_WITHOUT_VALUE = ("--disk", "--help")
 
-    argparse takes a separate value with a leading '-' (a negative x such
-    as ``-2,0``) for an option and rejects it as the value of ``--seed``.
+
+def _join_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--flag -V`` as ``--flag=-V`` for every flag that takes a value.
+
+    argparse takes a separate value with a leading '-' for an option, and
+    rejects it as the flag's value, unless it reads as a plain negative
+    number: ``-5e-05``, ``-inf`` and the seed ``-2,0`` do not.
     """
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--seed" and arg.startswith("-") \
-                and not arg.startswith("--"):
-            out[-1] = f"--seed={arg}"
+        if out and out[-1].startswith("--") and "=" not in out[-1] \
+                and out[-1] not in _FLAGS_WITHOUT_VALUE \
+                and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out
@@ -431,7 +439,7 @@ def _join_seed_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_join_seed_values(argv))
+    args = build_parser().parse_args(_join_values(argv))
     return dispatch(args)
 
 

@@ -8,7 +8,7 @@ The family under study is the planar system
 with real parameters (mu, beta, eps, alpha, omega), beta >= 0.  The field
 is odd in (x, y) at every t, so the system, forced or not, is
 Z2-equivariant: orbits come in (x, y) <-> (-x, -y) pairs.  The Hamiltonian
-of the eps1 = 0 scaling limit is provided alongside the raw fields.
+of the conservative limit is provided alongside the raw fields.
 
 All functions here are pure and operate on 64-bit floats; parameter
 validation happens once, at :class:`Params` construction.  The RHS

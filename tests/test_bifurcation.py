@@ -290,6 +290,35 @@ def test_melnikov_closed_form_values():
     assert abs(m.mu3 - homoclinic_curve(1.0, 1.0)) < 1e-15
 
 
+# (value, scale, mu3) as float.hex, closed form then quadrature: the sums
+# and mu3 keep these bits to the last one
+_MELNIKOV_BITS = {
+    (-0.1714285, 1.0, 2.0): (
+        ("0x1.990b64a000000p-25", "0x1.11110f7805ac7p-1",
+         "-0x1.5f15f15f15f17p-3"),
+        ("0x1.990b64a46399ap-25", "0x1.11110f7805ac7p-1",
+         "-0x1.5f15f15f15f17p-3")),
+    (0.2, 0.7, 1.3): (
+        ("0x1.7860895db77c3p-3", "0x1.cd080fd27c182p-2",
+         "-0x1.535048b5c6702p-3"),
+        ("0x1.7860895db77c4p-3", "0x1.cd080fd27c182p-2",
+         "-0x1.535048b5c6702p-3")),
+    (-0.1, 2.0, 0.9): (
+        ("-0x1.0d028669b7b9fp+4", "0x1.2f1089ca749edp+5",
+         "0x1.5e5d0241eb3b2p+1"),
+        ("-0x1.0d028669b7ba2p+4", "0x1.2f1089ca749edp+5",
+         "0x1.5e5d0241eb3b2p+1")),
+}
+
+
+@pytest.mark.parametrize("mu,beta,eps", list(_MELNIKOV_BITS))
+def test_melnikov_keeps_its_bits(mu, beta, eps):
+    for method, bits in zip(MelnikovMethod, _MELNIKOV_BITS[mu, beta, eps]):
+        got = melnikov(mu, beta, eps, method=method)
+        assert tuple(map(float.hex, got)) == bits, method
+        assert got.mu3 == homoclinic_curve(beta, eps)
+
+
 def test_melnikov_quadrature_agreement():
     rng = np.random.default_rng(17)
     for _ in range(27):
@@ -302,7 +331,7 @@ def test_melnikov_quadrature_agreement():
 
 
 def test_melnikov_mu3_root_identity():
-    # mu3 formula solves M = 0 at eps1 = 1
+    # the mu3 formula solves M = 0
     for beta, eps in [(1.0, 2.0), (0.7, 1.3), (2.0, 0.9)]:
         mu3 = 32.0 * beta ** 2 / (35.0 * eps ** 2) - 4.0 * beta / (5.0 * eps)
         assert abs(melnikov(mu3, beta, eps).value) < 1e-14
@@ -318,15 +347,29 @@ def test_melnikov_domain_errors():
         homoclinic_curve(1.0, 0.0)
 
 
-@pytest.mark.parametrize("mu,eps1", [(math.inf, 1.0), (math.nan, 1.0),
-                                     (0.1, math.inf)])
-def test_melnikov_non_finite_sums_raise(mu, eps1):
+@pytest.mark.parametrize("beta,eps", [(1.0, 1e-200), (1e200, 1.0)])
+def test_homoclinic_curve_leaves_the_float_range(beta, eps):
+    # eps^2 underflows to zero, or mu3 overflows: the curve raises as
+    # hopf_curve does there, and melnikov keeps its own message
+    with pytest.raises(ValueError, match="homoclinic curve leaves the float "
+                                         "range"):
+        homoclinic_curve(beta, eps)
+    with pytest.raises(ValueError, match="float range"):
+        hopf_curve(beta, eps)
+    for method in MelnikovMethod:
+        with pytest.raises(ValueError, match="melnikov leaves the float range"):
+            melnikov(0.0, beta, eps, method=method)
+
+
+@pytest.mark.parametrize("mu,beta", [(math.inf, 1.0), (math.nan, 1.0),
+                                     (0.1, 1e80)])
+def test_melnikov_non_finite_sums_raise(mu, beta):
     # both methods raise the same ValueError, and numpy warns about nothing
     for method in MelnikovMethod:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="float range"):
-                melnikov(mu, 1.0, 2.0, eps1, method=method)
+                melnikov(mu, beta, 2.0, method=method)
 
 
 def test_homoclinic_curve_values_and_melnikov_sign_change():

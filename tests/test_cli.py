@@ -298,6 +298,19 @@ def test_melnikov_cli_near_root(tmp_path):
     assert abs(doc["closed_form"]) < 1e-7
 
 
+def test_melnikov_readme_command_keeps_its_bytes(capsys):
+    assert _run(["melnikov", "--beta", "1", "--eps", "2",
+                 "--mu", "-0.1714285"]) == 0
+    out, err = capsys.readouterr()
+    assert out.encode() == (b'{\n'
+                            b'  "closed_form": 4.7619047593983055e-08,\n'
+                            b'  "quadrature": 4.7619047624438297e-08,\n'
+                            b'  "mu3": -0.17142857142857146,\n'
+                            b'  "relative_diff": 5.7103583233713798e-17\n'
+                            b'}\n')
+    assert err == ""
+
+
 _MU3 = -0.17142857142857143  # homoclinic_curve(1, 2)
 
 
@@ -452,6 +465,26 @@ def test_negative_seed_as_separate_value(tmp_path, argv):
     assert split.read_bytes() == joined.read_bytes()
     first = split.read_text().split("\n")[1].split(",")
     assert [float(v) for v in first[2:]] == [-2.0, 0.0]
+
+
+@pytest.mark.parametrize("argv,flag,value", [
+    (["classify", "--beta", "1", "--eps", "2"], "--mu", "-5e-05"),
+    (["forced", "--mu", "-0.1", "--beta", "1", "--eps", "3", "--n", "5"],
+     "--alpha", "-3e-1"),
+    (["portrait", "--beta", "1", "--eps", "2", "--mu", "-0.1",
+      "--seed", "1,0"], "--t1", "-1e0"),
+])
+def test_negative_value_in_exponent_form(tmp_path, argv, flag, value):
+    # "--mu -5e-05", as repr writes it, is the same value as "--mu=-5e-05"
+    split, joined = tmp_path / "split", tmp_path / "joined"
+    split.mkdir()
+    joined.mkdir()
+    assert _run(argv + [flag, value, "--out", str(split / "o")]) == 0
+    assert _run(argv + [f"{flag}={value}", "--out", str(joined / "o")]) == 0
+    files = sorted(f.name for f in split.iterdir())
+    assert files == sorted(f.name for f in joined.iterdir())
+    for name in files:
+        assert (split / name).read_bytes() == (joined / name).read_bytes()
 
 
 def test_portrait_large_cycle_topology(tmp_path):
@@ -637,7 +670,7 @@ _FLAGS = {
     "classify": _COMMON,
     "portrait": _COMMON | {"--format", "--seed", "--t1", "--tol", "--disk"},
     "sweep": _COMMON | {"--grid"},
-    "melnikov": _COMMON | {"--eps1"},
+    "melnikov": _COMMON,
     "forced": _COMMON | {"--alpha", "--omega", "--seed", "--n"},
     "repro": {"--out", "--n"},
 }
@@ -653,6 +686,14 @@ def test_flag_census():
     with pytest.raises(SystemExit) as exc:  # portraits start at t = 0
         _run(["portrait", "--seed", "1,0", "--t0", "1"])
     assert exc.value.code == 2
+
+
+def test_flags_without_value_are_the_parsers():
+    # main joins a '-'-led argument onto every other flag as its value
+    sub = next(a for a in build_parser()._actions if a.choices)
+    seen = {o for sp in sub.choices.values() for a in sp._actions
+            if a.nargs == 0 for o in a.option_strings if o.startswith("--")}
+    assert seen == set(cli._FLAGS_WITHOUT_VALUE)
 
 
 @pytest.mark.parametrize("t1", ["nan", "inf"])

@@ -65,8 +65,7 @@ _PACKAGE_NAMES = {
                   "field_chart_u field_chart_v infinity_equilibria "
                   "probe_infinity_kind",
     "integrate": "NonFinite NoConvergence SectionEvent "
-                 "StepUnderflow Trajectory detect_crossings integrate "
-                 "stroboscopic",
+                 "StepUnderflow Trajectory detect_crossings stroboscopic",
     "detect": "AttractorReport LimitCycle ManifoldEscape RotationEstimate "
               "SeparatrixSplit Verdict classify_forced find_limit_cycle "
               "rotation_number separatrix_split winding_number",
@@ -108,9 +107,18 @@ def test_package_names_are_looked_up_on_each_access(monkeypatch):
     assert qvdp.find_limit_cycle is len
     monkeypatch.undo()
     assert qvdp.find_limit_cycle is original
-    # the submodule of the same name does not hide the function
+    # the submodule, once imported, is what its name gives
     integrate = importlib.import_module("qvdp.integrate")
-    assert qvdp.integrate is integrate.integrate
+    assert qvdp.integrate is integrate
+
+
+def test_no_exported_name_is_a_submodule_name():
+    # importing a submodule binds it on the package under its name, which
+    # would hide an exported name it shared
+    modules = {info.name for info in pkgutil.iter_modules(qvdp.__path__)}
+    assert modules & set(qvdp.__all__) == set()
+    integrate = importlib.import_module("qvdp.integrate")
+    assert qvdp.integrate is integrate
 
 
 def test_unknown_package_name_raises_attribute_error():
