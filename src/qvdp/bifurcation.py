@@ -326,6 +326,11 @@ def homoclinic_curve(beta: float, eps: float) -> float:
         raise ValueError("homoclinic curve requires beta > 0 and eps > 0")
     mu3 = (32.0 * beta * beta) / (35.0 * eps * eps) \
         - (4.0 * beta) / (5.0 * eps) if eps * eps else math.inf
+    if not math.isfinite(mu3) and eps * eps:
+        # 32 beta^2 or 35 eps^2 overflowed: the form in r = beta/eps keeps
+        # the range, and runs only here, so a finite mu_3 keeps its bits
+        r = beta / eps
+        mu3 = 32.0 / 35.0 * r * r - 0.8 * r
     if not math.isfinite(mu3):
         raise ValueError(f"homoclinic curve leaves the float range at "
                          f"beta={beta:g}, eps={eps:g}")

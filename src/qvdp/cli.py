@@ -13,12 +13,17 @@ forced     stroboscopic samples, full time series and attractor verdict; the
 repro      one-command rerun of the six reference unforced parameter sets
            and the two forced ones
 
-Only portrait, forced and repro integrate: they import numpy and integrate
-when they run (portrait also compactify, and detect only for --format svg;
-forced and repro also detect), so classify, sweep and melnikov start and
-finish without them.  They also run without :mod:`dataclasses` and the
-:mod:`inspect` it imports: the records they read are NamedTuples (see
-qvdp.model), and params serialise through ``Params._asdict``.
+A subcommand loads what it runs: each cmd_* imports the qvdp modules it
+uses when it starts, so ``import qvdp.cli`` loads only argparse and
+qvdp.errors (dispatch catches its IntegrationError), and ``qvdp --help``
+or a usage error loads nothing more.  classify, sweep and melnikov never
+load numpy, the integrating modules (integrate, detect, compactify) or
+:mod:`dataclasses` and the :mod:`inspect` it imports: the records they read
+are NamedTuples (see qvdp.model), and params serialise through
+``Params._asdict``.  Every name is read from its module when the command
+runs, never cached at import, so a patched or traced function is the one
+called; a sweep looks its closed forms up once and hands them to the cell
+code, which imports nothing.
 
 A flag's value may start with '-' as a separate argument, whatever its
 form (``--mu -5e-05``, ``--alpha -3e-1``, ``--seed -2,0``); main rewrites it
@@ -37,10 +42,7 @@ import math
 import os
 import sys
 
-from . import bifurcation, equilibria
 from .errors import IntegrationError, NonFinite
-from .model import Params, State, unforced_rhs
-from .output import PortraitSVG, csv_lines, dumps_json, write_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -53,26 +55,31 @@ HOMOCLINIC_PROXIMITY = 1e-3
 _TS_PER_PERIOD = 16  # time-series samples per forcing period
 
 
-def _params_from(args) -> Params:
+def _params_from(args):
+    from .model import Params
+
     # only forced has --alpha/--omega; elsewhere alpha = 0, omega = 1
     return Params(**{k: v for k, v in vars(args).items()
                      if k in ("mu", "beta", "eps", "alpha", "omega")})
 
 
-def _critical_values(p: Params):
+def _critical_values(p, critical_mus, homoclinic_curve):
     """(mu1, muc, mu2, mu3), or None unless beta > 0 and eps > 0."""
     if not (p.beta > 0 and p.eps > 0):
         return None
-    mus = equilibria.critical_mus(p)
-    return (mus.mu1, mus.muc, mus.mu2,
-            bifurcation.homoclinic_curve(p.beta, p.eps))
+    mus = critical_mus(p)
+    return (mus.mu1, mus.muc, mus.mu2, homoclinic_curve(p.beta, p.eps))
 
 
 # --- classify ----------------------------------------------------------------
 
 def cmd_classify(args) -> int:
+    from .bifurcation import classify_region, homoclinic_curve
+    from .equilibria import critical_mus, find_equilibria
+    from .output import dumps_json, write_lines
+
     p = _params_from(args)
-    eqs = equilibria.find_equilibria(p)
+    eqs = find_equilibria(p)
     doc: dict = {"params": p._asdict()}
     doc["equilibria"] = [
         {"label": e.label.value, "x": e.location.x, "y": e.location.y,
@@ -80,13 +87,13 @@ def cmd_classify(args) -> int:
          "kind": e.kind.value}
         for e in eqs
     ]
-    crit = _critical_values(p)
+    crit = _critical_values(p, critical_mus, homoclinic_curve)
     if crit is None:
         doc.update(critical_mus=None, mu3=None, homoclinic_distance=None)
     else:
         doc.update(critical_mus=dict(zip(("mu1", "muc", "mu2"), crit)),
                    mu3=crit[3], homoclinic_distance=abs(p.mu - crit[3]))
-    region = bifurcation.classify_region(p)
+    region = classify_region(p)
     doc["region_label"] = region.label.value
     doc["certificates"] = list(region.certificates)
     doc["homoclinic_proximal"] = (
@@ -99,7 +106,10 @@ def cmd_classify(args) -> int:
 
 def cmd_portrait(args) -> int:
     from .compactify import disk_project
+    from .equilibria import EquilibriumKind, find_equilibria
     from .integrate import escape_bound, integrate
+    from .model import unforced_rhs
+    from .output import PortraitSVG, csv_lines, write_lines
 
     p = _params_from(args)
     if not args.seed:
@@ -145,18 +155,19 @@ def cmd_portrait(args) -> int:
 
         for _, traj in kept:
             svg.polyline(view(traj.states[:, :2]))
-        for e in equilibria.find_equilibria(p):
+        for e in find_equilibria(p):
             x, y = disk_project(e.location) if args.disk else e.location
             svg.marker(x, y, stable=e.kind.stable,
-                       saddle=e.kind is equilibria.EquilibriumKind.SADDLE)
+                       saddle=e.kind is EquilibriumKind.SADDLE)
         for cyc in _detect_cycles_for_portrait(p, args.seed):
             svg.closed_curve(view(cyc.path))
         write_lines(svg_path, [svg.render()])
     return EXIT_OK
 
 
-def _detect_cycles_for_portrait(p: Params, seeds) -> list:
+def _detect_cycles_for_portrait(p, seeds) -> list:
     from .detect import find_limit_cycle
+    from .model import State
 
     found = []
     for seed in seeds:
@@ -174,13 +185,15 @@ def _detect_cycles_for_portrait(p: Params, seeds) -> list:
 
 # --- sweep -------------------------------------------------------------------
 
-def _sweep_cell(mu: float, beta: float, eps: float) -> list:
+def _sweep_cell(Params, classify_region, critical_mus, homoclinic_curve,
+                mu: float, beta: float, eps: float) -> list:
     try:
         p = Params(mu=mu, beta=beta, eps=eps)
     except ValueError:
         return [beta, mu, eps, "invalid_params"] + ["nan"] * 4
-    region = bifurcation.classify_region(p).label.value
-    return [beta, mu, eps, region, *(_critical_values(p) or ["nan"] * 4)]
+    region = classify_region(p).label.value
+    crit = _critical_values(p, critical_mus, homoclinic_curve)
+    return [beta, mu, eps, region, *(crit or ["nan"] * 4)]
 
 
 def _axis(lo: float, hi: float, n: int) -> list:
@@ -191,6 +204,11 @@ def _axis(lo: float, hi: float, n: int) -> list:
 
 
 def cmd_sweep(args) -> int:
+    from .bifurcation import classify_region, homoclinic_curve
+    from .equilibria import critical_mus
+    from .model import Params
+    from .output import csv_lines, write_lines
+
     if len(args.grid) != 2:
         raise ValueError("sweep requires exactly two --grid AXIS:MIN:MAX:N specs")
     base = {"mu": args.mu, "beta": args.beta, "eps": args.eps}
@@ -201,7 +219,8 @@ def cmd_sweep(args) -> int:
         axes.append((name, _axis(lo, hi, count)))
     (ax1, vals1), (ax2, vals2) = axes
     # a repeated axis takes its second value, as the later key wins
-    rows = (_sweep_cell(**{**base, ax1: v1, ax2: v2})
+    closed_forms = (Params, classify_region, critical_mus, homoclinic_curve)
+    rows = (_sweep_cell(*closed_forms, **{**base, ax1: v1, ax2: v2})
             for v1 in vals1 for v2 in vals2)
     write_lines(args.out, csv_lines(("beta", "mu", "eps", "region",
                                      "mu1", "muc", "mu2", "mu3"), rows))
@@ -211,6 +230,9 @@ def cmd_sweep(args) -> int:
 # --- melnikov ----------------------------------------------------------------
 
 def cmd_melnikov(args) -> int:
+    from . import bifurcation
+    from .output import dumps_json, write_lines
+
     closed = bifurcation.melnikov(args.mu, args.beta, args.eps,
                                   bifurcation.MelnikovMethod.CLOSED_FORM)
     quadr = bifurcation.melnikov(args.mu, args.beta, args.eps,
@@ -234,6 +256,8 @@ def cmd_forced(args) -> int:
 
     from . import detect
     from .integrate import stroboscopic
+    from .model import State
+    from .output import csv_lines, dumps_json, write_lines
 
     p = _params_from(args)
     if p.alpha == 0:
@@ -289,6 +313,8 @@ _FORCED_EXAMPLES = [
 
 
 def cmd_repro(args) -> int:
+    from .output import dumps_json, write_lines
+
     if args.n < 1:
         raise ValueError("repro requires --n >= 1")
     outdir = args.out

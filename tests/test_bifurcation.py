@@ -361,6 +361,16 @@ def test_homoclinic_curve_leaves_the_float_range(beta, eps):
             melnikov(0.0, beta, eps, method=method)
 
 
+@pytest.mark.parametrize("beta,eps", [(1e154, 1e10), (1.2e154, 1e10),
+                                      (1e200, 1e200)])
+def test_homoclinic_curve_survives_an_intermediate_overflow(beta, eps):
+    # 32 beta^2 or 35 eps^2 overflows while mu3 ~ 32/35 (beta/eps)^2 is
+    # representable: the curve stays finite, to rounding of that form
+    r = beta / eps
+    assert homoclinic_curve(beta, eps) == pytest.approx(
+        32 / 35 * r * r - 0.8 * r, rel=1e-15)
+
+
 @pytest.mark.parametrize("mu,beta", [(math.inf, 1.0), (math.nan, 1.0),
                                      (0.1, 1e80)])
 def test_melnikov_non_finite_sums_raise(mu, beta):

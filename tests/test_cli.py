@@ -87,10 +87,13 @@ def test_streamed_csv_equals_rows_to_csv(cmd, tmp_path, monkeypatch, capsys):
 
     def recording(header, rows):
         rows = list(rows)
-        expected.append(rows_to_csv(header, rows))
+        with monkeypatch.context() as inner:
+            # rows_to_csv reads qvdp.output.csv_lines too: not this one
+            inner.setattr("qvdp.output.csv_lines", csv_lines)
+            expected.append(rows_to_csv(header, rows))
         return csv_lines(header, rows)
 
-    monkeypatch.setattr(cli, "csv_lines", recording)
+    monkeypatch.setattr("qvdp.output.csv_lines", recording)
     out = tmp_path / "o.csv"
     assert main(_STREAMED[cmd] + ["--out", str(out)]) == 0
     written = [out] + ([tmp_path / "o_ts.csv"] if cmd == "forced" else [])
@@ -917,6 +920,41 @@ def test_closed_form_paths_load_no_numpy(tmp_path):
     assert out.split("\n")[:-1] == ["[]", "[]", "[]", "0 True", "0 True",
                                     "0 True", "0 False", "0 False"]
     assert (tmp_path / "p.svg").exists() and (tmp_path / "f.json").exists()
+
+
+def test_cli_loads_what_each_subcommand_runs(tmp_path):
+    # import qvdp.cli, --help and a usage error load no module beyond the
+    # parser's; forced and a CSV portrait run without the bifurcation module
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import qvdp.cli",
+        "def loaded():",
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'qvdp')",
+        "print(loaded())",
+        "for argv in (['--help'], ['classify', '--mu', 'x']):",
+        "    with contextlib.redirect_stdout(io.StringIO()), \\",
+        "            contextlib.redirect_stderr(io.StringIO()):",
+        "        try:",
+        "            qvdp.cli.main(argv)",
+        "        except SystemExit as exc:",
+        "            code = exc.code",
+        "    print(code, loaded())",
+        "for argv in sys.argv[1:]:",
+        "    print(qvdp.cli.main(argv.split()),",
+        "          'qvdp.bifurcation' in sys.modules)",
+    ])
+    runs = [f"portrait --beta 1 --eps 2 --mu -0.1 --seed 2,0 --t1 10 "
+            f"--out {tmp_path / 'p.csv'}",
+            f"forced --mu -0.1 --beta 1 --eps 3 --alpha -0.3 --seed 0,1.2 "
+            f"--n 20 --out {tmp_path / 'f.csv'}"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(qvdp.__file__)))
+    out = subprocess.run([sys.executable, "-c", code, *runs], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    parser_only = "['qvdp', 'qvdp.cli', 'qvdp.errors']"
+    assert out.split("\n")[:-1] == [parser_only, f"0 {parser_only}",
+                                    f"2 {parser_only}", "0 False", "0 False"]
+    assert (tmp_path / "p.csv").exists() and (tmp_path / "f.json").exists()
 
 
 def test_forced_requires_alpha():
