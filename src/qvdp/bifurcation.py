@@ -13,6 +13,12 @@ For eps > 0 the unforced oscillator undergoes, in the (beta, mu) plane:
   of the conservative limit.  :func:`homoclinic_curve` computes it, and
   :func:`melnikov` reports its root from there.
 
+Both curves keep one formula each over the whole float range: outside
+[2^-500, 2^500] it is evaluated on (beta, eps) divided by a power of two,
+the rule :func:`qvdp.equilibria.scale_exponent` states, which leaves a
+form of degree 0 unchanged bit for bit.  :func:`melnikov` keeps its own
+forms, whose powers of beta and eps still leave the range first.
+
 The Hopf coefficients g_kl are closed forms: the shifted field's quadratic
 and cubic Taylor coefficients at E2, substituted into the complex
 eigenbasis.  The identity Re c1(mu_c) = -1/(2 beta) and an independent
@@ -36,7 +42,7 @@ import math
 from math import factorial
 from typing import NamedTuple, Optional
 
-from .equilibria import critical_mus, find_equilibria
+from .equilibria import critical_mus, find_equilibria, scale_exponent
 from .model import Params
 
 __all__ = [
@@ -320,20 +326,24 @@ def homoclinic_curve(beta: float, eps: float) -> float:
     """Homoclinic threshold mu_3 = 32 beta^2/(35 eps^2) - 4 beta/(5 eps),
     the root in mu of the closed-form Melnikov integral; beta, eps > 0.
 
-    Raises ValueError where eps^2 underflows to zero or mu_3 is not finite.
+    Outside [2^-500, 2^500] the form is evaluated on (beta, eps) / 2^k,
+    k from :func:`~qvdp.equilibria.scale_exponent`, which is exact; it
+    raises ValueError only where mu_3 is not a finite double.
     """
     if not (beta > 0 and eps > 0):
         raise ValueError("homoclinic curve requires beta > 0 and eps > 0")
-    mu3 = (32.0 * beta * beta) / (35.0 * eps * eps) \
-        - (4.0 * beta) / (5.0 * eps) if eps * eps else math.inf
-    if not math.isfinite(mu3) and eps * eps:
-        # 32 beta^2 or 35 eps^2 overflowed: the form in r = beta/eps keeps
-        # the range, and runs only here, so a finite mu_3 keeps its bits
-        r = beta / eps
-        mu3 = 32.0 / 35.0 * r * r - 0.8 * r
-    if not math.isfinite(mu3):
+    b, e = beta, eps
+    if not (2.0 ** -500 <= b <= 2.0 ** 500 and 2.0 ** -500 <= e <= 2.0 ** 500):
+        k = scale_exponent(e, b, e)
+        b, e = math.ldexp(b, -k), math.ldexp(e, -k)
+    try:
+        mu3 = (32.0 * b * b) / (35.0 * e * e) - (4.0 * b) / (5.0 * e)
+        if not math.isfinite(mu3):
+            raise OverflowError(mu3)
+    except (OverflowError, ZeroDivisionError):
+        # a scaled eps^2 underflows to zero only where (beta/eps)^2 overflows
         raise ValueError(f"homoclinic curve leaves the float range at "
-                         f"beta={beta:g}, eps={eps:g}")
+                         f"beta={beta:g}, eps={eps:g}") from None
     return mu3
 
 

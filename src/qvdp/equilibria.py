@@ -16,6 +16,15 @@ and mu_2 = mu_c + 2 sqrt(2 beta); together with the sign of mu - mu_c these
 delimit the stable node / stable focus / unstable focus / unstable node bands.
 The band decides the kind, and the eigenvalues are complex exactly at a focus.
 
+Every closed form here and in :mod:`qvdp.bifurcation` has one formula and
+one range rule, :func:`scale_exponent`.  Inside [2^-500, 2^500] no
+intermediate such as beta^2 or sigma^2 can leave the normal range, and the
+formula runs on its inputs as they are.  Outside that box it runs on them
+divided by a power of two, which is exact, and an eigenvalue is scaled
+back.  Every value that is a finite double then stays finite and keeps
+the bits the direct formula gives wherever its intermediates are normal;
+every other value raises ValueError.
+
 Degenerate linearizations (a zero eigenvalue at beta = 0, a double zero at
 beta = mu = 0) are classified by the known closed-form answer for this family
 rather than by runtime center-manifold reduction; the double-zero case at
@@ -89,40 +98,95 @@ class CriticalMus(NamedTuple):
     mu2: float
 
 
+def scale_exponent(s: float, c: float, c2: float = 1.0) -> int:
+    """The closed forms' one range rule: k, the binary exponent of
+    max(|s|, sqrt(c) sqrt(c2)), for c, c2 >= 0.
+
+    Dividing s by 2^k and c c2 by 4^k divides the roots of
+    x^2 - s x + c c2 = 0 by 2^k and brings max(|s|, sqrt(c c2)) into
+    [1/2, 1), so the quadratic's intermediates neither overflow nor
+    underflow where that matters.  In binary floating point the division
+    is exact (Goldberg, ACM Comput. Surv. 23, 1991): a formula of degree 0,
+    such as mu_c in (beta, eps), keeps every bit, and a root is scaled back
+    by ``math.ldexp``.  The curves take (s, c, c2) = (eps, beta, eps) and
+    divide beta and eps by 2^k; the eigenvalues take (s, c) = (trace,
+    beta), whose quadratics' constants are -beta and 2 beta.
+    """
+    return math.frexp(max(abs(s), math.sqrt(c) * math.sqrt(c2)))[1]
+
+
 def critical_mus(p: Params) -> CriticalMus:
     """Return (mu1, muc, mu2) for the E1/E2 pair; requires beta>0, eps>0.
 
     Raises ValueError where a value overflows the float range.
     """
-    if not (p.beta > 0 and p.eps > 0):
+    beta, eps = p.beta, p.eps
+    if not (beta > 0 and eps > 0):
         raise ValueError("critical mus require beta > 0 and eps > 0")
-    eps2 = p.eps * p.eps
-    muc = (p.beta * p.beta - p.eps * p.beta) / eps2 if eps2 else math.inf
-    half_width = 2.0 * math.sqrt(2.0 * p.beta)
-    if not (math.isfinite(muc - half_width) and math.isfinite(muc + half_width)):
+    if not (2.0 ** -500 <= beta <= 2.0 ** 500
+            and 2.0 ** -500 <= eps <= 2.0 ** 500):
+        k = scale_exponent(eps, beta, eps)
+        beta, eps = math.ldexp(beta, -k), math.ldexp(eps, -k)
+    # 2 sqrt(2 beta); above 1 the form in beta/2 has the same bits, and
+    # stays finite where 2 beta overflows
+    half_width = (4.0 * math.sqrt(0.5 * p.beta) if p.beta > 1.0
+                  else 2.0 * math.sqrt(2.0 * p.beta))
+    try:
+        muc = (beta * beta - eps * beta) / (eps * eps)
+        mu1, mu2 = muc - half_width, muc + half_width
+        if not (math.isfinite(mu1) and math.isfinite(mu2)):
+            raise OverflowError(muc)
+    except (OverflowError, ZeroDivisionError):
+        # a scaled eps^2 underflows to zero only where (beta/eps)^2 overflows
         raise ValueError(f"critical mus overflow the float range at "
-                         f"beta={p.beta:g}, eps={p.eps:g}")
-    return CriticalMus(mu1=muc - half_width, muc=muc, mu2=muc + half_width)
+                         f"beta={p.beta:g}, eps={p.eps:g}") from None
+    return CriticalMus(mu1, muc, mu2)
+
+
+def _scaled_back(eigs: tuple[complex, complex], k: int,
+                 p: Params) -> tuple[complex, complex]:
+    # roots computed on the quadratic scaled by scale_exponent's k, times
+    # 2^k; 2.0 ** k itself overflows at k = 1024
+    try:
+        if all(map(cmath.isfinite, eigs)):
+            return tuple(complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+                         for z in eigs)
+    except OverflowError:
+        pass
+    raise ValueError(f"eigenvalues leave the float range at mu={p.mu:g}, "
+                     f"beta={p.beta:g}, eps={p.eps:g}")
 
 
 def _eigs_at_origin(p: Params) -> tuple[complex, complex]:
     # roots of lambda^2 - mu lambda - beta = 0; real for beta >= 0
-    disc = p.mu * p.mu + 4.0 * p.beta
-    r = math.sqrt(disc)
-    return (complex(0.5 * (p.mu + r)), complex(0.5 * (p.mu - r)))
+    mu, beta = p.mu, p.beta
+    boxed = (-2.0 ** 500 <= mu <= 2.0 ** 500
+             and 2.0 ** -500 <= beta <= 2.0 ** 500)
+    if not boxed:
+        k = scale_exponent(mu, beta)
+        mu, beta = math.ldexp(mu, -k), math.ldexp(beta, -2 * k)
+    r = math.sqrt(mu * mu + 4.0 * beta)
+    eigs = (complex(0.5 * (mu + r)), complex(0.5 * (mu - r)))
+    return eigs if boxed else _scaled_back(eigs, k, p)
 
 
 def _eigs_at_pair(p: Params, mus: CriticalMus,
                   focus: bool) -> tuple[complex, complex]:
     # roots of lambda^2 - sigma lambda + 2 beta = 0, sigma = mu - muc
-    sigma = p.mu - mus.muc
-    disc = sigma * sigma - 8.0 * p.beta
+    sigma, beta, k = p.mu - mus.muc, p.beta, 0
+    boxed = (-2.0 ** 500 <= sigma <= 2.0 ** 500
+             and 2.0 ** -500 <= beta <= 2.0 ** 500)
+    if not boxed:
+        k = scale_exponent(sigma, beta)
+        sigma, beta = math.ldexp(sigma, -k), math.ldexp(beta, -2 * k)
+    disc = sigma * sigma - 8.0 * beta
     if (disc < 0.0) != focus:
         # rounding at a band edge; the factored form (mu - mu1)(mu - mu2)
         # has the band's sign
-        disc = (p.mu - mus.mu1) * (p.mu - mus.mu2)
+        disc = math.ldexp(p.mu - mus.mu1, -k) * math.ldexp(p.mu - mus.mu2, -k)
     root = cmath.sqrt(complex(disc))
-    return (0.5 * (sigma + root), 0.5 * (sigma - root))
+    eigs = (0.5 * (sigma + root), 0.5 * (sigma - root))
+    return eigs if boxed else _scaled_back(eigs, k, p)
 
 
 def _kind_at_origin(p: Params) -> EquilibriumKind:

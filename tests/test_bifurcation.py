@@ -319,6 +319,34 @@ def test_melnikov_keeps_its_bits(mu, beta, eps):
         assert got.mu3 == homoclinic_curve(beta, eps)
 
 
+# (mu1, muc, mu2) and E2's eigenvalue with positive imaginary part, as
+# float.hex, at the points of _MELNIKOV_BITS: all three are foci
+_CLOSED_FORM_BITS = {
+    (-0.1714285, 1.0, 2.0): (
+        ("-0x1.8a09e667f3bcdp+1", "-0x1.0000000000000p-2",
+         "0x1.4a09e667f3bcdp+1"),
+        ("0x1.41d4306e5cd4ep-5", "0x1.69e621ebaeb7cp+0")),
+    (0.2, 0.7, 1.3): (
+        ("-0x1.4eb6c47ed44ffp+1", "-0x1.fcf86d10a9a81p-3",
+         "0x1.0f17b6dcbf1afp+1"),
+        ("0x1.cb49035521a0ep-3", "0x1.2969b20f68d0bp+0")),
+    (-0.1, 2.0, 0.9): (
+        ("-0x1.48b0fcd6e9e06p+0", "0x1.5ba781948b0fdp+1",
+         "0x1.add3c0ca4587ep+2"),
+        ("-0x1.68744e6157dcap+0", "0x1.6b9dba04ba143p+0")),
+}
+
+
+@pytest.mark.parametrize("mu,beta,eps", list(_CLOSED_FORM_BITS))
+def test_critical_mus_and_eigenvalues_keep_their_bits(mu, beta, eps):
+    p = Params(mu=mu, beta=beta, eps=eps)
+    mus, (re, im) = _CLOSED_FORM_BITS[mu, beta, eps]
+    assert tuple(map(float.hex, critical_mus(p))) == mus
+    lam, lam_bar = find_equilibria(p)[2].eigs
+    assert (lam.real.hex(), lam.imag.hex()) == (re, im)
+    assert lam_bar == lam.conjugate()
+
+
 def test_melnikov_quadrature_agreement():
     rng = np.random.default_rng(17)
     for _ in range(27):

@@ -126,11 +126,11 @@ def test_sweep_memory_does_not_grow_with_the_grid(tmp_path):
 
 
 def test_failing_runs_leave_no_out_file(tmp_path, capsys):
-    # the sweep overflows at its first cell, after the header line; the
-    # portrait's only seed fails
+    # the sweep overflows at its first cell (muc ~ 1e400), after the header
+    # line; the portrait's only seed fails
     sweep = tmp_path / "s.csv"
-    assert main(["sweep", "--grid", "beta:1e200:2e200:2",
-                 "--grid", "eps:1e200:2e200:2", "--out", str(sweep)]) == 2
+    assert main(["sweep", "--eps", "1", "--grid", "beta:1e200:2e200:2",
+                 "--grid", "mu:0:1:2", "--out", str(sweep)]) == 2
     portrait = tmp_path / "p.csv"
     assert main(["portrait", "--beta", "1", "--eps", "2", "--mu", "0.2",
                  "--seed", "1e200,0", "--format", "svg",
@@ -138,8 +138,8 @@ def test_failing_runs_leave_no_out_file(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
     # an existing file is left as it was
     sweep.write_text("kept\n")
-    assert main(["sweep", "--grid", "beta:1e200:2e200:2",
-                 "--grid", "eps:1e200:2e200:2", "--out", str(sweep)]) == 2
+    assert main(["sweep", "--eps", "1", "--grid", "beta:1e200:2e200:2",
+                 "--grid", "mu:0:1:2", "--out", str(sweep)]) == 2
     assert sweep.read_text() == "kept\n"
     assert [f.name for f in tmp_path.iterdir()] == ["s.csv"]
 
@@ -251,13 +251,49 @@ def test_classify_invalid_params_exit_2(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["classify", "--beta", "1e200", "--eps", "1"],
-    ["sweep", "--grid", "beta:1e200:2e200:2", "--grid", "eps:1e200:2e200:2"],
+    ["sweep", "--eps", "1", "--grid", "beta:1e200:2e200:2",
+     "--grid", "mu:0:1:2"],
 ])
 def test_overflowing_closed_forms_exit_2(argv, capsys):
-    # beta^2 and eps^2 overflow: a one-line error, not a traceback
+    # muc ~ (beta/eps)^2 ~ 1e400 overflows: a one-line error, not a traceback
     assert _run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _numbers(doc):
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [x for item in doc for x in _numbers(item)]
+    return [doc] if isinstance(doc, float) else []
+
+
+@pytest.mark.parametrize("beta,eps,mu", [("1e154", "1e10", "0"),
+                                         ("1", "1", "1e200"),
+                                         ("1", "1", "-1e200"),
+                                         ("0", "1", "1e-200")])
+def test_closed_forms_keep_the_float_range_in_classify(beta, eps, mu, capsys):
+    # the eigenvalues square sigma ~ -1e288 at (1e154, 1e10, 0) and mu at
+    # mu = +-1e200, and mu^2 underflows at (0, 1, 1e-200); every value
+    # here is a finite double
+    assert _run(["classify", "--beta", beta, "--eps", eps, "--mu", mu]) == 0
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert err == "" and all(map(math.isfinite, _numbers(doc)))
+    if beta == "0":
+        # (mu, 0) at O, not (mu/2, mu/2)
+        assert doc["equilibria"][0]["eigenvalues"] == [[1e-200, 0], [0, 0]]
+
+
+def test_sweep_keeps_the_float_range(capsys):
+    # beta^2 overflows at beta = 1.5e154, where muc ~ 2.25e288 is a double
+    assert _run(["sweep", "--eps", "1e10", "--grid", "beta:1.3e154:1.5e154:2",
+                 "--grid", "mu:0:1:2"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 5
+    assert all(math.isfinite(float(x)) for row in rows[1:]
+               for x in row[:3] + row[4:])
 
 
 def test_classify_deterministic_bytes(tmp_path):

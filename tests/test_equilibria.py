@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qvdp.bifurcation import homoclinic_curve
 from qvdp.equilibria import (EqLabel, EquilibriumKind, critical_mus,
                              find_equilibria)
 from qvdp.model import Params, field_unforced, jacobian
@@ -182,3 +184,99 @@ def test_pair_eigenvalues_follow_the_kind_at_band_edges():
                 e2 = find_equilibria(Params(mu=mu, beta=beta, eps=eps))[2]
                 focus = e2.kind in (K.STABLE_FOCUS, K.UNSTABLE_FOCUS)
                 assert (e2.eigs[0].imag != 0.0) is focus, (beta, eps, mu)
+
+
+# --- the whole float range ---------------------------------------------------
+
+def _sqrt(q: Fraction) -> Fraction:
+    # sqrt(q) to a relative 2^-199, far below the 4-ulp tolerance
+    nd = q.numerator * q.denominator
+    k = max(0, (401 - nd.bit_length()) // 2)
+    return Fraction(math.isqrt(nd << 2 * k), q.denominator << k)
+
+
+def _double(q: Fraction):
+    """The double nearest q, or None where q lies beyond the float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return None
+
+
+def _close(got: complex, exact: tuple, size: Fraction, cond=1) -> bool:
+    # within 4 ulps of size, times cond, in each part
+    tol = 4 * cond * Fraction(math.ulp(_double(size)))
+    return all(math.isfinite(g) and abs(Fraction(g) - x) <= tol
+               for g, x in zip((got.real, got.imag), exact))
+
+
+def _exact_roots(s: Fraction, c: Fraction):
+    """(real, imag) parts of the roots of x^2 - s x + c = 0, principal
+    square root first, the larger root modulus, and the roots' condition:
+    a rounding of s or c moves them by that modulus over their distance."""
+    disc = s * s - 4 * c
+    root = _sqrt(abs(disc))
+    if disc >= 0:
+        roots = (((s + root) / 2, 0), ((s - root) / 2, 0))
+        size = max(abs(s + root), abs(s - root)) / 2
+    else:
+        roots, size = ((s / 2, root / 2), (s / 2, -root / 2)), _sqrt(c)
+    return roots, size, max(1, size / root) if root else math.inf
+
+
+def _float_range_draws(n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        beta, eps = 10.0 ** rng.uniform(-300, 300, size=2)
+        mu = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300, 300)
+        yield float(mu), float(beta), float(eps)
+
+
+def test_closed_forms_keep_the_float_range():
+    # beta, eps log-uniform on [1e-300, 1e300], mu = +-10^U(-300, 300):
+    # wherever the exact value is a double, mu1, muc, mu2 and mu3 are
+    # finite and within 4 ulps of the sum of their terms' magnitudes, and
+    # the eigenvalues at O and E2 within 4 ulps of the larger |lambda|
+    # times their condition; elsewhere each call raises its one
+    # float-range ValueError.  E2's trace is mu minus the muc checked
+    # here: it cancels where mu is near muc, as it does at the parent
+    finite = {"mus": 0, "mu3": 0, "eigs": 0}
+    for mu, beta, eps in _float_range_draws(2000, 31):
+        p = Params(mu=mu, beta=beta, eps=eps)
+        m, b, e = Fraction(mu), Fraction(beta), Fraction(eps)
+        r = b / e
+        half_width = 2 * _sqrt(2 * b)
+        muc = r * r - r
+        mus = (muc - half_width, muc, muc + half_width)
+        if all(_double(x) is not None for x in mus):
+            finite["mus"] += 1
+            got = critical_mus(p)
+            for g, x in zip(got, mus):
+                assert _close(g, (x, 0), r * r + r + half_width), (p, got)
+            at_o = _exact_roots(m, -b)
+            at_e2 = _exact_roots(m - Fraction(got.muc), 2 * b)
+            if all(_double(x) is not None for roots, *_ in (at_o, at_e2)
+                   for z in roots for x in z):
+                finite["eigs"] += 1
+                eqs = find_equilibria(p)
+                for eq, (roots, size, cond) in zip(eqs[::2], (at_o, at_e2)):
+                    for g, x in zip(eq.eigs, roots):
+                        assert _close(g, x, size, cond), (p, eq)
+            else:
+                with pytest.raises(ValueError, match="float range"):
+                    find_equilibria(p)
+        else:
+            for call in (critical_mus, find_equilibria):
+                with pytest.raises(ValueError, match="float range"):
+                    call(p)
+        mu3 = Fraction(32, 35) * r * r - Fraction(4, 5) * r
+        if _double(mu3) is not None:
+            finite["mu3"] += 1
+            got = homoclinic_curve(beta, eps)
+            assert _close(got, (mu3, 0), Fraction(32, 35) * r * r
+                          + Fraction(4, 5) * r), (p, got)
+        else:
+            with pytest.raises(ValueError, match="float range"):
+                homoclinic_curve(beta, eps)
+    # both branches are exercised
+    assert all(200 < n < 1800 for n in finite.values()), finite
