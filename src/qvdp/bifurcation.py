@@ -42,7 +42,8 @@ import math
 from math import factorial
 from typing import NamedTuple, Optional
 
-from .equilibria import critical_mus, find_equilibria, scale_exponent
+from .equilibria import (Equilibrium, critical_mus, find_equilibria,
+                         scale_exponent)
 from .model import Params
 
 __all__ = [
@@ -139,24 +140,25 @@ class HopfData(NamedTuple):
     omega0: float
 
 
-def _eig_pair(p: Params) -> complex:
+def _e2_focus(p: Params) -> Equilibrium:
     e2 = find_equilibria(p)[2]
     if not e2.kind.focus:
         raise ValueError("eigenvalues at E1/E2 are real; need mu1 < mu < mu2")
-    return e2.eigs[0]
+    return e2
 
 
-def _g_coeffs(p: Params, lam: complex) -> dict:
+def _g_coeffs(p: Params, e2: Equilibrium) -> dict:
     """Normal-form coefficients g_kl, 2 <= k+l <= 3, in closed form.
 
-    At x = x2 + u, x2 = sqrt(beta/eps), the nonlinear part of y' to cubic
-    order is a u y + b u^2 + c u^2 y + d u^3 with the coefficients below.
-    The eigenbasis substitution u = s z + conj(s) zbar, s = conj(lam)/(2 beta),
+    At x = x2 + u, x2 = sqrt(beta/eps) the location of the focus ``e2``,
+    the nonlinear part of y' to cubic order is a u y + b u^2 + c u^2 y
+    + d u^3 with the coefficients below.  With lam its first eigenvalue,
+    the eigenbasis substitution u = s z + conj(s) zbar, s = conj(lam)/(2 beta),
     y = z + zbar (Kuznetsov, Elements of Applied Bifurcation Theory, 3rd ed.,
     sec. 3.5) makes g_kl = k! l! lam/(lam - conj lam) times the coefficient
     of z^k zbar^l.
     """
-    x2 = math.sqrt(p.beta / p.eps)
+    x2, lam = e2.location.x, e2.eigs[0]
     a, b = 2.0 * x2 - 4.0 * x2 ** 3, -3.0 * p.eps * x2
     c, d = 1.0 - 6.0 * x2 * x2, -p.eps
     s = lam.conjugate() / (2.0 * p.beta)
@@ -193,8 +195,9 @@ def hopf_normal_form(p: Params) -> HopfData:
     if not (p.beta > 0 and p.eps > 0):
         raise ValueError("hopf normal form requires beta > 0 and eps > 0")
     mus = critical_mus(p)
-    lam = _eig_pair(p)
-    g = _g_coeffs(p, lam)
+    e2 = _e2_focus(p)
+    lam = e2.eigs[0]
+    g = _g_coeffs(p, e2)
     c1 = _c1_from_g(g, lam)
 
     omega0 = math.sqrt(2.0 * p.beta)
@@ -227,7 +230,7 @@ def hopf_cycle_prediction(p: Params) -> CyclePrediction:
     mus = critical_mus(p)
     if p.mu <= mus.muc:
         return CyclePrediction(False, 0.0, 0.0)
-    lam = _eig_pair(p)
+    lam = _e2_focus(p).eigs[0]
     # radial truncation r' = Re lambda r + Re c1(mu_c) r^3 with
     # Re c1(mu_c) = -1/(2 beta); Re c1 at mu itself changes sign just above
     # mu_c when beta/eps is large

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .equilibria import EquilibriumKind
 from .integrate import integrate
@@ -64,8 +64,7 @@ _DISK_LOCATION = {
 }
 
 
-@dataclass(frozen=True)
-class InfinityEquilibrium:
+class InfinityEquilibrium(NamedTuple):
     disk_location: tuple[float, float]
     kind: EquilibriumKind
     label: InfinityLabel
@@ -135,8 +134,7 @@ def disk_project(s: State) -> tuple[float, float]:
 
 # --- numerical verification of the catalogue -------------------------------
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     """Trajectory-direction evidence for the kind of an equator equilibrium.
 
     ``verdicts`` holds one of 'approach'/'leave'/'undecided' per probe, in

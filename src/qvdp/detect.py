@@ -39,7 +39,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -86,8 +86,7 @@ class LimitCycle:
     path: np.ndarray = field(repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class SeparatrixSplit:
+class SeparatrixSplit(NamedTuple):
     mu: float
     distance: float              # x_unstable - x_stable on {y = 0, x > 0}
 
@@ -99,15 +98,13 @@ class Verdict(enum.Enum):
     IRREGULAR = "irregular"
 
 
-@dataclass(frozen=True)
-class RotationEstimate:
+class RotationEstimate(NamedTuple):
     value: float
     error: float
     locked_q: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class AttractorReport:
+class AttractorReport(NamedTuple):
     verdict: Verdict
     rotation_number: Optional[float]
     evidence: dict
@@ -277,8 +274,10 @@ def separatrix_split(p: Params) -> SeparatrixSplit:
     Each shot takes its bound from :func:`~qvdp.integrate.escape_bound`,
     like every other run: the forward, unstable one none, so a saddle loop
     is found however far out it reaches, and the backward, stable one
-    10 max(1, mu).  Raises :class:`ManifoldEscape` when a shot escapes its
-    bound or does not return within the horizon of 400.
+    10 max(1, mu, beta/sqrt(2 eps)), where beta/sqrt(2 eps) is the saddle
+    loop's height |y|, so the stable branch follows a large loop back.
+    Raises :class:`ManifoldEscape` when a shot escapes its bound or does
+    not return within the horizon of 400.
     """
     if not (p.beta > 0 and p.eps > 0):
         raise ValueError("separatrix shooting requires a saddle: beta, eps > 0")

@@ -3,14 +3,12 @@
 The unforced system has the origin O as an equilibrium for every admissible
 parameter choice, and the symmetric pair E1 = (-sqrt(beta/eps), 0),
 E2 = (sqrt(beta/eps), 0) exactly when beta > 0 and eps > 0.  Classification
-is by closed form: characteristic roots at O solve
+is by closed form: the characteristic roots at every equilibrium solve
 
-    lambda^2 - mu lambda - beta = 0
+    lambda^2 - s lambda + m beta = 0,   mu_c = (beta^2 - eps*beta)/eps^2,
 
-and at E1/E2
-
-    lambda^2 - (mu - mu_c) lambda + 2 beta = 0,   mu_c = (beta^2 - eps*beta)/eps^2.
-
+with (s, m) = (mu, -1) at O and (mu - mu_c, 2) at E1/E2, and one solver
+takes them at either point.
 The eigenvalue discriminant at E1/E2 changes sign at mu_1 = mu_c - 2 sqrt(2 beta)
 and mu_2 = mu_c + 2 sqrt(2 beta); together with the sign of mu - mu_c these
 delimit the stable node / stable focus / unstable focus / unstable node bands.
@@ -18,7 +16,7 @@ The band decides the kind, and the eigenvalues are complex exactly at a focus.
 
 Every closed form here and in :mod:`qvdp.bifurcation` has one formula and
 one range rule, :func:`scale_exponent`.  Inside [2^-500, 2^500] no
-intermediate such as beta^2 or sigma^2 can leave the normal range, and the
+intermediate such as beta^2 or s^2 can leave the normal range, and the
 formula runs on its inputs as they are.  Outside that box it runs on them
 divided by a power of two, which is exact, and an eigenvalue is scaled
 back.  Every value that is a finite double then stays finite and keeps
@@ -143,10 +141,32 @@ def critical_mus(p: Params) -> CriticalMus:
     return CriticalMus(mu1, muc, mu2)
 
 
-def _scaled_back(eigs: tuple[complex, complex], k: int,
-                 p: Params) -> tuple[complex, complex]:
-    # roots computed on the quadratic scaled by scale_exponent's k, times
-    # 2^k; 2.0 ** k itself overflows at k = 1024
+def _char_roots(p: Params, s: float, m: int,
+                mus: CriticalMus | None = None) -> tuple[complex, complex]:
+    # roots of lambda^2 - s lambda + m beta = 0: at O (s, m) = (mu, -1), at
+    # E1/E2 (mu - muc, 2) with the pair's critical mus, whose band
+    # mu1 < mu < mu2 has the complex roots
+    beta, k = p.beta, 0
+    boxed = (-2.0 ** 500 <= s <= 2.0 ** 500
+             and 2.0 ** -500 <= beta <= 2.0 ** 500)
+    if not boxed:
+        k = scale_exponent(s, beta)
+        s, beta = math.ldexp(s, -k), math.ldexp(beta, -2 * k)
+    disc = s * s - 4.0 * m * beta
+    if mus is not None and (disc < 0.0) != (mus.mu1 < p.mu < mus.mu2):
+        # rounding at a band edge; the factored form (mu - mu1)(mu - mu2)
+        # has the band's sign
+        disc = math.ldexp(p.mu - mus.mu1, -k) * math.ldexp(p.mu - mus.mu2, -k)
+    if disc < 0.0:
+        # a trace of -0 gives both roots the real part +0, like a trace of +0
+        re, im = 0.5 * (s + 0.0), 0.5 * math.sqrt(-disc)
+        eigs = (complex(re, im), complex(re, -im))
+    else:
+        r = math.sqrt(disc)
+        eigs = (complex(0.5 * (s + r)), complex(0.5 * (s - r)))
+    if boxed:
+        return eigs
+    # times 2^k; 2.0 ** k itself overflows at k = 1024
     try:
         if all(map(cmath.isfinite, eigs)):
             return tuple(complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
@@ -155,38 +175,6 @@ def _scaled_back(eigs: tuple[complex, complex], k: int,
         pass
     raise ValueError(f"eigenvalues leave the float range at mu={p.mu:g}, "
                      f"beta={p.beta:g}, eps={p.eps:g}")
-
-
-def _eigs_at_origin(p: Params) -> tuple[complex, complex]:
-    # roots of lambda^2 - mu lambda - beta = 0; real for beta >= 0
-    mu, beta = p.mu, p.beta
-    boxed = (-2.0 ** 500 <= mu <= 2.0 ** 500
-             and 2.0 ** -500 <= beta <= 2.0 ** 500)
-    if not boxed:
-        k = scale_exponent(mu, beta)
-        mu, beta = math.ldexp(mu, -k), math.ldexp(beta, -2 * k)
-    r = math.sqrt(mu * mu + 4.0 * beta)
-    eigs = (complex(0.5 * (mu + r)), complex(0.5 * (mu - r)))
-    return eigs if boxed else _scaled_back(eigs, k, p)
-
-
-def _eigs_at_pair(p: Params, mus: CriticalMus,
-                  focus: bool) -> tuple[complex, complex]:
-    # roots of lambda^2 - sigma lambda + 2 beta = 0, sigma = mu - muc
-    sigma, beta, k = p.mu - mus.muc, p.beta, 0
-    boxed = (-2.0 ** 500 <= sigma <= 2.0 ** 500
-             and 2.0 ** -500 <= beta <= 2.0 ** 500)
-    if not boxed:
-        k = scale_exponent(sigma, beta)
-        sigma, beta = math.ldexp(sigma, -k), math.ldexp(beta, -2 * k)
-    disc = sigma * sigma - 8.0 * beta
-    if (disc < 0.0) != focus:
-        # rounding at a band edge; the factored form (mu - mu1)(mu - mu2)
-        # has the band's sign
-        disc = math.ldexp(p.mu - mus.mu1, -k) * math.ldexp(p.mu - mus.mu2, -k)
-    root = cmath.sqrt(complex(disc))
-    eigs = (0.5 * (sigma + root), 0.5 * (sigma - root))
-    return eigs if boxed else _scaled_back(eigs, k, p)
 
 
 def _kind_at_origin(p: Params) -> EquilibriumKind:
@@ -220,13 +208,14 @@ def find_equilibria(p: Params) -> list[Equilibrium]:
     Returns [O] when beta == 0 or eps <= 0, and [O, E1, E2] when beta > 0
     and eps > 0.
     """
-    out = [Equilibrium(location=State(0.0, 0.0), eigs=_eigs_at_origin(p),
+    out = [Equilibrium(location=State(0.0, 0.0),
+                       eigs=_char_roots(p, p.mu, -1),
                        kind=_kind_at_origin(p), label=EqLabel.O)]
     if p.beta > 0 and p.eps > 0:
         x2 = math.sqrt(p.beta / p.eps)
         mus = critical_mus(p)
         kind = _kind_at_pair(p, mus)
-        eigs = _eigs_at_pair(p, mus, kind.focus)
+        eigs = _char_roots(p, p.mu - mus.muc, 2, mus)
         out.append(Equilibrium(State(-x2, 0.0), eigs, kind, EqLabel.E1))
         out.append(Equilibrium(State(x2, 0.0), eigs, kind, EqLabel.E2))
     return out

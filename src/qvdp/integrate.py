@@ -41,6 +41,7 @@ its interpolant are read-only.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass, field, replace
 from operator import mul
@@ -77,14 +78,20 @@ def escape_bound(p: Params, t1: float) -> float:
     (``math.inf``): the equator repels every forward orbit, and the
     quintic damping bounds the forced ones, forcing included.  Backward
     eps > 0 runs, where the quintic damping blows up in finite time, get
-    10 max(1, mu): seeds on the large cycles past beta/eps = 7/3 lie at
-    |y| of about 3 mu.  eps <= 0 runs get 10: they crawl out along the
-    quartic-damping nullcline, ever more stiffly, and a larger bound
+    10 max(1, mu, beta/sqrt(2 eps)), capped at the largest double: seeds
+    on the large cycles past beta/eps = 7/3 lie at |y| of about 3 mu, and
+    the saddle loop, which the stable separatrix follows back, reaches
+    |y| = beta/sqrt(2 eps).  eps <= 0 runs get 10: they crawl out along
+    the quartic-damping nullcline, ever more stiffly, and a larger bound
     would let them run for hours.
     """
     if p.eps <= 0:
         return _ESCAPE_BOUND
-    return math.inf if t1 > 0 else _ESCAPE_BOUND * max(1.0, p.mu)
+    if t1 > 0:
+        return math.inf
+    # beta/sqrt(2 eps), inf where that overflows
+    loop = p.beta / math.sqrt(2.0) / math.sqrt(p.eps)
+    return min(_ESCAPE_BOUND * max(1.0, p.mu, loop), sys.float_info.max)
 
 
 # --- DOP853 -----------------------------------------------------------------
@@ -416,8 +423,7 @@ class Trajectory:
         return self.states[-1]
 
 
-@dataclass(frozen=True)
-class SectionEvent:
+class SectionEvent(NamedTuple):
     t: float
     state: np.ndarray
 
@@ -535,7 +541,8 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
         (x, y): the run escapes where the norm rises through it, by the
         stop rule, or at t0 from a start on or beyond it; a further
         component (the return map's divergence integral) is not monitored.
-        Runs of the oscillator should pass :func:`escape_bound`: the
+        Runs of the oscillator should pass :func:`escape_bound`, which
+        sizes a backward eps > 0 run's bound by mu and the saddle loop: the
         default 1e4 does not end an eps <= 0 crawl, whose steps shrink
         as the orbit creeps out (from (2, 0) at mu = 0.3, beta = 1,
         eps = -1 a run over (0, 600) had not returned after 11 minutes)

@@ -17,13 +17,12 @@ and every one of them acts on the plane (x, y): the forced field is
 non-autonomous and reads its forcing from t.  Only :func:`jacobian`,
 which returns an array, imports numpy.
 
-Records in the modules the closed-form CLI loads (this one, equilibria
-and bifurcation) are ``typing.NamedTuple`` classes, like :class:`State`
-and :class:`Params`, so those modules load neither :mod:`dataclasses`
-nor the :mod:`inspect` it imports.  Only integrate, detect and
-compactify, which load numpy anyway, define dataclasses: ``Trajectory``
-and ``LimitCycle`` carry array fields left out of comparison, which a
-NamedTuple cannot do.
+Records are ``typing.NamedTuple`` classes, like :class:`State` and
+:class:`Params`, so the modules the closed-form CLI loads (this one,
+equilibria and bifurcation) load neither :mod:`dataclasses` nor the
+:mod:`inspect` it imports.  The one reason for a dataclass is an array
+field left out of comparison, which a NamedTuple cannot do: only
+``Trajectory`` (integrate) and ``LimitCycle`` (detect) have one.
 """
 
 from __future__ import annotations

@@ -261,6 +261,15 @@ def test_overflowing_closed_forms_exit_2(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_eigenvalues_leaving_the_float_range_exit_2(capsys):
+    assert _run(["classify", "--mu", "-1e308", "--beta", "1e154",
+                 "--eps", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: eigenvalues leave the float range at "
+                   "mu=-1e+308, beta=1e+154, eps=1\n")
+
+
 def _numbers(doc):
     if isinstance(doc, dict):
         doc = list(doc.values())
@@ -772,6 +781,17 @@ def test_sweep_contract_and_speed(tmp_path):
     lines = [l for l in out.read_text().split("\n") if l]
     assert lines[0] == "beta,mu,eps,region,mu1,muc,mu2,mu3"
     assert len(lines) == 1 + 50 * 50
+
+
+def test_sweep_writes_a_row_for_invalid_params(capsys):
+    # beta = -1 is no parameter choice: its cells are reported, not fatal
+    assert _run(["sweep", "--eps", "1", "--grid", "beta:-1:1:3",
+                 "--grid", "mu:0:1:2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + 3 * 2
+    assert lines[1:3] == ["-1,0,1,invalid_params,nan,nan,nan,nan",
+                          "-1,1,1,invalid_params,nan,nan,nan,nan"]
+    assert all("invalid_params" not in line for line in lines[3:])
 
 
 def test_sweep_regions_change_only_across_curves(tmp_path):

@@ -262,6 +262,17 @@ def test_large_cycle_at_large_beta_is_found():
     assert np.max(np.abs(cyc.path[:, 1])) > 20.0
 
 
+def test_search_from_a_seed_on_an_equilibrium_finds_nothing():
+    # at beta = eps = 1 the field vanishes exactly at E2 = (1, 0): the seed
+    # never moves, so it never returns to the section
+    for mu in (-0.5, 0.5):  # a stable and an unstable focus
+        p = Params(mu=mu, beta=1.0, eps=1.0)
+        e2 = find_equilibria(p)[2]
+        assert e2.location == State(1.0, 0.0)
+        assert unforced_rhs(p)(0.0, list(e2.location)) == (0.0, 0.0)
+        assert find_limit_cycle(p, e2.location) is None
+
+
 def test_search_from_an_overflowing_seed_raises():
     # the field overflows at the seed itself: no escape bound turns that
     # into None, and the portrait skips the seed's search
@@ -492,11 +503,26 @@ def test_separatrix_split_keeps_its_bits_inside_the_old_box(beta, eps, mu,
 ])
 def test_separatrix_split_finds_the_saddle_loop_at_large_beta(dmu, distance):
     # at beta = 400, eps = 200 the forward shot reaches |y| = 21.5 and the
-    # backward one 18.5, under its bound of 10 mu, about 20.5; the gap changes
-    # sign across mu_3
+    # backward one 18.5, under its bound of 10 beta/sqrt(2 eps) = 200; the
+    # gap changes sign across mu_3
     mu = homoclinic_curve(400.0, 200.0) + dmu
     split = separatrix_split(Params(mu=mu, beta=400.0, eps=200.0))
     assert abs(split.distance - distance) < 1e-9
+
+
+@pytest.mark.parametrize("beta, eps, below, above", [
+    (800.0, 400.0, -4.927160127212726e-4, 4.5698273334870976e-4),
+    (2000.0, 1000.0, -3.035208469270856e-4, 2.9450075101089546e-4),
+])
+def test_separatrix_split_follows_larger_saddle_loops(beta, eps, below,
+                                                      above):
+    # the saddle loop reaches |y| = beta/sqrt(2 eps), 28 and 45 here, past
+    # 10 mu_3 = 20.6: the stable branch, shot backward, follows it back
+    # under its bound, and the gap changes sign across mu_3
+    mu3 = homoclinic_curve(beta, eps)
+    for dmu, distance in ((-0.01, below), (0.01, above)):
+        split = separatrix_split(Params(mu=mu3 + dmu, beta=beta, eps=eps))
+        assert abs(split.distance - distance) < 1e-9
 
 
 def test_separatrix_requires_saddle():

@@ -232,6 +232,16 @@ def _float_range_draws(n: int, seed: int):
         yield float(mu), float(beta), float(eps)
 
 
+def test_eigenvalues_leaving_the_float_range_raise():
+    # mu_c ~ 1e308 is a double, but sigma = mu - mu_c ~ -2e308 is not
+    p = Params(mu=-1e308, beta=1e154, eps=1.0)
+    assert math.isfinite(critical_mus(p).muc)
+    with pytest.raises(ValueError,
+                       match="^eigenvalues leave the float range at "
+                             "mu=-1e[+]308, beta=1e[+]154, eps=1$"):
+        find_equilibria(p)
+
+
 def test_closed_forms_keep_the_float_range():
     # beta, eps log-uniform on [1e-300, 1e300], mu = +-10^U(-300, 300):
     # wherever the exact value is a double, mu1, muc, mu2 and mu3 are

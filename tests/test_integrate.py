@@ -550,14 +550,29 @@ def test_stroboscopic_escapes_for_eps_below_zero():
 
 
 def test_escape_bound_follows_whether_a_run_can_escape():
-    # forward eps > 0 runs have none, backward ones 10 max(1, mu), and
-    # eps <= 0 runs 10 either way
+    # forward eps > 0 runs have none, backward ones 10 max(1, mu,
+    # beta/sqrt(2 eps)), and eps <= 0 runs 10 either way
     assert escape_bound(Params(mu=6.1, beta=3.0, eps=1.0), 1.0) == math.inf
     assert escape_bound(Params(mu=6.1, beta=3.0, eps=1.0), -1.0) == 61.0
-    assert escape_bound(Params(mu=0.5, beta=3.0, eps=1.0), -1.0) == 10.0
+    # 10 * 3/sqrt(2): the saddle loop's height beta/sqrt(2 eps) exceeds mu
+    assert escape_bound(Params(mu=0.5, beta=3.0, eps=1.0), -1.0) \
+        == 21.213203435596423
     for eps in (0.0, -1.0):
         for t1 in (1.0, -1.0):
             assert escape_bound(Params(mu=6.0, beta=1.0, eps=eps), t1) == 10.0
+
+
+def test_backward_escape_bound_clears_the_saddle_loop():
+    # the loop x = sqrt(2 beta/eps) sech t, y = x' reaches |y| =
+    # beta/sqrt(2 eps) at x = sqrt(beta/eps); the bound is ten times that
+    # where it exceeds 1 and mu, and the largest double where it overflows
+    for beta, eps in ((2.0, 1.0), (800.0, 400.0), (2000.0, 1000.0)):
+        top = beta / math.sqrt(2.0 * eps)
+        bound = escape_bound(Params(mu=0.0, beta=beta, eps=eps), -1.0)
+        assert bound == pytest.approx(10.0 * top, rel=1e-15)
+    for p in (Params(mu=0.0, beta=1e308, eps=1e-300),
+              Params(mu=1e308, beta=1.0, eps=1.0)):
+        assert escape_bound(p, -1.0) == sys.float_info.max
 
 
 def test_stroboscopic_fixed_point_of_forced_system():
