@@ -42,8 +42,8 @@ import math
 from math import factorial
 from typing import NamedTuple, Optional
 
-from .equilibria import (Equilibrium, critical_mus, find_equilibria,
-                         scale_exponent)
+from .equilibria import (CriticalMus, Equilibrium, critical_mus,
+                         find_equilibria, scale_exponent)
 from .model import Params
 
 __all__ = [
@@ -127,8 +127,8 @@ class HopfData(NamedTuple):
     ``c1`` are closed forms of the shifted field at the given mu.  The
     other fields are closed forms too: ``lambda_mu`` the E2 eigenvalue,
     ``l1`` the first Lyapunov coefficient Re c1(mu_c) / omega0 =
-    -1/(2 beta omega0), ``ddelta_dmu`` = 1/2, ``muc`` the Hopf value and
-    ``omega0`` = sqrt(2 beta) the frequency there.
+    -1/(2 beta omega0), omega0 = sqrt(2 beta) the frequency at mu_c, and
+    ``ddelta_dmu`` = 1/2.
     """
 
     lambda_mu: complex
@@ -136,12 +136,9 @@ class HopfData(NamedTuple):
     c1: complex
     l1: float
     ddelta_dmu: float
-    muc: float
-    omega0: float
 
 
-def _e2_focus(p: Params) -> Equilibrium:
-    e2 = find_equilibria(p)[2]
+def _e2_focus(e2: Equilibrium) -> Equilibrium:
     if not e2.kind.focus:
         raise ValueError("eigenvalues at E1/E2 are real; need mu1 < mu < mu2")
     return e2
@@ -194,17 +191,12 @@ def hopf_normal_form(p: Params) -> HopfData:
     """
     if not (p.beta > 0 and p.eps > 0):
         raise ValueError("hopf normal form requires beta > 0 and eps > 0")
-    mus = critical_mus(p)
-    e2 = _e2_focus(p)
+    e2 = _e2_focus(find_equilibria(p)[2])
     lam = e2.eigs[0]
     g = _g_coeffs(p, e2)
     c1 = _c1_from_g(g, lam)
-
-    omega0 = math.sqrt(2.0 * p.beta)
-    l1 = -0.5 / p.beta / omega0
-
-    return HopfData(lambda_mu=lam, g=g, c1=c1, l1=l1, ddelta_dmu=0.5,
-                    muc=mus.muc, omega0=omega0)
+    l1 = -0.5 / p.beta / math.sqrt(2.0 * p.beta)
+    return HopfData(lambda_mu=lam, g=g, c1=c1, l1=l1, ddelta_dmu=0.5)
 
 
 class CyclePrediction(NamedTuple):
@@ -227,10 +219,9 @@ def hopf_cycle_prediction(p: Params) -> CyclePrediction:
     """Existence (mu > mu_c) and leading-order size of the small cycle."""
     if not (p.beta > 0 and p.eps > 0):
         raise ValueError("cycle prediction requires beta > 0 and eps > 0")
-    mus = critical_mus(p)
-    if p.mu <= mus.muc:
+    if p.mu <= critical_mus(p).muc:
         return CyclePrediction(False, 0.0, 0.0)
-    lam = _e2_focus(p).eigs[0]
+    lam = _e2_focus(find_equilibria(p)[2]).eigs[0]
     # radial truncation r' = Re lambda r + Re c1(mu_c) r^3 with
     # Re c1(mu_c) = -1/(2 beta); Re c1 at mu itself changes sign just above
     # mu_c when beta/eps is large
@@ -409,8 +400,14 @@ class Region(enum.Enum):
 
 
 class RegionLabel(NamedTuple):
+    """A regime with the values it was decided from: ``mus`` and ``mu3``,
+    the critical mus and the homoclinic value mu is compared against, are
+    None unless beta > 0 and eps > 0."""
+
     label: Region
     certificates: tuple[str, ...] = ()
+    mus: Optional[CriticalMus] = None
+    mu3: Optional[float] = None
 
 
 def classify_region(p: Params) -> RegionLabel:
@@ -426,27 +423,30 @@ def classify_region(p: Params) -> RegionLabel:
     held = [(kind, entry) for kind, holds, _, entry in _CRITERIA if holds(p)]
     kinds = {kind for kind, _ in held}
     certs = [entry for _, entry in held]
+    mus = mu3 = None
     if p.eps <= 0:
-        return RegionLabel(Region.NO_CYCLE_SADDLE_ONLY, tuple(certs))
-    if p.beta == 0:
+        label = Region.NO_CYCLE_SADDLE_ONLY
+    elif p.beta == 0:
         if p.mu >= 0:
             certs.append("poincare-bendixson: equator repels inward, origin "
                          "unstable; annulus traps a stable cycle")
-            return RegionLabel(Region.SINGLE_SMALL_CYCLE, tuple(certs))
-        if CertificateKind.DULAC in kinds:
-            return RegionLabel(Region.NO_CYCLE_DULAC, tuple(certs))
-        if CertificateKind.ENERGY in kinds:
-            return RegionLabel(Region.NO_CYCLE_ENERGY, tuple(certs))
-        certs.append("uncertified: -5/36 < mu < 0 with beta = 0; origin is "
-                     "a stable node but no closed-orbit exclusion is proven")
-        return RegionLabel(Region.NO_CYCLE_ENERGY, tuple(certs))
-    # eps > 0, beta > 0
-    muc = critical_mus(p).muc
-    mu3 = homoclinic_curve(p.beta, p.eps)
-    if abs(p.mu - mu3) <= HOMOCLINIC_CURVE_TOL:
-        return RegionLabel(Region.HOMOCLINIC_PAIR, tuple(certs))
-    if p.mu <= muc:
-        return RegionLabel(Region.THREE_EQ_NO_CYCLE, tuple(certs))
-    if p.mu < mu3:
-        return RegionLabel(Region.TWO_SMALL_CYCLES, tuple(certs))
-    return RegionLabel(Region.LARGE_CYCLE, tuple(certs))
+            label = Region.SINGLE_SMALL_CYCLE
+        elif CertificateKind.DULAC in kinds:
+            label = Region.NO_CYCLE_DULAC
+        else:
+            if CertificateKind.ENERGY not in kinds:
+                certs.append("uncertified: -5/36 < mu < 0 with beta = 0; "
+                             "origin is a stable node but no closed-orbit "
+                             "exclusion is proven")
+            label = Region.NO_CYCLE_ENERGY
+    else:
+        mus, mu3 = critical_mus(p), homoclinic_curve(p.beta, p.eps)
+        if abs(p.mu - mu3) <= HOMOCLINIC_CURVE_TOL:
+            label = Region.HOMOCLINIC_PAIR
+        elif p.mu <= mus.muc:
+            label = Region.THREE_EQ_NO_CYCLE
+        elif p.mu < mu3:
+            label = Region.TWO_SMALL_CYCLES
+        else:
+            label = Region.LARGE_CYCLE
+    return RegionLabel(label, tuple(certs), mus, mu3)

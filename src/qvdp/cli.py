@@ -22,8 +22,9 @@ load numpy, the integrating modules (integrate, detect, compactify) or
 are NamedTuples (see qvdp.model), and params serialise through
 ``Params._asdict``.  Every name is read from its module when the command
 runs, never cached at import, so a patched or traced function is the one
-called; a sweep looks its closed forms up once and hands them to the cell
-code, which imports nothing.
+called; a sweep looks Params and classify_region up once and hands them to
+the cell code, which imports nothing.  classify and sweep report the
+critical mus and mu_3 the region label carries, so each is evaluated once.
 
 A flag's value may start with '-' as a separate argument, whatever its
 form (``--mu -5e-05``, ``--alpha -3e-1``, ``--seed -2,0``); main rewrites it
@@ -32,7 +33,9 @@ as ``--flag=value`` before argparse sees it.
 Exit codes: 0 success, 2 usage/parameter error, 3 runtime numerical failure.
 Outputs are deterministic (17-significant-digit numbers, LF line endings).
 CSV rows are streamed as they are formed; an --out file appears only once
-complete, so a failing run leaves none (see qvdp.output.write_lines).
+complete, so a failing run leaves none (see qvdp.output.write_lines).  The
+one exception is melnikov's exit 3: its JSON, written first, is the
+evidence that the closed form and the quadrature disagree.
 """
 
 from __future__ import annotations
@@ -63,19 +66,11 @@ def _params_from(args):
                      if k in ("mu", "beta", "eps", "alpha", "omega")})
 
 
-def _critical_values(p, critical_mus, homoclinic_curve):
-    """(mu1, muc, mu2, mu3), or None unless beta > 0 and eps > 0."""
-    if not (p.beta > 0 and p.eps > 0):
-        return None
-    mus = critical_mus(p)
-    return (mus.mu1, mus.muc, mus.mu2, homoclinic_curve(p.beta, p.eps))
-
-
 # --- classify ----------------------------------------------------------------
 
 def cmd_classify(args) -> int:
-    from .bifurcation import classify_region, homoclinic_curve
-    from .equilibria import critical_mus, find_equilibria
+    from .bifurcation import classify_region
+    from .equilibria import find_equilibria
     from .output import dumps_json, write_lines
 
     p = _params_from(args)
@@ -87,17 +82,14 @@ def cmd_classify(args) -> int:
          "kind": e.kind.value}
         for e in eqs
     ]
-    crit = _critical_values(p, critical_mus, homoclinic_curve)
-    if crit is None:
-        doc.update(critical_mus=None, mu3=None, homoclinic_distance=None)
-    else:
-        doc.update(critical_mus=dict(zip(("mu1", "muc", "mu2"), crit)),
-                   mu3=crit[3], homoclinic_distance=abs(p.mu - crit[3]))
     region = classify_region(p)
-    doc["region_label"] = region.label.value
-    doc["certificates"] = list(region.certificates)
-    doc["homoclinic_proximal"] = (
-        crit is not None and doc["homoclinic_distance"] <= HOMOCLINIC_PROXIMITY)
+    dist = None if region.mus is None else abs(p.mu - region.mu3)
+    doc.update(
+        critical_mus=None if region.mus is None else region.mus._asdict(),
+        mu3=region.mu3, homoclinic_distance=dist,
+        region_label=region.label.value,
+        certificates=list(region.certificates),
+        homoclinic_proximal=dist is not None and dist <= HOMOCLINIC_PROXIMITY)
     write_lines(args.out, [dumps_json(doc)])
     return EXIT_OK
 
@@ -185,15 +177,15 @@ def _detect_cycles_for_portrait(p, seeds) -> list:
 
 # --- sweep -------------------------------------------------------------------
 
-def _sweep_cell(Params, classify_region, critical_mus, homoclinic_curve,
-                mu: float, beta: float, eps: float) -> list:
+def _sweep_cell(Params, classify_region, mu: float, beta: float,
+                eps: float) -> list:
     try:
         p = Params(mu=mu, beta=beta, eps=eps)
     except ValueError:
         return [beta, mu, eps, "invalid_params"] + ["nan"] * 4
-    region = classify_region(p).label.value
-    crit = _critical_values(p, critical_mus, homoclinic_curve)
-    return [beta, mu, eps, region, *(crit or ["nan"] * 4)]
+    region = classify_region(p)
+    crit = ["nan"] * 4 if region.mus is None else [*region.mus, region.mu3]
+    return [beta, mu, eps, region.label.value, *crit]
 
 
 def _axis(lo: float, hi: float, n: int) -> list:
@@ -204,8 +196,7 @@ def _axis(lo: float, hi: float, n: int) -> list:
 
 
 def cmd_sweep(args) -> int:
-    from .bifurcation import classify_region, homoclinic_curve
-    from .equilibria import critical_mus
+    from .bifurcation import classify_region
     from .model import Params
     from .output import csv_lines, write_lines
 
@@ -219,8 +210,7 @@ def cmd_sweep(args) -> int:
         axes.append((name, _axis(lo, hi, count)))
     (ax1, vals1), (ax2, vals2) = axes
     # a repeated axis takes its second value, as the later key wins
-    closed_forms = (Params, classify_region, critical_mus, homoclinic_curve)
-    rows = (_sweep_cell(*closed_forms, **{**base, ax1: v1, ax2: v2})
+    rows = (_sweep_cell(Params, classify_region, **{**base, ax1: v1, ax2: v2})
             for v1 in vals1 for v2 in vals2)
     write_lines(args.out, csv_lines(("beta", "mu", "eps", "region",
                                      "mu1", "muc", "mu2", "mu3"), rows))

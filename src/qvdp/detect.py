@@ -4,8 +4,10 @@ Limit cycles of the unforced system are located as fixed points of the
 Poincare return map on the half-axis section {y = 0, x > 0}, taken between
 successive downward crossings.  That one section works for every cycle this
 family produces: the single cycle around the origin (beta = 0), the small
-cycles around E1/E2, and the large cycle enclosing all three equilibria all
-cross it exactly once per period going down.  Each return is one
+cycle around E2 and the large cycle enclosing all three equilibria cross it
+exactly once per period going down, and the small cycle around E1, the Z2
+image of the one around E2, is found from the mirrored seed and mirrored
+back.  Each return is one
 integration, stopped by a terminal event at the crossing, of the state
 augmented with the divergence integral.  By Liouville's formula the return
 map on {y = 0} has the derivative
@@ -76,7 +78,7 @@ class ManifoldEscape(RuntimeError):
 
 @dataclass(frozen=True)
 class LimitCycle:
-    representative: State        # on the section {y = 0, x > 0}
+    representative: State        # on {y = 0}; x < 0 for a cycle around E1
     period: float
     amplitude: float             # max |x| along the cycle
     floquet: float               # nontrivial return-map multiplier
@@ -87,7 +89,6 @@ class LimitCycle:
 
 
 class SeparatrixSplit(NamedTuple):
-    mu: float
     distance: float              # x_unstable - x_stable on {y = 0, x > 0}
 
 
@@ -156,10 +157,15 @@ def find_limit_cycle(p: Params, seed: State) -> Optional[LimitCycle]:
     to P(x).  The return that closes to within 1e-8 gives the period, the
     path and the multiplier.
 
-    Returns None when the orbit collapses into an equilibrium or stops
-    crossing the section {y = 0, x > 0}, the only one searched (a seed
-    circling E1 alone gives None; its mirror image finds the mirrored cycle
-    around E2); raises :class:`~qvdp.integrate.NoConvergence` if none of 60
+    A seed whose orbit never crosses the section {y = 0, x > 0} (one
+    circling E1 alone) is searched through its mirror image (-x, -y), and
+    the cycle found is mirrored back: its representative lies on
+    {y = 0, x < 0} and its path winds around E1.  Since the flow is
+    Z2-equivariant, that cycle is the one the seed's own orbit reaches.
+
+    Returns None when the orbit collapses into an equilibrium, or when
+    neither the seed nor its mirror image crosses the section; raises
+    :class:`~qvdp.integrate.NoConvergence` if none of 60
     returns from the section closes.  The returns take their bound from
     :func:`~qvdp.integrate.escape_bound`, which gives forward eps > 0 runs
     none: every such orbit is bounded (the equator repels it), so a large
@@ -193,9 +199,13 @@ def find_limit_cycle(p: Params, seed: State) -> Optional[LimitCycle]:
     def near_equilibrium(x):
         return min(abs(x - xe) for xe in section_eq_x) < _COLLAPSE_RADIUS
 
+    sign = 1.0
     first = ret(float(seed[0]), float(seed[1]))
     if first is None:
-        return None
+        sign = -1.0
+        first = ret(-float(seed[0]), -float(seed[1]))
+        if first is None:
+            return None
     x_try, newton = float(first.final[0]), False
     for _ in range(_MAX_RETURNS):
         trial = ret(x_try)
@@ -227,7 +237,7 @@ def find_limit_cycle(p: Params, seed: State) -> Optional[LimitCycle]:
     period = hit.t1
 
     # geometry from the dense output of the closing return
-    path = hit.at(np.linspace(0.0, period, 2001))[:, :2]
+    path = sign * hit.at(np.linspace(0.0, period, 2001))[:, :2]
     dist_to_eq = min(
         np.max(np.hypot(path[:, 0] - e.location.x, path[:, 1] - e.location.y))
         for e in eqs)
@@ -239,7 +249,7 @@ def find_limit_cycle(p: Params, seed: State) -> Optional[LimitCycle]:
     encloses = frozenset(
         e.label for e in eqs
         if winding_number(path, (e.location.x, e.location.y)) != 0)
-    return LimitCycle(representative=State(x, 0.0),
+    return LimitCycle(representative=State(sign * x, 0.0),
                       period=float(period),
                       amplitude=float(np.max(np.abs(path[:, 0]))),
                       floquet=floquet,
@@ -298,7 +308,7 @@ def separatrix_split(p: Params) -> SeparatrixSplit:
     vu, vs = _saddle_eigvectors(p)
     x_unstable = shoot(_LAUNCH_OFFSET * vu, _SHOOT_HORIZON)
     x_stable = shoot(_LAUNCH_OFFSET * vs, -_SHOOT_HORIZON)
-    return SeparatrixSplit(mu=p.mu, distance=x_unstable - x_stable)
+    return SeparatrixSplit(distance=x_unstable - x_stable)
 
 
 # --- forced system ---------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 from math import factorial
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from qvdp import bifurcation
+from qvdp import bifurcation, cli, equilibria
 from qvdp.bifurcation import (CertificateKind, MelnikovMethod, PitchforkKind,
                               Region, classify_region, homoclinic_curve,
                               hopf_curve, hopf_cycle_prediction,
@@ -474,6 +475,59 @@ def test_classify_region_reference_points():
         is Region.NO_CYCLE_DULAC
     assert classify_region(Params(mu=-5.0 / 36.0, beta=0.0, eps=2.0)).label \
         is Region.NO_CYCLE_ENERGY
+
+
+@pytest.mark.parametrize("mu,beta,eps", [(-0.2, 1.0, 2.0), (-0.25, 1.0, 2.0),
+                                         (0.3, 0.0, 2.0), (0.3, 1.0, -1.0),
+                                         (0.0, 1.0, 0.0)])
+def test_region_label_carries_the_values_it_was_decided_from(mu, beta, eps):
+    p = Params(mu=mu, beta=beta, eps=eps)
+    region = classify_region(p)
+    if beta > 0 and eps > 0:
+        assert region.mus == critical_mus(p)
+        assert region.mu3 == homoclinic_curve(beta, eps)
+    else:
+        assert region.mus is None and region.mu3 is None
+
+
+def _count_closed_forms(monkeypatch) -> Counter:
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    mus = counted(equilibria.critical_mus)
+    monkeypatch.setattr(equilibria, "critical_mus", mus)
+    monkeypatch.setattr(bifurcation, "critical_mus", mus)
+    monkeypatch.setattr(bifurcation, "homoclinic_curve",
+                        counted(bifurcation.homoclinic_curve))
+    return calls
+
+
+_P = Params(mu=-0.2, beta=1.0, eps=2.0)
+
+
+@pytest.mark.parametrize("run, per_call", [
+    # six sweep cells, all with beta, eps > 0
+    (lambda: cli.main(["sweep", "--eps", "2", "--grid", "beta:0.5:1.5:2",
+                       "--grid", "mu:-0.3:0.1:3"]),
+     {"critical_mus": 6, "homoclinic_curve": 6}),
+    (lambda: cli.main(["classify", "--beta", "1", "--eps", "2",
+                       "--mu", "-0.2"]),
+     {"critical_mus": 2, "homoclinic_curve": 1}),
+    (lambda: hopf_normal_form(_P), {"critical_mus": 1}),
+    (lambda: torus_frequency_estimate(_P), {"critical_mus": 1}),
+])
+def test_each_closed_form_once_per_answer(run, per_call, monkeypatch, capsys):
+    # the region label hands the CLI the critical mus and mu_3 it was
+    # decided from, and the Hopf data reads muc only through E2's record;
+    # classify's second critical_mus is find_equilibria's
+    calls = _count_closed_forms(monkeypatch)
+    run()
+    assert calls == Counter(per_call)
 
 
 def test_classify_region_open_strip_is_flagged():

@@ -381,6 +381,31 @@ def test_melnikov_agrees_next_to_the_homoclinic_curve(flags, tmp_path, capsys):
     assert json.loads(out.read_text())["relative_diff"] < 1e-12
 
 
+def test_melnikov_disagreement_exit_3_keeps_its_json(tmp_path, monkeypatch,
+                                                     capsys):
+    # the JSON is the evidence of the disagreement, so it is written before
+    # the run exits 3 with one error line
+    bif = importlib.import_module("qvdp.bifurcation")
+    melnikov = bif.melnikov
+
+    def off_quadrature(mu, beta, eps, method):
+        res = melnikov(mu, beta, eps, method)
+        if method is bif.MelnikovMethod.QUADRATURE:
+            res = res._replace(value=res.value + 1e-3 * res.scale)
+        return res
+
+    monkeypatch.setattr(bif, "melnikov", off_quadrature)
+    out = tmp_path / "m.json"
+    assert _run(["melnikov", "--beta", "1", "--eps", "1", "--mu", "0",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: closed form and quadrature disagree: ")
+    assert err.count("\n") == 1
+    doc = json.loads(out.read_text())
+    _validate(doc, "melnikov")
+    assert doc["relative_diff"] >= 1e-6
+
+
 def test_melnikov_cli_rejects_bad_domain():
     assert _run(["melnikov", "--beta", "0", "--eps", "2", "--mu", "0"]) == 2
 

@@ -118,6 +118,22 @@ def test_small_cycle_and_z2_transport():
     assert winding_number(traj.states, eqs[EqLabel.E2]) == 0
 
 
+def test_seed_circling_e1_finds_the_e1_cycle():
+    # the orbit from (-0.8, 0) never meets {y = 0, x > 0}: the search runs
+    # from its mirror image (0.8, 0) and mirrors the E2 cycle back, bit for bit
+    p = Params(mu=-0.2, beta=1.0, eps=2.0)
+    assert _first_return(unforced_rhs(p), (-0.8, 0.0), 240.0, math.inf) \
+        is None
+    cyc = find_limit_cycle(p, State(-0.8, 0.0))
+    mirror = find_limit_cycle(p, State(0.8, 0.0))
+    assert cyc.representative == State(-0.961694067564562, 0.0)
+    assert mirror.representative == State(0.961694067564562, 0.0)
+    assert cyc.encloses == frozenset({EqLabel.E1})
+    assert np.array_equal(cyc.path, -mirror.path)
+    assert (cyc.period, cyc.amplitude, cyc.floquet, cyc.stable) \
+        == (mirror.period, mirror.amplitude, mirror.floquet, mirror.stable)
+
+
 def test_index_sum_of_enclosed_equilibria(cycle_origin):
     index = {EquilibriumKind.SADDLE: -1}
     for p, cyc in [
@@ -192,9 +208,6 @@ def test_search_reports_the_cycle_the_orbit_reaches(beta, eps, frac, offset):
     p = Params(mu=muc + frac * (mu3 - muc), beta=beta, eps=eps)
     seed = State(math.sqrt(beta / eps) + offset, 0.0)
     reached = _winding_set(p, seed)
-    if reached == frozenset({EqLabel.E1}):
-        # the cycle around E1 alone never meets {y = 0, x > 0}
-        reached = frozenset()
     cyc = find_limit_cycle(p, seed)
     assert (cyc.encloses if cyc is not None else frozenset()) == reached
 
@@ -523,6 +536,16 @@ def test_separatrix_split_follows_larger_saddle_loops(beta, eps, below,
     for dmu, distance in ((-0.01, below), (0.01, above)):
         split = separatrix_split(Params(mu=mu3 + dmu, beta=beta, eps=eps))
         assert abs(split.distance - distance) < 1e-9
+
+
+def test_separatrix_split_without_a_return_in_the_horizon():
+    # at beta = 1e-4, mu = 0 the saddle's eigenvalues are +-0.01, so a
+    # branch launched 1e-8 off needs about ln(1e8)/0.01 = 1842 to leave it,
+    # past the horizon of 400
+    with pytest.raises(ManifoldEscape,
+                       match="^no section crossing within the shooting "
+                             "horizon$"):
+        separatrix_split(Params(mu=0.0, beta=1e-4, eps=2.0))
 
 
 def test_separatrix_requires_saddle():
