@@ -1,13 +1,13 @@
 """Trajectory verdicts: limit cycles, separatrix splitting, forced attractors.
 
 Limit cycles of the unforced system are located as fixed points of the
-Poincare return map on the half-axis section {y = 0, x > 0}, taken between
-successive downward crossings.  That one section works for every cycle this
-family produces: the single cycle around the origin (beta = 0), the small
-cycle around E2 and the large cycle enclosing all three equilibria cross it
-exactly once per period going down, and the small cycle around E1, the Z2
-image of the one around E2, is found from the mirrored seed and mirrored
-back.  Each return is one
+Poincare return map on the section {y = 0}, taken between successive
+downward crossings.  Since x' = y, every cycle this family produces
+crosses the axis going down exactly once per period, at its largest x,
+where y' = g(x) < 0: the single cycle around the origin (beta = 0) right
+of O, the small cycle around E2 and the large cycle enclosing all three
+equilibria right of E2, and the small cycle around E1, the Z2 image of
+the one around E2, between E1 and O.  Each return is one
 integration, stopped by a terminal event at the crossing, of the state
 augmented with the divergence integral.  By Liouville's formula the return
 map on {y = 0} has the derivative
@@ -78,7 +78,7 @@ class ManifoldEscape(RuntimeError):
 
 @dataclass(frozen=True)
 class LimitCycle:
-    representative: State        # on {y = 0}; x < 0 for a cycle around E1
+    representative: State        # on {y = 0}, at the cycle's largest x
     period: float
     amplitude: float             # max |x| along the cycle
     floquet: float               # nontrivial return-map multiplier
@@ -89,7 +89,7 @@ class LimitCycle:
 
 
 class SeparatrixSplit(NamedTuple):
-    distance: float              # x_unstable - x_stable on {y = 0, x > 0}
+    distance: float              # x_unstable - x_stable, right of E2
 
 
 class Verdict(enum.Enum):
@@ -122,25 +122,22 @@ def winding_number(path_xy: np.ndarray, point) -> int:
 # --- return map ------------------------------------------------------------
 
 def _first_return(field_fn, s0, t_max, escape_radius):
-    """One integration from ``s0`` to its first return to {y = 0, x > 0}.
+    """One integration from ``s0`` to its first return to the section {y = 0}.
 
-    The return is the first crossing of the half-axis that goes down in
-    forward time, for a span (0, t_max) of either sign: a backward run
-    (t_max < 0) meets it going up along the run.  The stop event is
-    ``sign * y`` on the half-axis, with sign -1 forward and +1 backward,
-    so it rises through zero at the return either way.
+    The return is the first crossing of the axis that goes down in forward
+    time, for a span (0, t_max) of either sign: a backward run (t_max < 0)
+    meets it going up along the run.  The stop event is ``sign * y``, with
+    sign -1 forward and +1 backward, so it rises through zero at the return
+    either way.
     Returns the trajectory, whose final state lies on the section, or None
     when no such crossing occurs within ``t_max``; raises
     :class:`~qvdp.integrate.NonFinite` on escape.  A start exactly on the
-    section is not a crossing.  Off the half-axis the event is held at -1,
-    on the near side of the section, so leaving the half is never taken
-    for a crossing; the orbit has to enter the half from the near side, as
-    it does for every flow with x' = y.
+    section is not a crossing.
     """
     sign = -1 if t_max > 0 else 1
 
     def crossing(t, s):
-        return sign * s[1] if s[0] > 0.0 else -1.0
+        return sign * s[1]
 
     traj = integrate(field_fn, s0, (0.0, t_max),
                      escape_radius=escape_radius, stop_event=crossing)
@@ -150,40 +147,35 @@ def _first_return(field_fn, s0, t_max, escape_radius):
 def find_limit_cycle(p: Params, seed: State) -> Optional[LimitCycle]:
     """Locate the attracting limit cycle the forward orbit of ``seed`` reaches.
 
-    Each step makes one return from x on the section.  Where the return map
-    contracts (slope P'(x) < 1, from Liouville's formula) a Newton step is
-    tried and kept only if it shrinks the residual |P(x) - x|; otherwise,
-    and always near a repelling focus, the iterate follows the seed's orbit
-    to P(x).  The return that closes to within 1e-8 gives the period, the
-    path and the multiplier.
+    Each step makes one return from x on the section {y = 0}.  Where the
+    return map contracts (slope P'(x) < 1, from Liouville's formula) a
+    Newton step is tried and kept only if it shrinks the residual
+    |P(x) - x|; otherwise, and always near a repelling focus, the iterate
+    follows the seed's orbit to P(x).  A Newton step keeps the sign of x,
+    as every return does: a cycle around E1 crosses the section between E1
+    and O, every other cycle right of E2 (or of O at beta = 0).  The return
+    that closes to within 1e-8 gives the period, the path and the
+    multiplier.
 
-    A seed whose orbit never crosses the section {y = 0, x > 0} (one
-    circling E1 alone) is searched through its mirror image (-x, -y), and
-    the cycle found is mirrored back: its representative lies on
-    {y = 0, x < 0} and its path winds around E1.  Since the flow is
-    Z2-equivariant, that cycle is the one the seed's own orbit reaches.
+    Returns None when the orbit collapses into an equilibrium or never
+    crosses the section; raises :class:`~qvdp.integrate.NoConvergence` if
+    none of 60 returns from the section closes.  The returns take their
+    bound from :func:`~qvdp.integrate.escape_bound`, which gives forward
+    eps > 0 runs none: every such orbit is bounded (the equator repels
+    it), so a large cycle is found however far out it lies.  A seed where
+    the field overflows raises :class:`~qvdp.integrate.NonFinite`.
 
-    Returns None when the orbit collapses into an equilibrium, or when
-    neither the seed nor its mirror image crosses the section; raises
-    :class:`~qvdp.integrate.NoConvergence` if none of 60
-    returns from the section closes.  The returns take their bound from
-    :func:`~qvdp.integrate.escape_bound`, which gives forward eps > 0 runs
-    none: every such orbit is bounded (the equator repels it), so a large
-    cycle is found however far out it lies.  A seed where the field
-    overflows raises :class:`~qvdp.integrate.NonFinite`.
-
-    For eps <= 0 it returns None at once, without integrating: on the
-    section y' = g(x) = x (beta - eps x^2) > 0 for every x > 0 (beta >= 0,
-    and beta and eps are not both zero), so no orbit crosses it downward
-    and there is no return map to search.  The integration would only
-    crawl off to infinity.
+    For eps <= 0 it returns None at once, without integrating: the origin
+    is then the only equilibrium, a saddle of index -1, and a cycle must
+    enclose equilibria of index sum +1, so there is no cycle to find.  The
+    integration would only crawl off to infinity, and the escape bound of
+    10 would make the search raise.
     """
     if p.eps <= 0.0:
         return None
     rhs = unforced_rhs(p)
     bound = escape_bound(p, _RETURN_HORIZON)
     eqs = find_equilibria(p)
-    section_eq_x = [0.0] + [e.location.x for e in eqs if e.location.x > 0]
 
     def aug_field(t, s):
         # (x, y) and the divergence integral along the orbit
@@ -197,15 +189,11 @@ def find_limit_cycle(p: Params, seed: State) -> Optional[LimitCycle]:
         return p.beta * x - p.eps * x ** 3
 
     def near_equilibrium(x):
-        return min(abs(x - xe) for xe in section_eq_x) < _COLLAPSE_RADIUS
+        return min(abs(x - e.location.x) for e in eqs) < _COLLAPSE_RADIUS
 
-    sign = 1.0
     first = ret(float(seed[0]), float(seed[1]))
     if first is None:
-        sign = -1.0
-        first = ret(-float(seed[0]), -float(seed[1]))
-        if first is None:
-            return None
+        return None
     x_try, newton = float(first.final[0]), False
     for _ in range(_MAX_RETURNS):
         trial = ret(x_try)
@@ -227,8 +215,8 @@ def find_limit_cycle(p: Params, seed: State) -> Optional[LimitCycle]:
         slope = g(x) / g(px) * math.exp(hit.final[2])
         if slope < 1.0:
             step = -resid / (slope - 1.0)
-            if abs(step) <= 0.5 * max(x, 1.0):
-                x_try = x + step if x + step > 0.0 else 0.5 * x
+            if abs(step) <= 0.5 * max(abs(x), 1.0):
+                x_try = x + step if (x + step > 0.0) == (x > 0.0) else 0.5 * x
                 newton = True
     else:
         raise NoConvergence(f"none of {_MAX_RETURNS} returns from the section "
@@ -237,7 +225,7 @@ def find_limit_cycle(p: Params, seed: State) -> Optional[LimitCycle]:
     period = hit.t1
 
     # geometry from the dense output of the closing return
-    path = sign * hit.at(np.linspace(0.0, period, 2001))[:, :2]
+    path = hit.at(np.linspace(0.0, period, 2001))[:, :2]
     dist_to_eq = min(
         np.max(np.hypot(path[:, 0] - e.location.x, path[:, 1] - e.location.y))
         for e in eqs)
@@ -249,7 +237,7 @@ def find_limit_cycle(p: Params, seed: State) -> Optional[LimitCycle]:
     encloses = frozenset(
         e.label for e in eqs
         if winding_number(path, (e.location.x, e.location.y)) != 0)
-    return LimitCycle(representative=State(sign * x, 0.0),
+    return LimitCycle(representative=State(x, 0.0),
                       period=float(period),
                       amplitude=float(np.max(np.abs(path[:, 0]))),
                       floquet=floquet,
@@ -272,11 +260,13 @@ def _saddle_eigvectors(p: Params):
 
 
 def separatrix_split(p: Params) -> SeparatrixSplit:
-    """Signed gap between the saddle separatrices on {y = 0, x > 0}.
+    """Signed gap between the saddle separatrices on the section {y = 0}.
 
     The unstable manifold (x > 0 branch) is integrated forward from a 1e-8
     offset along the unstable eigenvector; the stable manifold backward
     from the stable eigenvector, over the negative time span (0, -400).
+    Both branches stay in x > 0 until their first return, so the gap is
+    measured right of E2.
     ``distance = x_unstable - x_stable``
     changes sign across the homoclinic connection; its zero tracks the
     Melnikov root to first order in the perturbation.

@@ -119,19 +119,75 @@ def test_small_cycle_and_z2_transport():
 
 
 def test_seed_circling_e1_finds_the_e1_cycle():
-    # the orbit from (-0.8, 0) never meets {y = 0, x > 0}: the search runs
-    # from its mirror image (0.8, 0) and mirrors the E2 cycle back, bit for bit
+    # the orbit from (-0.8, 0) circles E1 alone and crosses {y = 0} going
+    # down between E1 and O; its cycle is the Z2 image of the one (0.8, 0)
+    # reaches, with the same period and multiplier
     p = Params(mu=-0.2, beta=1.0, eps=2.0)
-    assert _first_return(unforced_rhs(p), (-0.8, 0.0), 240.0, math.inf) \
-        is None
     cyc = find_limit_cycle(p, State(-0.8, 0.0))
     mirror = find_limit_cycle(p, State(0.8, 0.0))
-    assert cyc.representative == State(-0.961694067564562, 0.0)
-    assert mirror.representative == State(0.961694067564562, 0.0)
+    eqs = {e.label: e.location for e in find_equilibria(p)}
     assert cyc.encloses == frozenset({EqLabel.E1})
-    assert np.array_equal(cyc.path, -mirror.path)
-    assert (cyc.period, cyc.amplitude, cyc.floquet, cyc.stable) \
-        == (mirror.period, mirror.amplitude, mirror.floquet, mirror.stable)
+    assert eqs[EqLabel.E1].x < cyc.representative.x < eqs[EqLabel.O].x
+    assert abs(cyc.period - mirror.period) < 1e-6
+    assert abs(cyc.floquet - mirror.floquet) < 1e-6
+
+
+@pytest.mark.parametrize("beta, eps, mu, seed", [
+    (1.9763, 1.7645, 0.20555, (0.363, -1.606)),
+    (1.1977, 1.5954, -0.13742, (0.191, -0.958)),
+    (1.5939, 2.1302, -0.15358, (-0.068, -1.950)),
+])
+def test_orbit_crossing_right_of_e2_once_then_reaching_e1(beta, eps, mu,
+                                                          seed):
+    # the orbit crosses {y = 0} going down right of E2 once, near t = 4-7,
+    # and then winds only around E1: the search follows it onto the E1 cycle
+    p = Params(mu=mu, beta=beta, eps=eps)
+    assert _winding_set(p, State(*seed)) == frozenset({EqLabel.E1})
+    cyc = find_limit_cycle(p, State(*seed))
+    assert cyc is not None and cyc.encloses == frozenset({EqLabel.E1})
+
+
+def test_search_collapsing_into_e1_ends_within_a_few_returns(monkeypatch):
+    # from (-0.8, 0) the orbit spirals into the stable focus E1, crossing
+    # {y = 0} between E1 and O each turn: the collapse test ends the search
+    # instead of a return that runs the whole 240-unit horizon
+    spent = []
+
+    def timing(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        spent.append(abs(traj.t1))
+        return traj
+
+    monkeypatch.setattr(detect, "integrate", timing)
+    p = Params(mu=-0.3, beta=1.0, eps=2.0)
+    assert find_limit_cycle(p, State(-0.8, 0.0)) is None
+    assert spent and sum(spent) < 50.0
+
+
+_Z2_IMAGE = {EqLabel.O: EqLabel.O, EqLabel.E1: EqLabel.E2,
+             EqLabel.E2: EqLabel.E1}
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(beta=st.floats(0.9, 1.1), eps=st.floats(1.9, 2.1),
+       frac=st.floats(0.55, 0.75), radius=st.floats(0.02, 0.25),
+       angle=st.floats(0.0, 2.0 * math.pi))
+def test_mirrored_seeds_find_mirrored_cycles(beta, eps, frac, radius, angle):
+    # two-small-cycles band: the seed s near E2 and -s near E1 reach Z2
+    # images of one cycle, with the same period and multiplier.  The seeds
+    # start outside the 1e-2 collapse radius of the repelling focus, which
+    # the collapse test reads on the section alone, at a phase that differs
+    # between s and -s
+    muc, mu3 = hopf_curve(beta, eps), homoclinic_curve(beta, eps)
+    p = Params(mu=muc + frac * (mu3 - muc), beta=beta, eps=eps)
+    x = math.sqrt(beta / eps) + radius * math.cos(angle)
+    y = radius * math.sin(angle)
+    cyc = find_limit_cycle(p, State(x, y))
+    mirror = find_limit_cycle(p, State(-x, -y))
+    assert cyc is not None and mirror is not None
+    assert mirror.encloses == frozenset(_Z2_IMAGE[e] for e in cyc.encloses)
+    assert abs(cyc.period - mirror.period) < 1e-6
+    assert abs(cyc.floquet - mirror.floquet) < 1e-6
 
 
 def test_index_sum_of_enclosed_equilibria(cycle_origin):
@@ -229,8 +285,8 @@ def test_no_cycle_search_crawls_to_a_mu_scaled_bound(monkeypatch):
 
 @pytest.mark.parametrize("beta,eps", [(0.0, -1.0), (1.0, -1.0), (1.0, 0.0)])
 def test_no_return_map_search_for_nonpositive_eps(monkeypatch, beta, eps):
-    # y' = x (beta - eps x^2) > 0 on {y = 0, x > 0}: no orbit crosses the
-    # section downward, so the search returns None without integrating
+    # the origin is the only equilibrium, a saddle of index -1, and a cycle
+    # encloses index sum +1: the search returns None without integrating
     calls = []
 
     def counting(*args):
@@ -296,12 +352,12 @@ def test_search_from_an_overflowing_seed_raises():
 # --- Liouville multiplier vs the return map ----------------------------------
 
 def _first_return_x(p: Params, x0: float) -> float:
-    """x of the first downward crossing of {y = 0, x > 0} from (x0, 0)."""
+    """x of the first downward crossing of {y = 0} from (x0, 0)."""
     traj = integrate(unforced_rhs(p), np.array([x0, 0.0]), (0.0, 40.0),
                      tol=(1e-12, 1e-10))
     return next(float(ev.state[0])
                 for ev in detect_crossings(traj, lambda s: -s[1])
-                if ev.t > 1e-9 and ev.state[0] > 0.0)
+                if ev.t > 1e-9)
 
 
 def _check_multiplier(p: Params, seed) -> None:
@@ -317,6 +373,8 @@ def _check_multiplier(p: Params, seed) -> None:
     (Params(mu=1.0, beta=0.0, eps=2.0), State(2.0, 0.0)),
     (Params(mu=-0.2, beta=1.0, eps=2.0), State(0.9, 0.0)),
     (Params(mu=-0.1, beta=1.0, eps=2.0), State(2.0, 0.0)),
+    # the cycle around E1, which crosses the section between E1 and O
+    (Params(mu=-0.2, beta=1.0, eps=2.0), State(-0.8, 0.0)),
 ])
 def test_liouville_multiplier_paper_regimes(p, seed):
     _check_multiplier(p, seed)
@@ -398,7 +456,7 @@ def test_return_from_the_section_does_not_stop_at_start():
 
 @pytest.mark.parametrize("start, t_max, t_stop", [
     ((0.0, 1.0), 10.0, 0.5 * math.pi),
-    # passing (-1, 0) at t = -pi/2 is off the half-axis: not a stop
+    # passing (-1, 0) at t = -pi/2 goes up in forward time: not a stop
     ((0.0, 1.0), -10.0, -1.5 * math.pi),
     # a start on the section is not a crossing, in either direction
     ((1.0, 0.0), 10.0, 2.0 * math.pi),
@@ -406,8 +464,8 @@ def test_return_from_the_section_does_not_stop_at_start():
     ((0.0, 1.0), 1.0, None),
 ])
 def test_first_return_is_downward_in_forward_time(start, t_max, t_stop):
-    # x' = y, y' = -x turns clockwise: it crosses {y = 0, x > 0} going down
-    # in forward time, so a backward run meets it going up along the run
+    # x' = y, y' = -x turns clockwise: it crosses {y = 0} going down at
+    # (1, 0) in forward time, so a backward run meets it going up there
     traj = _first_return(lambda t, s: (s[1], -s[0]), start, t_max, 8.0)
     if t_stop is None:
         assert traj is None

@@ -670,12 +670,10 @@ def _solve_ivp(field_fn, s0, t_span, tol, escape_radius=1e4, stop_event=None,
 
 
 def _section_down(t, s):
-    # first downward crossing of {y = 0} on x > 0, as a return map takes
-    # it: the event rises through zero there.  A state on the section reads
-    # one ulp past it, since solve_ivp takes g(a) <= 0 <= g(b) for a
-    # crossing and would stop at a start on the section
-    if not s[0] > 0.0:
-        return -1.0
+    # first downward crossing of {y = 0}, as a return map takes it: the
+    # event rises through zero there.  A state on the section reads one ulp
+    # past it, since solve_ivp takes g(a) <= 0 <= g(b) for a crossing and
+    # would stop at a start on the section
     return -s[1] if s[1] != 0.0 else math.ulp(0.0)
 
 
