@@ -14,7 +14,8 @@ compactify   Poincare-disk charts and the equilibria at infinity
 integrate    adaptive Runge-Kutta integration, section events, stroboscopic map
 errors       the IntegrationError family, re-exported by integrate
 detect       limit-cycle detection, separatrix shooting, forced-attractor verdicts
-cli          command-line interface (`qvdp ...`)
+cli          command-line interface (`qvdp ...`): the argument parser
+commands     the subcommands the parser dispatches to
 
 The names below are exported from the package and resolve on first use
 (PEP 562): ``import qvdp`` loads no submodule, so the closed forms do not

@@ -16,8 +16,9 @@ For eps > 0 the unforced oscillator undergoes, in the (beta, mu) plane:
 Both curves keep one formula each over the whole float range: outside
 [2^-500, 2^500] it is evaluated on (beta, eps) divided by a power of two,
 the rule :func:`qvdp.equilibria.scale_exponent` states, which leaves a
-form of degree 0 unchanged bit for bit.  :func:`melnikov` keeps its own
-forms, whose powers of beta and eps still leave the range first.
+form of degree 0 unchanged bit for bit.  :func:`melnikov` divides beta
+and eps by two different powers of two, since each of its terms has its
+own degree in each of them.
 
 The Hopf coefficients g_kl are closed forms: the shifted field's quadratic
 and cubic Taylor coefficients at E2, substituted into the complex
@@ -283,30 +284,40 @@ def melnikov(mu: float, beta: float, eps: float,
     ``scale`` sums the magnitudes of the closed form's terms, which M
     cancels near ``mu3``, its root in mu (:func:`homoclinic_curve`).
 
-    Raises ValueError where ``mu3`` or M leaves the float range: a power
-    overflows, a power of eps underflows to zero, or the sum is not finite.
+    Outside [2^-250, 2^250], where beta^4 or eps^3 may leave the float
+    range, the terms and the quadrature's weight 2 beta^2/eps run on the
+    mantissas b, e of beta = b 2^p and eps = e 2^q (``math.frexp``), and
+    each is scaled back by its own power of two: beta^n/eps^(n-1) by
+    2^(n p - (n-1) q).  The scaling is exact, so a term keeps its in-range
+    bits and leaves the range only where it does itself, whatever the
+    ratio beta/eps; inside the box p = q = 0.
+    Raises ValueError where ``mu3``, a term or M leaves the float range.
     """
     if not (beta > 0 and eps > 0):
         raise ValueError("melnikov requires beta > 0 and eps > 0")
+    b, e, p, q = beta, eps, 0, 0
+    if not (2.0 ** -250 <= b <= 2.0 ** 250 and 2.0 ** -250 <= e <= 2.0 ** 250):
+        (b, p), (e, q) = math.frexp(beta), math.frexp(eps)
     try:
         mu3 = homoclinic_curve(beta, eps)
-        lin = 4.0 * beta * beta * mu / (3.0 * eps)
-        cub = 16.0 * beta ** 3 / (15.0 * eps * eps)
-        quart = 128.0 * beta ** 4 / (105.0 * eps ** 3)
+        # ldexp raises OverflowError where a term overflows
+        lin = math.ldexp(4.0 * b * b * mu / (3.0 * e), 2 * p - q)
+        cub = math.ldexp(16.0 * b ** 3 / (15.0 * e * e), 3 * p - 2 * q)
+        quart = math.ldexp(128.0 * b ** 4 / (105.0 * e ** 3), 4 * p - 3 * q)
         if method is MelnikovMethod.CLOSED_FORM:
             value = lin + cub - quart
         else:
             # h = 0.05; the end nodes, where the integrand is ~1e-34, take
             # weight h rather than h/2, which changes nothing
             h = 2.0 * _QUAD_T / 1600
-            a, b = 2.0 * beta / eps, 2.0 * beta * beta / eps
+            a, w = math.ldexp(2.0 * b / e, p - q), 2.0 * b * b / e
             terms = []
-            for t in [-_QUAD_T + k * h for k in range(1600)] + [_QUAD_T]:
+            for t in [-_QUAD_T + i * h for i in range(1600)] + [_QUAD_T]:
                 c, th = math.cosh(t), math.tanh(t)
                 sech2 = 1.0 / (c * c)
                 x2 = a * sech2
-                terms.append(b * sech2 * (th * th) * (mu + x2 - x2 * x2))
-            value = h * math.fsum(terms)
+                terms.append(w * sech2 * (th * th) * (mu + x2 - x2 * x2))
+            value = math.ldexp(h * math.fsum(terms), 2 * p - q)
         if not math.isfinite(value):
             raise OverflowError(value)
     except (OverflowError, ZeroDivisionError, ValueError) as exc:

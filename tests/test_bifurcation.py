@@ -1,6 +1,7 @@
 import math
 import warnings
 from collections import Counter
+from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -409,6 +410,70 @@ def test_melnikov_non_finite_sums_raise(mu, beta):
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="float range"):
                 melnikov(mu, beta, 2.0, method=method)
+
+
+def _exact_melnikov(mu, beta, eps):
+    b, e, m = Fraction(beta), Fraction(eps), Fraction(mu)
+    return (4 * b * b * m / (3 * e) + 16 * b ** 3 / (15 * e * e)
+            - 128 * b ** 4 / (105 * e ** 3))
+
+
+@pytest.mark.parametrize("mu,beta,eps", [
+    (0.1, 1e100, 1e100),                          # beta^4 overflows
+    (1.0, 2.0 ** -300, 2.0 ** 300),               # beta^4 underflows to 0
+    (0.1, 2.0 ** -260, 2.0 ** 200),               # beta^4 is subnormal
+    (0.1, 2.0 ** -50, 2.0 ** -350)])              # eps^3 is subnormal
+def test_melnikov_survives_an_intermediate_overflow(mu, beta, eps):
+    # M is a double while a power of beta or eps is not: both methods run on
+    # the mantissas and scale each term back; M cancels about 13:1 at the
+    # first point, so the error is bounded relative to the terms' sum
+    exact = _exact_melnikov(mu, beta, eps)
+    for method in MelnikovMethod:
+        got = melnikov(mu, beta, eps, method=method)
+        assert abs(Fraction(got.value) - exact) <= 1e-15 * Fraction(got.scale)
+        assert got.value != 0.0
+        assert got.mu3 == homoclinic_curve(beta, eps)
+
+
+def test_melnikov_matches_the_exact_form_wherever_it_is_a_double():
+    # log-uniform beta and eps over 2^+-600, drawn apart: where mu3, each
+    # term and M are doubles, both methods stay within 1e-15 of the terms'
+    # sum of the Fraction value, and they raise only where one is not
+    rng = np.random.default_rng(36)
+    top, returned = Fraction(2.0 ** 1023), 0
+    for _ in range(300):
+        beta, eps = (float(2.0 ** x) for x in rng.uniform(-600, 600, 2))
+        mu = float(rng.uniform(-1, 1))
+        b, e = Fraction(beta), Fraction(eps)
+        terms = (abs(4 * b * b * Fraction(mu) / (3 * e)),
+                 16 * b ** 3 / (15 * e * e), 128 * b ** 4 / (105 * e ** 3))
+        mu3 = 32 * b * b / (35 * e * e) - 4 * b / (5 * e)
+        doubles = max(terms) < top and abs(mu3) < top
+        for method in MelnikovMethod:
+            if not doubles:
+                with pytest.raises(ValueError, match="float range"):
+                    melnikov(mu, beta, eps, method=method)
+                continue
+            got = melnikov(mu, beta, eps, method=method)
+            tol = 1e-15 * Fraction(got.scale) + Fraction(2.0 ** -1070)
+            assert abs(Fraction(got.value) - _exact_melnikov(mu, beta, eps)) <= tol
+            returned += 1
+    assert returned > 150
+
+
+@pytest.mark.parametrize("j", [-900, -400, -260, 260, 400, 900])
+def test_melnikov_scales_with_beta_and_eps_bit_for_bit(j):
+    # M has degree 1 in (beta, eps): the rescaled evaluation outside
+    # [2^-250, 2^250] gives the in-range bits times 2^j
+    rng = np.random.default_rng(36)
+    for _ in range(40):
+        mu, beta, eps = rng.uniform(-1, 1), *rng.uniform(0.1, 10, 2)
+        for method in MelnikovMethod:
+            inside = melnikov(mu, beta, eps, method=method)
+            outside = melnikov(mu, math.ldexp(beta, j), math.ldexp(eps, j),
+                               method=method)
+            assert outside == (math.ldexp(inside.value, j),
+                               math.ldexp(inside.scale, j), inside.mu3)
 
 
 def test_homoclinic_curve_values_and_melnikov_sign_change():

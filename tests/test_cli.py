@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import math
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import qvdp
-from qvdp import cli
+from qvdp import cli, commands
 from qvdp.cli import build_parser, main
 from qvdp.bifurcation import homoclinic_curve
 from qvdp.detect import classify_forced, find_limit_cycle
@@ -892,7 +893,7 @@ def _bits(values):
                                   "beta:0.05:3:50", "mu:-0.3:0.1:3"])
 def test_sweep_axis_is_linspace_bit_for_bit(spec):
     _, lo, hi, n = cli._grid_spec(spec)
-    assert _bits(cli._axis(lo, hi, n)) == _bits(np.linspace(lo, hi, n))
+    assert _bits(commands._axis(lo, hi, n)) == _bits(np.linspace(lo, hi, n))
 
 
 def test_sweep_axis_is_linspace_on_random_specs():
@@ -900,7 +901,7 @@ def test_sweep_axis_is_linspace_on_random_specs():
     for _ in range(2000):
         lo, hi = rng.uniform(-1, 1, 2) * 10.0 ** rng.integers(-8, 9, 2)
         n = int(rng.integers(2, 400))
-        assert _bits(cli._axis(lo, hi, n)) == _bits(np.linspace(lo, hi, n))
+        assert _bits(commands._axis(lo, hi, n)) == _bits(np.linspace(lo, hi, n))
 
 
 # --- forced --------------------------------------------------------------------
@@ -1032,10 +1033,41 @@ def test_cli_loads_what_each_subcommand_runs(tmp_path):
         os.path.dirname(qvdp.__file__)))
     out = subprocess.run([sys.executable, "-c", code, *runs], env=env,
                          capture_output=True, text=True, check=True).stdout
-    parser_only = "['qvdp', 'qvdp.cli', 'qvdp.errors']"
+    parser_only = "['qvdp', 'qvdp.cli']"
     assert out.split("\n")[:-1] == [parser_only, f"0 {parser_only}",
                                     f"2 {parser_only}", "0 False", "0 False"]
     assert (tmp_path / "p.csv").exists() and (tmp_path / "f.json").exists()
+
+
+def test_every_subcommand_dispatches_to_its_cmd():
+    # dispatch looks cmd_<name> up in qvdp.commands when it runs: each
+    # subcommand the parser knows has one, and the parser module has none
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == ["classify", "forced", "melnikov",
+                                   "portrait", "repro", "sweep"]
+    assert all(callable(getattr(commands, f"cmd_{name}", None))
+               for name in sub.choices)
+    assert [name for name in vars(cli) if name.startswith("cmd_")] == []
+
+
+def test_repro_run_as_main_module_writes_what_main_writes(tmp_path):
+    # under python -m qvdp.cli the parser module is __main__: cmd_repro
+    # imports build_parser from qvdp.cli afresh and writes the same bundle
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(qvdp.__file__)))
+    run = subprocess.run([sys.executable, "-m", "qvdp.cli", "repro", "--n",
+                          "2", "--out", str(tmp_path / "m")], env=env,
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, "")
+    assert run.stderr == f"wrote {tmp_path / 'm'}/\n"
+    assert main(["repro", "--n", "2", "--out", str(tmp_path / "c")]) == 0
+    names = sorted(f.name for f in (tmp_path / "m").iterdir())
+    assert names == sorted(f.name for f in (tmp_path / "c").iterdir())
+    assert len(names) == 13
+    for name in names:
+        assert (tmp_path / "m" / name).read_bytes() == \
+            (tmp_path / "c" / name).read_bytes(), name
 
 
 def test_forced_requires_alpha():
