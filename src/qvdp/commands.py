@@ -13,7 +13,9 @@ imports nothing.  classify and sweep report the critical mus and mu_3 the
 region label carries, so each is evaluated once.
 
 CSV rows are streamed as they are formed; an --out file appears only once
-complete, so a failing run leaves none (see qvdp.output.write_lines).  The
+complete, so a failing run leaves none (see qvdp.output.write_lines).  An
+--out path that a file written next to it (portrait's SVG, forced's JSON)
+would replace exits 2 before anything runs.  The
 one exception is melnikov's exit 3: its JSON, written first, is the
 evidence that the closed form and the quadrature disagree.
 """
@@ -84,8 +86,14 @@ def cmd_portrait(args) -> int:
     p = _params_from(args)
     if not args.seed:
         raise ValueError("portrait requires at least one --seed x,y")
-    if args.format == "svg" and not args.out:
-        raise ValueError("--format svg needs --out: the SVG goes next to the CSV")
+    if args.format == "svg":
+        if not args.out:
+            raise ValueError(
+                "--format svg needs --out: the SVG goes next to the CSV")
+        svg_path = os.path.splitext(args.out)[0] + ".svg"
+        if os.path.realpath(svg_path) == os.path.realpath(args.out):
+            raise ValueError(f"--out {args.out} is also the SVG's path: "
+                             "give the CSV another extension")
     rhs = unforced_rhs(p)
 
     kept = []  # (seed id, trajectory on its refined grid)
@@ -115,7 +123,6 @@ def cmd_portrait(args) -> int:
     write_lines(args.out, csv_lines(("seed_id", "t", "x", "y"), rows))
 
     if args.format == "svg":
-        svg_path = os.path.splitext(args.out)[0] + ".svg"
         svg = PortraitSVG(half_width=1.1 if args.disk else 3.0)
         if args.disk:
             svg.circle(0.0, 0.0, 1.0)
@@ -233,13 +240,17 @@ def cmd_forced(args) -> int:
     if len(args.seed) > 1:
         raise ValueError("forced takes at most one --seed")
     seed = args.seed[0] if args.seed else (0.0, 1.2)
+    base, ext = os.path.splitext(args.out) if args.out else ("", "")
+    json_path = f"{base}.json" if args.out else None
+    if args.out and os.path.realpath(json_path) == os.path.realpath(args.out):
+        raise ValueError(f"--out {args.out} is also the JSON verdict's path: "
+                         "give the CSV another extension")
     T = p.forcing_period
     n = args.n
     series = stroboscopic(p, seed, n, per_period=_TS_PER_PERIOD)
     ts = np.arange(n * _TS_PER_PERIOD + 1) * (T / _TS_PER_PERIOD)
 
     strobe = series[::_TS_PER_PERIOD]
-    base, ext = os.path.splitext(args.out) if args.out else ("", "")
     strobe_rows = ((k, float(k * T), float(x), float(y))
                    for k, (x, y) in enumerate(strobe))
     write_lines(args.out, csv_lines(("k", "t", "x", "y"), strobe_rows))
@@ -257,7 +268,6 @@ def cmd_forced(args) -> int:
         "rotation_number": report.rotation_number,
         "evidence": report.evidence,
     }
-    json_path = f"{base}.json" if args.out else None
     write_lines(json_path, [dumps_json(doc)])
     return EXIT_OK
 

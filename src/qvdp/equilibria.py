@@ -164,17 +164,27 @@ def _char_roots(p: Params, s: float, m: int,
     else:
         r = math.sqrt(disc)
         eigs = (complex(0.5 * (s + r)), complex(0.5 * (s - r)))
-    if boxed:
-        return eigs
-    # times 2^k; 2.0 ** k itself overflows at k = 1024
-    try:
-        if all(map(cmath.isfinite, eigs)):
-            return tuple(complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+    if not boxed:
+        # times 2^k; 2.0 ** k itself overflows at k = 1024
+        try:
+            if not all(map(cmath.isfinite, eigs)):
+                raise OverflowError(eigs)
+            eigs = tuple(complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
                          for z in eigs)
-    except OverflowError:
-        pass
-    raise ValueError(f"eigenvalues leave the float range at mu={p.mu:g}, "
-                     f"beta={p.beta:g}, eps={p.eps:g}")
+        except OverflowError:
+            raise ValueError(f"eigenvalues leave the float range at "
+                             f"mu={p.mu:g}, beta={p.beta:g}, "
+                             f"eps={p.eps:g}") from None
+    if disc > 0.0 and p.beta != 0.0 and s * s > abs(4.0 * m * beta):
+        # past this ratio the smaller root, (s -+ r) / 2, cancels ever more,
+        # to 0: it is m beta over the larger one (Higham, Accuracy and
+        # Stability of Numerical Algorithms, 1.8), from the unscaled beta,
+        # so it stays where a scaled beta underflows; below, the direct
+        # formula keeps its bits, within 4 ulps of the root
+        big = eigs[0] if s > 0 else eigs[1]
+        small = complex(m * (p.beta / big.real))
+        eigs = (big, small) if s > 0 else (small, big)
+    return eigs
 
 
 def _kind_at_origin(p: Params) -> EquilibriumKind:

@@ -12,10 +12,10 @@ rounding: sums run in another order, which can flip an accept/reject
 decision that sits on the bound.  Every field integrated here acts on
 the plane (x, y); the forced one is non-autonomous and reads its forcing
 from t, and only the return map augments its state, with the divergence
-integral.  The run loop works on Python floats alone (stages, each
-component's 7 interpolant rows, event roots, ``t_eval`` samples): for these
-small states array operations cost more than they compute.  One evaluator
-serves the loop's floats and the arrays of :meth:`Trajectory.at`.
+integral.  :func:`integrate`'s one run loop works on Python floats alone
+(stages, each component's 7 interpolant rows, event roots, ``t_eval``
+samples): for these small states array operations cost more than they
+compute.  One evaluator serves its floats and :meth:`Trajectory.at`'s arrays.
 
 On top of the stepper the module provides:
 
@@ -277,21 +277,6 @@ _SUBSAMPLES = 4  # interior interpolant points per step of Trajectory.refined
 _NO_INTERPOLANT = "a run sampled at t_eval or refined keeps no interpolant"
 
 
-class _Step(NamedTuple):
-    """One accepted step from (t, y) to (t_new, y_new), h = t_new - t.
-
-    ``ks`` holds per component the stage derivatives: stage 0 at (t, y),
-    stages 1-12 from tableau rows 0-11, stage 12 the derivative at y_new,
-    and, once :func:`_dop853_coef` has run, stages 13-15.
-    """
-    t: float
-    y: list
-    h: float
-    t_new: float
-    y_new: list
-    ks: list
-
-
 def _rms(v) -> float:
     return math.sqrt(sum(e * e for e in v)) / len(v) ** 0.5
 
@@ -320,16 +305,18 @@ def _stage_rows(fun, t: float, y: list, h: float, ks: list,
     return ys
 
 
-def _dop853_coef(fun, step: _Step) -> list:
-    """Interpolant rows F_0..F_6 of one step (see :func:`_interp_eval`), per
-    component a list of 7 floats.
+def _dop853_coef(fun, t: float, y: list, h: float, y_new: list,
+                 ks: list) -> list:
+    """Interpolant rows F_0..F_6 of the step of size h from (t, y) to
+    y_new (see :func:`_interp_eval`), per component a list of 7 floats.
 
-    They take the stages of tableau rows 12-14, appended to ``step.ks``
-    (three evaluations of ``fun``), so call this at most once per step.
+    ``ks`` holds per component the step's stage derivatives: stage 0 at
+    (t, y), stages 1-12 from tableau rows 0-11, stage 12 the derivative at
+    y_new.  The stages of rows 12-14 are appended to it (three evaluations
+    of ``fun``), so call this at most once per step.
     """
-    y, h, ks = step.y, step.h, step.ks
-    _stage_rows(fun, step.t, y, h, ks, range(12, 15))
-    dy = [b - a for a, b in zip(y, step.y_new)]
+    _stage_rows(fun, t, y, h, ks, range(12, 15))
+    dy = [b - a for a, b in zip(y, y_new)]
     return [[d, h * k[0] - d, 2 * d - h * (k[12] + k[0]),
              *(h * sum(map(mul, row, k)) for row in _DOP_POLY)]
             for d, k in zip(dy, ks)]
@@ -523,6 +510,9 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
               stop_event: Optional[Callable] = None) -> Trajectory:
     """Integrate ``field_fn`` from ``s0`` over ``t_span``.
 
+    One loop takes every step: it retries a DOP853 step, shrinking it, until
+    the error norm accepts it, then evaluates the events at its end and
+    forms its interpolant where a knot, a sample or a root needs it.
     Without ``t_eval`` the trajectory holds the start and the step ends
     and keeps the interpolant; with it, the samples alone.  A span with
     t1 < t0 runs backward.
@@ -559,7 +549,7 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
     NonFinite
         state reached ``escape_radius`` (partial trajectory attached)
     StepUnderflow
-        step control failure without escape
+        the step size fell below ten float spacings of t, without escape
     NoConvergence
         an event root could not be bracketed on the step interpolant
     """
@@ -610,20 +600,44 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
                 Trajectory(t=np.array([t0]), states=np.array([y]),
                            stats={"nfev": 1, "accepted_steps": 0,
                                   "rejected_steps_estimate": 0}))
-        t_last = t0
-        for step, n_rejected in _dormand_prince(field_fn, t0, y, f, t1,
-                                                atol, rtol):
+        exponent = -1 / (_ERROR_ORDER + 1)
+        h_abs = _initial_step(field_fn, t0, y, f, t1, direction, atol, rtol)
+        t = t0
+        while direction * (t - t1) < 0:
+            min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+            h_abs = max(h_abs, min_step)
+            retried = False
+            while True:
+                if h_abs < min_step:
+                    raise StepUnderflow(
+                        f"step size fell below the float spacing at t={t:.6g}")
+                t_new = t + h_abs * direction
+                if direction * (t_new - t1) > 0:
+                    t_new = t1
+                h = t_new - t
+                h_abs = abs(h)
+                ks = [[fi] for fi in f]
+                y_new = _stage_rows(field_fn, t, y, h, ks, range(12))
+                scale = [atol + max(abs(a), abs(b)) * rtol
+                         for a, b in zip(y, y_new)]
+                err = _error_norm(ks, h, scale)
+                if err < 1:
+                    factor = _MAX_FACTOR if err == 0 else min(
+                        _MAX_FACTOR, _SAFETY * err ** exponent)
+                    h_abs *= min(1.0, factor) if retried else factor
+                    break
+                h_abs *= max(_MIN_FACTOR, _SAFETY * err ** exponent)
+                rejected += 1
+                retried = True
             accepted += 1
-            rejected += n_rejected
-            t_end, y_end = step.t_new, step.y_new
+            t_end, y_end = t_new, y_new
             g_new = [ev(t_end, y_end) for ev in events]
             hit = [i for i, (a, b) in enumerate(zip(g, g_new)) if a < 0 <= b]
             g = g_new
-            coef = (_dop853_coef(field_fn, step)
+            coef = (_dop853_coef(field_fn, t, y, h, y_new, ks)
                     if t_eval is None or hit else None)
             if hit:
-                roots = [_root(events[i], step.t, t_end, step.y, step.h, coef)
-                         for i in hit]
+                roots = [_root(events[i], t, t_new, y, h, coef) for i in hit]
                 # the earliest root ends the run; a tie goes to the escape
                 first = min(range(len(hit)),
                             key=lambda j: (direction * roots[j][0], j))
@@ -631,24 +645,24 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
                 escaped = hit[first] == 0
                 stopped = not escaped
             if t_eval is None:
-                if t_end != t_last:  # a root at the step start adds no knot
+                if t_end != t:  # a root at the step start adds no knot
                     ts.append(t_end)
                     ys.extend(y_end)
-                hs.append(step.h)
+                hs.append(h)
                 rows.extend(v for c in coef for v in c)
             else:
                 while len(ts) < len(t_eval) and \
                         direction * (t_eval[len(ts)] - t_end) <= 0:
                     # rows only for a step that holds samples
-                    coef = coef or _dop853_coef(field_fn, step)
-                    x = (t_eval[len(ts)] - step.t) / step.h
+                    coef = coef or _dop853_coef(field_fn, t, y, h, y_new, ks)
+                    x = (t_eval[len(ts)] - t) / h
                     ts.append(t_eval[len(ts)])
                     ys.extend([_interp_eval(x, yi, c)
-                               for yi, c in zip(step.y, coef)])
+                               for yi, c in zip(y, coef)])
             interpolants += coef is not None
-            t_last = t_end
             if hit:
                 break
+            t, y, f = t_new, y_new, [k[12] for k in ks]
 
     stats = {"nfev": 2 + 12 * (accepted + rejected) + 3 * interpolants,
              "accepted_steps": accepted, "rejected_steps_estimate": rejected}
@@ -660,48 +674,8 @@ def integrate(field_fn: Callable[[float, list], Sequence[float]],
                       stopped=stopped, **interp)
     if escaped:
         raise NonFinite(
-            f"state escaped |s| > {escape_radius:g} at t={t_last:.6g}", traj)
+            f"state escaped |s| > {escape_radius:g} at t={t_end:.6g}", traj)
     return traj
-
-
-def _dormand_prince(fun, t: float, y: list, f: list, t_bound: float,
-                    atol: float, rtol: float):
-    """Accepted DOP853 steps from (t, y), where y' = f, up to t_bound.
-
-    Yields each accepted :class:`_Step` with the number of attempts
-    rejected before it.  Raises :class:`StepUnderflow` once the step size
-    falls below ten float spacings of t.
-    """
-    direction = 1.0 if t_bound > t else -1.0
-    exponent = -1 / (_ERROR_ORDER + 1)
-    h_abs = _initial_step(fun, t, y, f, t_bound, direction, atol, rtol)
-    while direction * (t - t_bound) < 0:
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = 0
-        while True:
-            if h_abs < min_step:
-                raise StepUnderflow(
-                    f"step size fell below the float spacing at t={t:.6g}")
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
-            ks = [[fi] for fi in f]
-            y_new = _stage_rows(fun, t, y, h, ks, range(12))
-            scale = [atol + max(abs(a), abs(b)) * rtol
-                     for a, b in zip(y, y_new)]
-            err = _error_norm(ks, h, scale)
-            if err < 1:
-                factor = _MAX_FACTOR if err == 0 else min(
-                    _MAX_FACTOR, _SAFETY * err ** exponent)
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** exponent)
-            rejected += 1
-        yield _Step(t, y, h, t_new, y_new, ks), rejected
-        t, y, f = t_new, y_new, [k[12] for k in ks]
 
 
 _RESIDUAL_TOL = 1e-10  # |section| at a crossing: a safety check, not a target

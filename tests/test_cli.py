@@ -502,6 +502,18 @@ def test_forced_escape_for_eps_below_zero_exit_3(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_forced_out_must_not_be_the_json_path(tmp_path, capsys):
+    # the verdict goes to --out with the extension .json: an --out f.json
+    # would have the verdict replace the strobe CSV
+    out = tmp_path / "f.json"
+    assert _run(["forced", "--mu", "-0.1", "--beta", "1", "--eps", "3",
+                 "--alpha", "-0.3", "--n", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out) in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_portrait_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["portrait", "--beta", "1", "--eps", "2", "--mu", "-0.2",
@@ -791,6 +803,19 @@ def test_portrait_svg_needs_out(capsys):
                  "--seed", "2,0", "--t1", "1", "--format", "svg"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_portrait_svg_out_must_not_be_the_svg_path(tmp_path, capsys):
+    # the SVG goes to --out with the extension .svg: an --out p.svg would
+    # have the SVG replace the CSV
+    out = tmp_path / "p.svg"
+    assert _run(["portrait", "--beta", "1", "--eps", "2", "--mu", "-0.1",
+                 "--seed", "2,0", "--t1", "1", "--format", "svg",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out) in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- sweep ---------------------------------------------------------------------

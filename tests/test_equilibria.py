@@ -213,12 +213,16 @@ def _close(got: complex, exact: tuple, size: Fraction, cond=1) -> bool:
 def _exact_roots(s: Fraction, c: Fraction):
     """(real, imag) parts of the roots of x^2 - s x + c = 0, principal
     square root first, the larger root modulus, and the roots' condition:
-    a rounding of s or c moves them by that modulus over their distance."""
+    a rounding of s or c moves them by that modulus over their distance.
+    A smaller real root is c over the larger, as s -+ sqrt would cancel
+    the relative 2^-199 of :func:`_sqrt`."""
     disc = s * s - 4 * c
     root = _sqrt(abs(disc))
     if disc >= 0:
-        roots = (((s + root) / 2, 0), ((s - root) / 2, 0))
-        size = max(abs(s + root), abs(s - root)) / 2
+        big = (s + root) / 2 if s >= 0 else (s - root) / 2
+        small = c / big if big else big
+        roots = ((big, 0), (small, 0)) if s >= 0 else ((small, 0), (big, 0))
+        size = abs(big)
     else:
         roots, size = ((s / 2, root / 2), (s / 2, -root / 2)), _sqrt(c)
     return roots, size, max(1, size / root) if root else math.inf
@@ -246,8 +250,9 @@ def test_closed_forms_keep_the_float_range():
     # beta, eps log-uniform on [1e-300, 1e300], mu = +-10^U(-300, 300):
     # wherever the exact value is a double, mu1, muc, mu2 and mu3 are
     # finite and within 4 ulps of the sum of their terms' magnitudes, and
-    # the eigenvalues at O and E2 within 4 ulps of the larger |lambda|
-    # times their condition; elsewhere each call raises its one
+    # the eigenvalues at O and E2 within 4 ulps, times their condition, of
+    # their own magnitude where real and of their modulus where complex, so
+    # a smaller root that cancels fails; elsewhere each call raises its one
     # float-range ValueError.  E2's trace is mu minus the muc checked
     # here: it cancels where mu is near muc, as it does at the parent
     finite = {"mus": 0, "mu3": 0, "eigs": 0}
@@ -271,7 +276,8 @@ def test_closed_forms_keep_the_float_range():
                 eqs = find_equilibria(p)
                 for eq, (roots, size, cond) in zip(eqs[::2], (at_o, at_e2)):
                     for g, x in zip(eq.eigs, roots):
-                        assert _close(g, x, size, cond), (p, eq)
+                        own = abs(x[0]) if x[1] == 0 else size
+                        assert _close(g, x, own, cond), (p, eq)
             else:
                 with pytest.raises(ValueError, match="float range"):
                     find_equilibria(p)

@@ -484,6 +484,51 @@ def test_fields_and_events_get_lists_of_floats():
     assert a.stats == b.stats
 
 
+def _counted(field_fn):
+    calls = []
+
+    def counted(t, s):
+        calls.append(t)
+        return field_fn(t, s)
+    return counted, calls
+
+
+def test_nfev_counts_the_field_calls():
+    # stats["nfev"] is the number of field calls, whichever way the run
+    # ends and whichever steps form their interpolant
+    p = Params(mu=-0.1, beta=1.0, eps=2.0)
+
+    def at_ten(t, s):
+        return t - 10.0
+
+    runs = {
+        # its steps include rejected attempts, 12 evaluations each
+        "dense": dict(s0=[2.0, 0.0], t_span=(0.0, 30.0)),
+        "backward": dict(s0=[0.5, 0.1], t_span=(0.0, -5.0),
+                         escape_radius=escape_bound(p, -5.0)),
+        "t_eval": dict(s0=[2.0, 0.0], t_span=(0.0, 30.0),
+                       t_eval=np.linspace(0.0, 30.0, 7)),
+        "stopped": dict(s0=[2.0, 0.0], t_span=(0.0, 30.0),
+                        stop_event=at_ten),
+        # the hit step holds no sample, yet forms its interpolant
+        "stopped t_eval": dict(s0=[2.0, 0.0], t_span=(0.0, 30.0),
+                               t_eval=[0.0, 30.0], stop_event=at_ten),
+    }
+    for name, kw in runs.items():
+        field_fn, calls = _counted(unforced_rhs(p))
+        traj = integrate(field_fn, **kw)
+        assert traj.stats["nfev"] == len(calls), name
+        assert traj.stopped is ("stopped" in name), name
+        if name == "dense":
+            assert traj.stats["rejected_steps_estimate"] > 0
+    pe = Params(mu=0.3, beta=1.0, eps=-1.0)
+    field_fn, calls = _counted(unforced_rhs(pe))
+    with pytest.raises(NonFinite) as exc:
+        integrate(field_fn, [2.0, 0.0], (0.0, 600.0), tol=(1e-10, 1e-7),
+                  escape_radius=8.0)
+    assert exc.value.trajectory.stats["nfev"] == len(calls)
+
+
 def test_nonfinite_escape_reported():
     # for eps < 0 orbits creep to infinity along the quartic-damping
     # nullcline (x ~ sqrt(2t), stiffer as x grows); crossing the escape
