@@ -337,10 +337,8 @@ def homoclinic_curve(beta: float, eps: float) -> float:
     """
     if not (beta > 0 and eps > 0):
         raise ValueError("homoclinic curve requires beta > 0 and eps > 0")
-    b, e = beta, eps
-    if not (2.0 ** -500 <= b <= 2.0 ** 500 and 2.0 ** -500 <= e <= 2.0 ** 500):
-        k = scale_exponent(e, b, e)
-        b, e = math.ldexp(b, -k), math.ldexp(e, -k)
+    k = scale_exponent(eps, beta, eps)
+    b, e = math.ldexp(beta, -k), math.ldexp(eps, -k)
     try:
         mu3 = (32.0 * b * b) / (35.0 * e * e) - (4.0 * b) / (5.0 * e)
         if not math.isfinite(mu3):

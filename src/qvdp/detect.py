@@ -18,9 +18,11 @@ map on {y = 0} has the derivative
 return carries its own slope.  The search reports the attracting cycle the
 seed's forward orbit reaches: it follows the orbit return by return and
 shortcuts it by a Newton step wherever the map contracts and the step
-shrinks the residual.  At the cycle the nontrivial Floquet multiplier is
-exp(int_0^T div dt), read off the closing return, and the cycle's geometry
-is sampled from the dense output of that same return.
+shrinks the residual.  It ends without a cycle where a section point and
+its return both lie near an equilibrium that attracts; a repelling focus
+ends none, since past mu_c a small stable cycle rings it.  At the cycle
+the nontrivial Floquet multiplier is exp(int_0^T div dt), read off the
+closing return, and its geometry is sampled from that return's dense output.
 
 Homoclinic proximity is measured by shooting: the unstable manifold of the
 saddle at the origin is launched forward, the stable manifold backward,
@@ -67,8 +69,8 @@ __all__ = [
 _FIXED_POINT_RESIDUAL = 1e-8
 _MAX_RETURNS = 60
 _RETURN_HORIZON = 240.0
-# a converged section fixed point closer than this to an equilibrium, or a
-# loop staying within this distance of one, is a collapsed spiral, not a cycle
+# a section point and its return both closer than this to an equilibrium
+# that attracts are a spiral collapsing into it, not a cycle
 _COLLAPSE_RADIUS = 1e-2
 
 
@@ -157,13 +159,15 @@ def find_limit_cycle(p: Params, seed: State) -> Optional[LimitCycle]:
     that closes to within 1e-8 gives the period, the path and the
     multiplier.
 
-    Returns None when the orbit collapses into an equilibrium or never
-    crosses the section; raises :class:`~qvdp.integrate.NoConvergence` if
-    none of 60 returns from the section closes.  The returns take their
-    bound from :func:`~qvdp.integrate.escape_bound`, which gives forward
-    eps > 0 runs none: every such orbit is bounded (the equator repels
-    it), so a large cycle is found however far out it lies.  A seed where
-    the field overflows raises :class:`~qvdp.integrate.NonFinite`.
+    Returns None when the orbit collapses, x and P(x) both within 1e-2 of
+    an equilibrium that attracts (checked on every return, before the
+    residual), or never crosses the section; raises
+    :class:`~qvdp.integrate.NoConvergence` if none of 60 returns from the
+    section closes.  The returns take their bound from
+    :func:`~qvdp.integrate.escape_bound`, which gives forward eps > 0 runs
+    none: every such orbit is bounded (the equator repels it), so a large
+    cycle is found however far out it lies.  A seed where the field
+    overflows raises :class:`~qvdp.integrate.NonFinite`.
 
     For eps <= 0 it returns None at once, without integrating: the origin
     is then the only equilibrium, a saddle of index -1, and a cycle must
@@ -188,9 +192,6 @@ def find_limit_cycle(p: Params, seed: State) -> Optional[LimitCycle]:
         # y' on the section {y = 0}
         return p.beta * x - p.eps * x ** 3
 
-    def near_equilibrium(x):
-        return min(abs(x - e.location.x) for e in eqs) < _COLLAPSE_RADIUS
-
     first = ret(float(seed[0]), float(seed[1]))
     if first is None:
         return None
@@ -205,11 +206,12 @@ def find_limit_cycle(p: Params, seed: State) -> Optional[LimitCycle]:
             return None
         x, hit = x_try, trial
         px = float(hit.final[0])
+        if any(max(abs(x - e.location.x), abs(px - e.location.x))
+               < _COLLAPSE_RADIUS for e in eqs if e.kind.stable):
+            return None  # spiral collapsing into an attracting equilibrium
         resid = px - x
         if abs(resid) < _FIXED_POINT_RESIDUAL:
             break
-        if near_equilibrium(x) and near_equilibrium(px):
-            return None  # spiral collapsing into an equilibrium
         x_try, newton = px, False
         # Liouville: P'(x) = g(x) / g(P(x)) * exp(int div dt)
         slope = g(x) / g(px) * math.exp(hit.final[2])
@@ -226,11 +228,6 @@ def find_limit_cycle(p: Params, seed: State) -> Optional[LimitCycle]:
 
     # geometry from the dense output of the closing return
     path = hit.at(np.linspace(0.0, period, 2001))[:, :2]
-    dist_to_eq = min(
-        np.max(np.hypot(path[:, 0] - e.location.x, path[:, 1] - e.location.y))
-        for e in eqs)
-    if dist_to_eq < _COLLAPSE_RADIUS:
-        return None
 
     # Liouville: the multiplier is exp of the divergence integral over a period
     floquet = math.exp(hit.final[2])

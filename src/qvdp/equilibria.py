@@ -15,13 +15,13 @@ delimit the stable node / stable focus / unstable focus / unstable node bands.
 The band decides the kind, and the eigenvalues are complex exactly at a focus.
 
 Every closed form here and in :mod:`qvdp.bifurcation` has one formula and
-one range rule, :func:`scale_exponent`.  Inside [2^-500, 2^500] no
-intermediate such as beta^2 or s^2 can leave the normal range, and the
-formula runs on its inputs as they are.  Outside that box it runs on them
-divided by a power of two, which is exact, and an eigenvalue is scaled
-back.  Every value that is a finite double then stays finite and keeps
-the bits the direct formula gives wherever its intermediates are normal;
-every other value raises ValueError.
+one range rule, :func:`scale_exponent`.  Inside [2^-500, 2^500] it gives
+k = 0: no intermediate such as beta^2 or s^2 can leave the normal range,
+and the formula runs on its inputs as they are.  Outside that box it runs
+on them divided by a power of two, which is exact, and an eigenvalue is
+scaled back.  Every value that is a finite double then stays finite and
+keeps the bits the direct formula gives wherever its intermediates are
+normal; every other value raises ValueError.
 
 Degenerate linearizations (a zero eigenvalue at beta = 0, a double zero at
 beta = mu = 0) are classified by the known closed-form answer for this family
@@ -97,7 +97,8 @@ class CriticalMus(NamedTuple):
 
 
 def scale_exponent(s: float, c: float, c2: float = 1.0) -> int:
-    """The closed forms' one range rule: k, the binary exponent of
+    """The closed forms' one range rule: k = 0 where |s| <= 2^500 and c, c2
+    lie in [2^-500, 2^500], and elsewhere the binary exponent of
     max(|s|, sqrt(c) sqrt(c2)), for c, c2 >= 0.
 
     Dividing s by 2^k and c c2 by 4^k divides the roots of
@@ -110,6 +111,9 @@ def scale_exponent(s: float, c: float, c2: float = 1.0) -> int:
     divide beta and eps by 2^k; the eigenvalues take (s, c) = (trace,
     beta), whose quadratics' constants are -beta and 2 beta.
     """
+    box = 2.0 ** 500
+    if abs(s) <= box and 1.0 / box <= min(c, c2) and max(c, c2) <= box:
+        return 0
     return math.frexp(max(abs(s), math.sqrt(c) * math.sqrt(c2)))[1]
 
 
@@ -121,10 +125,8 @@ def critical_mus(p: Params) -> CriticalMus:
     beta, eps = p.beta, p.eps
     if not (beta > 0 and eps > 0):
         raise ValueError("critical mus require beta > 0 and eps > 0")
-    if not (2.0 ** -500 <= beta <= 2.0 ** 500
-            and 2.0 ** -500 <= eps <= 2.0 ** 500):
-        k = scale_exponent(eps, beta, eps)
-        beta, eps = math.ldexp(beta, -k), math.ldexp(eps, -k)
+    k = scale_exponent(eps, beta, eps)
+    beta, eps = math.ldexp(beta, -k), math.ldexp(eps, -k)
     # 2 sqrt(2 beta); above 1 the form in beta/2 has the same bits, and
     # stays finite where 2 beta overflows
     half_width = (4.0 * math.sqrt(0.5 * p.beta) if p.beta > 1.0
@@ -146,12 +148,8 @@ def _char_roots(p: Params, s: float, m: int,
     # roots of lambda^2 - s lambda + m beta = 0: at O (s, m) = (mu, -1), at
     # E1/E2 (mu - muc, 2) with the pair's critical mus, whose band
     # mu1 < mu < mu2 has the complex roots
-    beta, k = p.beta, 0
-    boxed = (-2.0 ** 500 <= s <= 2.0 ** 500
-             and 2.0 ** -500 <= beta <= 2.0 ** 500)
-    if not boxed:
-        k = scale_exponent(s, beta)
-        s, beta = math.ldexp(s, -k), math.ldexp(beta, -2 * k)
+    k = scale_exponent(s, p.beta)
+    s, beta = math.ldexp(s, -k), math.ldexp(p.beta, -2 * k)
     disc = s * s - 4.0 * m * beta
     if mus is not None and (disc < 0.0) != (mus.mu1 < p.mu < mus.mu2):
         # rounding at a band edge; the factored form (mu - mu1)(mu - mu2)
@@ -164,17 +162,16 @@ def _char_roots(p: Params, s: float, m: int,
     else:
         r = math.sqrt(disc)
         eigs = (complex(0.5 * (s + r)), complex(0.5 * (s - r)))
-    if not boxed:
-        # times 2^k; 2.0 ** k itself overflows at k = 1024
-        try:
-            if not all(map(cmath.isfinite, eigs)):
-                raise OverflowError(eigs)
-            eigs = tuple(complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
-                         for z in eigs)
-        except OverflowError:
-            raise ValueError(f"eigenvalues leave the float range at "
-                             f"mu={p.mu:g}, beta={p.beta:g}, "
-                             f"eps={p.eps:g}") from None
+    # times 2^k; 2.0 ** k itself overflows at k = 1024
+    try:
+        if not all(map(cmath.isfinite, eigs)):
+            raise OverflowError(eigs)
+        eigs = tuple(complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+                     for z in eigs)
+    except OverflowError:
+        raise ValueError(f"eigenvalues leave the float range at "
+                         f"mu={p.mu:g}, beta={p.beta:g}, "
+                         f"eps={p.eps:g}") from None
     if disc > 0.0 and p.beta != 0.0 and s * s > abs(4.0 * m * beta):
         # past this ratio the smaller root, (s -+ r) / 2, cancels ever more,
         # to 0: it is m beta over the larger one (Higham, Accuracy and

@@ -226,11 +226,15 @@ def test_normal_form_extracted_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_cycle_prediction_matches_detected_amplitude():
-    # leading-order radius against the detected cycle at mu - mu_c = 0.01
-    p = Params(mu=-0.24, beta=1.0, eps=2.0)
+@pytest.mark.parametrize("mu_off", [0.01, 1e-5])
+def test_cycle_prediction_matches_detected_amplitude(mu_off):
+    # leading-order radius against the detected cycle at mu - mu_c = mu_off;
+    # at 1e-5 the whole cycle lies within the 1e-2 collapse radius of the
+    # repelling focus E2, and the seed starts at the predicted radius
+    p = Params(mu=hopf_curve(1.0, 2.0) + mu_off, beta=1.0, eps=2.0)
     pred = hopf_cycle_prediction(p)
-    cyc = find_limit_cycle(p, State(0.85, 0.0))
+    x = 0.85 if mu_off == 0.01 else math.sqrt(0.5) + pred.radius_estimate
+    cyc = find_limit_cycle(p, State(x, 0.0))
     assert cyc is not None
     loop = integrate(unforced_rhs(p), np.array(cyc.representative),
                      (0.0, cyc.period), tol=(1e-12, 1e-10),

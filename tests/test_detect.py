@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qvdp import detect
 from qvdp.detect import (ManifoldEscape, SeparatrixSplit, Verdict,
@@ -172,12 +172,13 @@ _Z2_IMAGE = {EqLabel.O: EqLabel.O, EqLabel.E1: EqLabel.E2,
 @given(beta=st.floats(0.9, 1.1), eps=st.floats(1.9, 2.1),
        frac=st.floats(0.55, 0.75), radius=st.floats(0.02, 0.25),
        angle=st.floats(0.0, 2.0 * math.pi))
+@example(beta=1.0, eps=2.0, frac=0.75, radius=0.0100814, angle=1.0)
 def test_mirrored_seeds_find_mirrored_cycles(beta, eps, frac, radius, angle):
     # two-small-cycles band: the seed s near E2 and -s near E1 reach Z2
-    # images of one cycle, with the same period and multiplier.  The seeds
-    # start outside the 1e-2 collapse radius of the repelling focus, which
-    # the collapse test reads on the section alone, at a phase that differs
-    # between s and -s
+    # images of one cycle, with the same period and multiplier.  In the
+    # example a section point of s's orbit and its return both lie within
+    # 1e-2 of the repelling focus E2, and none of -s's pairs does near E1:
+    # a repelling focus ends no search
     muc, mu3 = hopf_curve(beta, eps), homoclinic_curve(beta, eps)
     p = Params(mu=muc + frac * (mu3 - muc), beta=beta, eps=eps)
     x = math.sqrt(beta / eps) + radius * math.cos(angle)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -228,6 +229,16 @@ def _exact_roots(s: Fraction, c: Fraction):
     return roots, size, max(1, size / root) if root else math.inf
 
 
+def _box_edges():
+    # the range box's edges 2^-500 and 2^500, and one ulp outside each; at
+    # beta = eps, mu_c = 0 and E2's trace is mu itself, like O's
+    edges = (2.0 ** -500, math.nextafter(2.0 ** -500, 0.0),
+             2.0 ** 500, math.nextafter(2.0 ** 500, math.inf))
+    for beta, eps in itertools.product(edges, repeat=2):
+        for mu in (1.0, *edges[2:], *(-x for x in edges[2:])):
+            yield mu, beta, eps
+
+
 def _float_range_draws(n: int, seed: int):
     rng = np.random.default_rng(seed)
     for _ in range(n):
@@ -247,7 +258,8 @@ def test_eigenvalues_leaving_the_float_range_raise():
 
 
 def test_closed_forms_keep_the_float_range():
-    # beta, eps log-uniform on [1e-300, 1e300], mu = +-10^U(-300, 300):
+    # beta, eps log-uniform on [1e-300, 1e300], mu = +-10^U(-300, 300),
+    # after the range box's edges:
     # wherever the exact value is a double, mu1, muc, mu2 and mu3 are
     # finite and within 4 ulps of the sum of their terms' magnitudes, and
     # the eigenvalues at O and E2 within 4 ulps, times their condition, of
@@ -256,7 +268,8 @@ def test_closed_forms_keep_the_float_range():
     # float-range ValueError.  E2's trace is mu minus the muc checked
     # here: it cancels where mu is near muc, as it does at the parent
     finite = {"mus": 0, "mu3": 0, "eigs": 0}
-    for mu, beta, eps in _float_range_draws(2000, 31):
+    for mu, beta, eps in itertools.chain(_box_edges(),
+                                         _float_range_draws(2000, 31)):
         p = Params(mu=mu, beta=beta, eps=eps)
         m, b, e = Fraction(mu), Fraction(beta), Fraction(eps)
         r = b / e
