@@ -18,11 +18,14 @@ map on {y = 0} has the derivative
 return carries its own slope.  The search reports the attracting cycle the
 seed's forward orbit reaches: it follows the orbit return by return and
 shortcuts it by a Newton step wherever the map contracts and the step
-shrinks the residual.  It ends without a cycle where a section point and
-its return both lie near an equilibrium that attracts; a repelling focus
-ends none, since past mu_c a small stable cycle rings it.  At the cycle
-the nontrivial Floquet multiplier is exp(int_0^T div dt), read off the
-closing return, and its geometry is sampled from that return's dense output.
+shrinks the residual.  It stops only at a fixed point that attracts,
+P'(x) < 1: next to a weakly repelling focus a return closes as tightly as
+at a cycle, but the orbit leaves it.  It ends without a cycle where a
+section point and its return both lie near an equilibrium that attracts;
+a repelling focus ends none, since past mu_c a small stable cycle rings
+it.  At the cycle the nontrivial Floquet multiplier is exp(int_0^T div dt),
+read off the closing return, and its geometry is sampled from that
+return's dense output.
 
 Homoclinic proximity is measured by shooting: the unstable manifold of the
 saddle at the origin is launched forward, the stable manifold backward,
@@ -155,19 +158,20 @@ def find_limit_cycle(p: Params, seed: State) -> Optional[LimitCycle]:
     |P(x) - x|; otherwise, and always near a repelling focus, the iterate
     follows the seed's orbit to P(x).  A Newton step keeps the sign of x,
     as every return does: a cycle around E1 crosses the section between E1
-    and O, every other cycle right of E2 (or of O at beta = 0).  The return
-    that closes to within 1e-8 gives the period, the path and the
-    multiplier.
+    and O, every other cycle right of E2 (or of O at beta = 0).  The first
+    return that closes to within 1e-8 where the map contracts gives the
+    period, the path and the multiplier; one that closes next to a weakly
+    repelling focus (P'(x) > 1) is followed on.
 
     Returns None when the orbit collapses, x and P(x) both within 1e-2 of
     an equilibrium that attracts (checked on every return, before the
     residual), or never crosses the section; raises
     :class:`~qvdp.integrate.NoConvergence` if none of 60 returns from the
-    section closes.  The returns take their bound from
-    :func:`~qvdp.integrate.escape_bound`, which gives forward eps > 0 runs
-    none: every such orbit is bounded (the equator repels it), so a large
-    cycle is found however far out it lies.  A seed where the field
-    overflows raises :class:`~qvdp.integrate.NonFinite`.
+    section closes onto a fixed point that attracts.  The returns take
+    their bound from :func:`~qvdp.integrate.escape_bound`, which gives
+    forward eps > 0 runs none: every such orbit is bounded (the equator
+    repels it), so a large cycle is found however far out it lies.  A seed
+    where the field overflows raises :class:`~qvdp.integrate.NonFinite`.
 
     For eps <= 0 it returns None at once, without integrating: the origin
     is then the only equilibrium, a saddle of index -1, and a cycle must
@@ -210,11 +214,11 @@ def find_limit_cycle(p: Params, seed: State) -> Optional[LimitCycle]:
                < _COLLAPSE_RADIUS for e in eqs if e.kind.stable):
             return None  # spiral collapsing into an attracting equilibrium
         resid = px - x
-        if abs(resid) < _FIXED_POINT_RESIDUAL:
-            break
-        x_try, newton = px, False
         # Liouville: P'(x) = g(x) / g(P(x)) * exp(int div dt)
-        slope = g(x) / g(px) * math.exp(hit.final[2])
+        slope = g(x) / g(px) * math.exp(hit.final[2]) if g(px) else math.inf
+        if abs(resid) < _FIXED_POINT_RESIDUAL and slope < 1.0:
+            break  # a fixed point that attracts, not a slow repelling focus
+        x_try, newton = px, False
         if slope < 1.0:
             step = -resid / (slope - 1.0)
             if abs(step) <= 0.5 * max(abs(x), 1.0):
@@ -222,7 +226,8 @@ def find_limit_cycle(p: Params, seed: State) -> Optional[LimitCycle]:
                 newton = True
     else:
         raise NoConvergence(f"none of {_MAX_RETURNS} returns from the section "
-                            f"closed to within {_FIXED_POINT_RESIDUAL:g}")
+                            f"closed to within {_FIXED_POINT_RESIDUAL:g} "
+                            "onto a fixed point that attracts")
 
     period = hit.t1
 

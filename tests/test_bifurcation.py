@@ -230,17 +230,21 @@ def test_normal_form_extracted_once(monkeypatch):
 def test_cycle_prediction_matches_detected_amplitude(mu_off):
     # leading-order radius against the detected cycle at mu - mu_c = mu_off;
     # at 1e-5 the whole cycle lies within the 1e-2 collapse radius of the
-    # repelling focus E2, and the seed starts at the predicted radius
+    # repelling focus E2, and one seed starts at the predicted radius, one
+    # outside the cycle, 0.02 right of E2
     p = Params(mu=hopf_curve(1.0, 2.0) + mu_off, beta=1.0, eps=2.0)
     pred = hopf_cycle_prediction(p)
-    x = 0.85 if mu_off == 0.01 else math.sqrt(0.5) + pred.radius_estimate
-    cyc = find_limit_cycle(p, State(x, 0.0))
-    assert cyc is not None
-    loop = integrate(unforced_rhs(p), np.array(cyc.representative),
-                     (0.0, cyc.period), tol=(1e-12, 1e-10),
-                     t_eval=np.linspace(0.0, cyc.period, 2001))
-    xdev = 0.5 * (loop.states[:, 0].max() - loop.states[:, 0].min())
-    assert abs(xdev - pred.radius_estimate) < 0.25 * xdev
+    x_e2 = math.sqrt(0.5)
+    seeds = ([0.85] if mu_off == 0.01
+             else [x_e2 + pred.radius_estimate, x_e2 + 0.02])
+    for x in seeds:
+        cyc = find_limit_cycle(p, State(x, 0.0))
+        assert cyc is not None and cyc.stable
+        loop = integrate(unforced_rhs(p), np.array(cyc.representative),
+                         (0.0, cyc.period), tol=(1e-12, 1e-10),
+                         t_eval=np.linspace(0.0, cyc.period, 2001))
+        xdev = 0.5 * (loop.states[:, 0].max() - loop.states[:, 0].min())
+        assert abs(xdev - pred.radius_estimate) < 0.25 * xdev
 
 
 @pytest.mark.parametrize("beta,eps,mu_off",

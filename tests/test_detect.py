@@ -437,12 +437,18 @@ def test_energy_boundary_search_gives_up_within_30_returns(monkeypatch):
 
 
 def test_search_that_never_closes_raises(monkeypatch):
-    # two returns from (2, 0) do not close onto the large cycle: the search
-    # gives up with NoConvergence, which the portrait and the CLI catch
+    # two returns from (2, 0) do not close onto the large cycle; next to the
+    # weakly repelling focus E2 a return closes to within 1e-8 but repels
+    # (multiplier 1.00004 at mu_c + 1e-5, 1.14 at mu_c + 0.03), so it is no
+    # cycle: the search gives up with NoConvergence, which the portrait and
+    # the CLI catch
     monkeypatch.setattr(detect, "_MAX_RETURNS", 2)
-    p = Params(mu=-0.1, beta=1.0, eps=2.0)
-    with pytest.raises(NoConvergence, match="none of 2 returns"):
-        find_limit_cycle(p, State(2.0, 0.0))
+    muc = hopf_curve(1.0, 2.0)
+    for mu, seed in [(-0.1, State(2.0, 0.0)),
+                     (muc + 1e-5, State(math.sqrt(0.5) + 1e-4, 0.0)),
+                     (muc + 0.03, State(math.sqrt(0.5) + 1e-8, 0.0))]:
+        with pytest.raises(NoConvergence, match="none of 2 returns"):
+            find_limit_cycle(Params(mu=mu, beta=1.0, eps=2.0), seed)
 
 
 def test_return_from_the_section_does_not_stop_at_start():
