@@ -291,7 +291,7 @@ _FORCED_EXAMPLES = [
 
 
 def cmd_repro(args) -> int:
-    from .cli import build_parser
+    from .cli import parse_args
     from .output import dumps_json, write_lines
 
     if args.n < 1:
@@ -304,12 +304,11 @@ def cmd_repro(args) -> int:
     except OSError as exc:  # a regular file there or among its parents
         raise ValueError(f"cannot write {outdir}: {exc.strerror}") from exc
     manifest = {"unforced": [], "forced": [], "n_strobe": args.n}
-    parser = build_parser()
     for name, kw in _UNFORCED_EXAMPLES:
         path = os.path.join(outdir, f"{name}.json")
         argv = ["classify", "--mu", str(kw["mu"]), "--beta", str(kw["beta"]),
                 "--eps", str(kw["eps"]), "--out", path]
-        rc = dispatch(parser.parse_args(argv))
+        rc = dispatch(parse_args(argv))
         manifest["unforced"].append({"name": name, "params": kw,
                                      "file": os.path.basename(path),
                                      "exit_code": rc})
@@ -319,7 +318,7 @@ def cmd_repro(args) -> int:
                 "--eps", str(kw["eps"]), "--alpha", str(kw["alpha"]),
                 "--omega", str(kw["omega"]), "--seed", "0,1.2",
                 "--n", str(args.n), "--out", path]
-        rc = dispatch(parser.parse_args(argv))
+        rc = dispatch(parse_args(argv))
         manifest["forced"].append({"name": name, "params": kw,
                                    "file": os.path.basename(path),
                                    "exit_code": rc})

@@ -1,4 +1,3 @@
-import argparse
 import importlib
 import json
 import math
@@ -14,10 +13,11 @@ import warnings
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qvdp
 from qvdp import cli, commands
-from qvdp.cli import build_parser, main
+from qvdp.cli import main, parse_args
 from qvdp.bifurcation import homoclinic_curve
 from qvdp.detect import classify_forced, find_limit_cycle
 from qvdp.errors import NoConvergence
@@ -764,10 +764,7 @@ _FLAGS = {
 
 def test_flag_census():
     # every flag is read by its subcommand; a new one must be listed here
-    sub = next(a for a in build_parser()._actions if a.choices)
-    seen = {name: {o for a in sp._actions for o in a.option_strings
-                   if o.startswith("--") and o != "--help"}
-            for name, sp in sub.choices.items()}
+    seen = {name: set(flags) for name, (_, flags) in cli.COMMANDS.items()}
     assert seen == _FLAGS
     with pytest.raises(SystemExit) as exc:  # portraits start at t = 0
         _run(["portrait", "--seed", "1,0", "--t0", "1"])
@@ -775,11 +772,85 @@ def test_flag_census():
 
 
 def test_flags_without_value_are_the_parsers():
-    # main joins a '-'-led argument onto every other flag as its value
-    sub = next(a for a in build_parser()._actions if a.choices)
-    seen = {o for sp in sub.choices.values() for a in sp._actions
-            if a.nargs == 0 for o in a.option_strings if o.startswith("--")}
-    assert seen == set(cli._FLAGS_WITHOUT_VALUE)
+    # --disk alone takes no value; every other flag takes the next
+    # argument, '-'-led or not
+    seen = {flag for _, flags in cli.COMMANDS.values()
+            for flag, (kind, _, _) in flags.items() if kind is None}
+    assert seen == {"--disk"}
+
+
+# '-'-led values argparse refused as a separate argument
+_DASH_LED = ["-5e-05", "-inf", "-3e-1", "-2,0"]
+_FLOAT_TEXT = st.sampled_from(_DASH_LED[:3]) | st.floats(
+    allow_nan=False).map(repr)
+_SEED_TEXT = st.just("-2,0") | st.builds(
+    "{},{}".format, _FLOAT_TEXT, _FLOAT_TEXT)
+_VALUE_TEXT = {
+    str: st.sampled_from(_DASH_LED) | st.text(),
+    float: _FLOAT_TEXT,
+    int: st.integers().map(str),
+    cli._seed_pair: _SEED_TEXT,
+    cli._grid_spec: st.builds("mu:{}:{}:{}".format, _FLOAT_TEXT.filter(
+        lambda t: math.isfinite(float(t))), st.just("-5e-05"),
+        st.integers(2, 10**6)),
+    cli._portrait_format: st.sampled_from(["csv", "svg"]),
+}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_every_flag_takes_its_value_split_or_joined(data):
+    for command, (_, flags) in cli.COMMANDS.items():
+        for flag, (kind, default, _) in flags.items():
+            if kind is None:
+                continue
+            text = data.draw(_VALUE_TEXT[kind], label=f"{command} {flag}")
+            split = parse_args([command, flag, text])
+            assert split == parse_args([command, f"{flag}={text}"])
+            value = kind(text)
+            assert getattr(split, flag[2:]) == \
+                ([value] if isinstance(default, list) else value)
+            if isinstance(default, list):  # --seed and --grid append in order
+                texts = data.draw(st.lists(_VALUE_TEXT[kind], max_size=4))
+                argv = [command]
+                for i, t in enumerate(texts):
+                    argv += [flag, t] if i % 2 else [f"{flag}={t}"]
+                assert getattr(parse_args(argv), flag[2:]) == \
+                    [kind(t) for t in texts]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--beta", "1", "--nope", "1"],  # unknown flag
+    ["classify", "--alpha", "0.3"],              # a flag of forced
+    ["classify", "--beta", "1", "--mu"],         # no value left
+    ["portrait", "--seed", "1,0", "--disk=1"],   # --disk takes none
+    ["classify", "--be", "1"],                   # no prefix abbreviation
+    ["sweep", "--grid", "mu:0:1"],
+    ["forced", "--n", "1.5"],
+    ["portrait", "--format", "json"],
+    ["clasify"],
+    [],
+])
+def test_usage_errors_exit_2_with_one_error_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_args(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: qvdp")
+    assert [line for line in err.splitlines() if "error:" in line] == \
+        [err.splitlines()[-1]]
+
+
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+def test_help_lists_every_flag_of_the_table(command, capsys):
+    for flag in ("-h", "--help"):
+        with pytest.raises(SystemExit) as exc:
+            parse_args([flag] if command is None else [command, flag])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("usage: qvdp")
+        names = cli.COMMANDS if command is None else cli.COMMANDS[command][1]
+        assert all(name in out for name in names)
 
 
 @pytest.mark.parametrize("t1", ["nan", "inf"])
@@ -1031,12 +1102,14 @@ def test_closed_form_paths_load_no_numpy(tmp_path):
 
 def test_cli_loads_what_each_subcommand_runs(tmp_path):
     # import qvdp.cli, --help and a usage error load no module beyond the
-    # parser's; forced and a CSV portrait run without the bifurcation module
+    # parser's, argparse and gettext included; forced and a CSV portrait run
+    # without the bifurcation module
     code = "\n".join([
         "import contextlib, io, sys",
         "import qvdp.cli",
         "def loaded():",
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'qvdp')",
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in",
+        "                  ('qvdp', 'argparse', 'gettext'))",
         "print(loaded())",
         "for argv in (['--help'], ['classify', '--mu', 'x']):",
         "    with contextlib.redirect_stdout(io.StringIO()), \\",
@@ -1064,21 +1137,35 @@ def test_cli_loads_what_each_subcommand_runs(tmp_path):
     assert (tmp_path / "p.csv").exists() and (tmp_path / "f.json").exists()
 
 
+def test_subcommands_load_no_argparse(tmp_path):
+    # the table parses every argv, repro's own included: no run imports
+    # argparse or the gettext it loads
+    code = ("import sys, qvdp.cli\n"
+            "for argv in sys.argv[1:]:\n"
+            "    print(qvdp.cli.main(argv.split()),\n"
+            "          'argparse' in sys.modules, 'gettext' in sys.modules)")
+    runs = [f"classify --beta 1 --eps 2 --mu -0.25 --out {tmp_path / 'c.json'}",
+            f"repro --n 2 --out {tmp_path / 'r'}"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(qvdp.__file__)))
+    out = subprocess.run([sys.executable, "-c", code, *runs], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "0 False False\n0 False False\n"
+
+
 def test_every_subcommand_dispatches_to_its_cmd():
     # dispatch looks cmd_<name> up in qvdp.commands when it runs: each
-    # subcommand the parser knows has one, and the parser module has none
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    assert sorted(sub.choices) == ["classify", "forced", "melnikov",
-                                   "portrait", "repro", "sweep"]
+    # subcommand the table knows has one, and the parser module has none
+    assert sorted(cli.COMMANDS) == ["classify", "forced", "melnikov",
+                                    "portrait", "repro", "sweep"]
     assert all(callable(getattr(commands, f"cmd_{name}", None))
-               for name in sub.choices)
+               for name in cli.COMMANDS)
     assert [name for name in vars(cli) if name.startswith("cmd_")] == []
 
 
 def test_repro_run_as_main_module_writes_what_main_writes(tmp_path):
     # under python -m qvdp.cli the parser module is __main__: cmd_repro
-    # imports build_parser from qvdp.cli afresh and writes the same bundle
+    # imports parse_args from qvdp.cli afresh and writes the same bundle
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(qvdp.__file__)))
     run = subprocess.run([sys.executable, "-m", "qvdp.cli", "repro", "--n",
